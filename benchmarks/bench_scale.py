@@ -34,8 +34,10 @@ heartbeats (unicast ×2, via ``send_many``) and per-adapter segment beacons
 ``BENCH_SCALE_SIZES`` (comma-separated) overrides the size list — CI runs
 the 256-point only, printing + floor-asserting without appending to the
 ``BENCH_scale.json`` trajectory (a partial point's keys would trip the
-metric-drift guard, by design). Under pytest the acceptance asserts run
-but no trajectory point is recorded either: ``ru_maxrss`` is
+metric-drift guard, by design). Under pytest the acceptance is asserted in
+its deterministic form (engine events per useful delivery, exact counts);
+the wall-clock ratios are asserted only where they are recorded. No
+trajectory point is recorded under pytest either: ``ru_maxrss`` is
 process-wide, so a point taken mid-suite would carry the whole test
 session's high-water mark, not this bench's footprint. Appending a point
 requires the dedicated-process entry
@@ -268,18 +270,26 @@ def test_scale_bench_trajectory():
     # emit_bench_json drift guard — correctly, since mixed-shape points
     # are not comparable
     if tuple(sorted(sizes)) == DEFAULT_SIZES:
+        # tentpole acceptance, deterministic form (exact counts, asserted on
+        # every run): the engine-event cost of a useful delivery is level
+        # from 256 -> 4096 adapters, and >= 3x below the pre-PR
+        # configuration's at the 4096-adapter point
+        per_useful = {n: p["events_executed"] / p["useful"] for n, p in rows}
+        assert per_useful[largest] <= per_useful[min(sizes)]
+        assert baseline["events_executed"] / baseline["useful"] >= 3.0 * per_useful[largest]
         if _RECORD:
             emit_bench_json("scale", metrics)
-        # tentpole acceptance: >= 3x useful throughput over the pre-PR
-        # configuration at the 4096-adapter point, with level per-delivery
-        # cost from 256 -> 4096 (allow 2x for cache effects at 16x scale)
-        assert metrics["scale_speedup"] >= 3.0
-        assert metrics["us_per_delivery_4096"] < 2.0 * metrics["us_per_delivery_256"]
-        # sharded acceptance: >= 1.8x at the largest size — only where
-        # parallel speedup is physically possible; 1-2 core hosts record
-        # the (honest, ~1x) number without gating on it
-        if metrics["cpus"] >= 4:
-            assert metrics["shard_speedup"] >= SHARD_SPEEDUP_FLOOR
+            # the wall-clock forms of the same acceptance (allow 2x for
+            # cache effects at 16x scale). Ratios of two timings on a host
+            # whose run-to-run spread is 7-11 %: asserted only in the
+            # dedicated-process run that records them, never mid-suite
+            assert metrics["scale_speedup"] >= 3.0
+            assert metrics["us_per_delivery_4096"] < 2.0 * metrics["us_per_delivery_256"]
+            # sharded acceptance: >= 1.8x at the largest size — only where
+            # parallel speedup is physically possible; 1-2 core hosts record
+            # the (honest, ~1x) number without gating on it
+            if metrics["cpus"] >= 4:
+                assert metrics["shard_speedup"] >= SHARD_SPEEDUP_FLOOR
     else:
         smallest = min(sizes)
         # CI floor at the 256-point: generous (~3x slack) anti-regression

@@ -60,6 +60,9 @@ _INFO_KEYS = {
     "tasks",
     "cold_misses",
     "steady_hour16_events",
+    # events / wall-clock: a change that deletes cheap events lowers it
+    # while the run gets faster; steady_hour16_wallclock_s carries the gate
+    "steady_hour16_events_per_sec",
     "suite_wallclock_s",
     "shards",
 }

@@ -26,8 +26,9 @@ adapter (§2.2, Figure 3).
 from __future__ import annotations
 
 import enum
+from collections import deque
 from dataclasses import dataclass, field as dc_field
-from typing import Any, Dict, Optional, Set, TYPE_CHECKING
+from typing import Any, Deque, Dict, Optional, Set, Tuple, TYPE_CHECKING
 
 from repro.net.addressing import IPAddress
 from repro.gulfstream.amg import AMGView, choose_leader
@@ -90,7 +91,11 @@ class AdapterProtocol:
         self.sim = daemon.sim
         self.host = daemon.host
         self.os = daemon.host.os
-        self.state = AdapterState.BOOT
+        self._state = AdapterState.BOOT
+        #: beacons received while not LEADER: charged to the OS model on
+        #: arrival, folded in by :meth:`_absorb` — ``(finish time, reserved
+        #: seq, beacon)``, the key of the event that would have handled each
+        self._backlog: Deque[Tuple[float, int, Beacon]] = deque()
         #: restart generation; scheduled callbacks from older generations
         #: are ignored, making stop()/start() safe at any instant
         self.gen = 0
@@ -152,6 +157,23 @@ class AdapterProtocol:
             admin_eligible=self.is_admin_adapter and self.host.admin_eligible,
         )
 
+    @property
+    def state(self) -> AdapterState:
+        return self._state
+
+    @state.setter
+    def state(self, new: AdapterState) -> None:
+        # whatever the finished part of the backlog would have done under the
+        # old state happens before anyone can see the new one
+        self._absorb()
+        self._state = new
+        if new is AdapterState.LEADER:
+            # a leader acts on beacons: the unfinished rest become the events
+            # they would have been, at their original keys
+            while self._backlog:
+                when, seq, msg = self._backlog.popleft()
+                self.sim.schedule_at(when, self._on_beacon, msg, seq=seq)
+
     def trace(self, category: str, **data: Any) -> None:
         self.sim.trace.emit(self.sim.now, category, self.nic.name, **data)
 
@@ -168,7 +190,7 @@ class AdapterProtocol:
         return self.sim.schedule(delay, self._guarded, gen, fn, args)
 
     def _guarded(self, gen: int, fn, args) -> None:
-        if gen == self.gen and self.state is not AdapterState.STOPPED:
+        if gen == self.gen and self._state is not AdapterState.STOPPED:
             fn(*args)
 
     # ------------------------------------------------------------------
@@ -210,6 +232,7 @@ class AdapterProtocol:
         self.verifications.clear()
         self._probe_waiters.clear()
         self._outstanding_suspects.clear()
+        self._backlog.clear()  # a stopped instance is never restarted
         self.trace("gs.stop")
 
     # ------------------------------------------------------------------
@@ -239,6 +262,7 @@ class AdapterProtocol:
     def _form_group(self) -> None:
         if self.state is not AdapterState.BEACONING:
             return
+        self._absorb()
         if not self.nic.loopback_test():
             # a sick adapter must not form (and report) a phantom group;
             # keep re-beaconing so a repaired adapter joins normally
@@ -267,14 +291,15 @@ class AdapterProtocol:
         self._later(self.params.rebeacon_duration, self._end_beacon_phase)
 
     def _on_beacon(self, msg: Beacon) -> None:
-        if msg.info.ip == self.ip:
+        if msg.info.ip == self.nic.ip:
             return
-        if self.state in (AdapterState.BEACONING, AdapterState.WAIT_FORM):
+        state = self._state
+        if state is AdapterState.BEACONING or state is AdapterState.WAIT_FORM:
             self.peers[msg.info.ip] = msg.info
             if msg.epoch > self._epoch_floor:
                 self._epoch_floor = msg.epoch
             return
-        if self.state is not AdapterState.LEADER:
+        if state is not AdapterState.LEADER:
             # after formation only the leader listens for BEACONs (§2.1)
             return
         assert self.view is not None
@@ -352,6 +377,7 @@ class AdapterProtocol:
     # two-phase commit plumbing
     # ------------------------------------------------------------------
     def _next_epoch(self) -> int:
+        self._absorb()
         return max(self.epoch, self._epoch_floor) + 1
 
     def _coordinate(
@@ -991,9 +1017,38 @@ class AdapterProtocol:
     # ------------------------------------------------------------------
     # dispatch
     # ------------------------------------------------------------------
+    def receive(self, frame) -> None:
+        """NIC handler: every received frame costs serialized daemon CPU.
+
+        A beacon at a non-leader can only ever be collected or ignored
+        (§2.1), so it is charged now and costs no engine event: it waits in
+        the backlog until something could observe it (docs/PROTOCOL.md §8).
+        """
+        msg = frame.payload
+        if self._state is AdapterState.LEADER or not isinstance(msg, Beacon):
+            self.os.handle(self.on_frame, frame)
+            return
+        sim = self.sim
+        backlog = self._backlog
+        if backlog and backlog[0][0] < sim.now:
+            self._absorb()  # keeps a MEMBER's backlog at O(in flight)
+        backlog.append((sim.now + self.os.charge(), sim.reserve_seq(), msg))
+
+    def _absorb(self) -> None:
+        """Handle every backlog beacon whose event would have fired by now.
+
+        Entries are in key order (one host's handling finishes in arrival
+        order) and each postdates the last state change, so handling them
+        under the current state is what their events would have done.
+        """
+        backlog = self._backlog
+        horizon = (self.sim.now, self.sim.firing_seq)
+        while backlog and backlog[0] < horizon:  # seq is unique: msg never compared
+            self._on_beacon(backlog.popleft()[2])
+
     def on_frame(self, frame) -> None:
-        """Entry point from the daemon (already OS-delayed)."""
-        if self.state is AdapterState.STOPPED:
+        """Entry point for a frame whose OS handling delay has elapsed."""
+        if self._state is AdapterState.STOPPED:
             return
         p = frame.payload
         if isinstance(p, Heartbeat):

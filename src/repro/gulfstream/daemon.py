@@ -112,16 +112,9 @@ class GulfStreamDaemon:
         for nic in self.host.enumerate_adapters():
             proto = AdapterProtocol(self, nic, self.params)
             self.protocols[nic.index] = proto
-            nic.handler = self._make_handler(proto)
+            nic.handler = proto.receive
         for proto in self.protocols.values():
             proto.start()
-
-    def _make_handler(self, proto: AdapterProtocol):
-        def handler(frame, _proto=proto):
-            # every received frame costs serialized daemon CPU (OS model)
-            self.host.os.handle(_proto.on_frame, frame)
-
-        return handler
 
     def stop(self) -> None:
         """Stop everything (node crash or shutdown)."""

@@ -120,17 +120,20 @@ class OSModel:
     # ------------------------------------------------------------------
     # serialized event handling
     # ------------------------------------------------------------------
-    def handle(self, fn: Callable[..., Any], *args: Any) -> Event:
-        """Run ``fn(*args)`` after the daemon gets CPU for it.
+    def charge(self) -> float:
+        """Bill one event's handling; returns the delay until it completes.
 
         Handling costs a ``proc_delay`` draw and queues behind any handling
         already in flight, modelling a single-threaded daemon under load.
         """
-        cost = self._draw(self.params.proc_delay)
-        start = max(self.sim.now, self._busy_until)
-        finish = start + cost
+        now = self.sim.now
+        finish = max(now, self._busy_until) + self._draw(self.params.proc_delay)
         self._busy_until = finish
-        return self.sim.schedule(finish - self.sim.now, fn, *args)
+        return finish - now
+
+    def handle(self, fn: Callable[..., Any], *args: Any) -> Event:
+        """Run ``fn(*args)`` after the daemon gets CPU for it (:meth:`charge`)."""
+        return self.sim.schedule(self.charge(), fn, *args)
 
     def after_phase_lag(self, fn: Callable[..., Any], *args: Any) -> Event:
         """Run ``fn(*args)`` after a phase-transition lag."""

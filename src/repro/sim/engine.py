@@ -486,6 +486,11 @@ class Simulator:
         self.backend = backend if backend is not None else default_backend()
         self._backend = _make_backend(self.backend)
         self._seq: int = 0
+        #: ``seq`` of the event being fired; ``inf`` between runs, when every
+        #: event due by ``now`` has fired. ``(now, firing_seq)`` is the key a
+        #: :meth:`reserve_seq` slot compares against to tell whether its
+        #: event would already have run.
+        self.firing_seq: float = float("inf")
         self._running = False
         self._stopped = False
         #: events scheduled and neither fired nor cancelled (O(1) pending_count)
@@ -537,16 +542,26 @@ class Simulator:
         self._maybe_purge()
         return ev
 
+    def reserve_seq(self) -> int:
+        """Claim the next sequence number without queueing an event:
+        ``schedule_at(time, ..., seq=n)`` later yields the event ``schedule``
+        would have made now, same-instant FIFO position included."""
+        seq = self._seq
+        self._seq = seq + 1
+        return seq
+
     def schedule_at(
-        self, time: float, fn: Callable[..., Any], *args: Any, priority: int = 0
+        self, time: float, fn: Callable[..., Any], *args: Any, priority: int = 0,
+        seq: Optional[int] = None,
     ) -> Event:
-        """Schedule ``fn(*args)`` to run at absolute simulated ``time``."""
+        """Schedule ``fn(*args)`` to run at absolute simulated ``time``
+        (``seq``: a number from :meth:`reserve_seq`; default a fresh one)."""
         if time < self.now:
             raise SimulationError(
                 f"cannot schedule in the past: t={time!r} < now={self.now!r}"
             )
-        seq = self._seq
-        self._seq = seq + 1
+        if seq is None:
+            seq = self.reserve_seq()
         ev = Event(time, priority, seq, fn, args)
         ev.sim = self
         self._backend.push((time, priority, seq, ev))
@@ -628,7 +643,7 @@ class Simulator:
                     raise SimulationError(
                         f"exceeded max_events={max_events} (runaway protocol?)"
                     )
-                ev = pop()[3]
+                _, _, self.firing_seq, ev = pop()
                 self.now = when
                 ev.fired = True
                 executed += 1
@@ -639,6 +654,8 @@ class Simulator:
                 self.now = until
         finally:
             self._running = False
+            if not self._stopped:
+                self.firing_seq = float("inf")
             self._live -= executed
             self.events_executed += executed
             self._maybe_purge()
