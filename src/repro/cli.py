@@ -13,8 +13,7 @@ explored without writing Python::
     gulfstream-sim workload --cases 3 --mix mixed --report slo.json
 
 Every command prints a plain-text report; ``--seed`` makes any run exactly
-reproducible, and ``--sim-backend wheel|heap`` selects the simulator's
-pending-event structure (observationally identical; docs/PROTOCOL.md §8). The sweep-shaped commands (``fig5``, ``detectors``, and
+reproducible. The sweep-shaped commands (``fig5``, ``detectors``, and
 ``discover`` with ``--replicates``) fan their independent runs out over
 the parallel experiment fabric (:mod:`repro.runner`): ``--jobs N`` uses N
 worker processes, ``--replicates N`` averages N independently-seeded runs
@@ -36,12 +35,13 @@ format follows the suffix (``.jsonl`` / ``.csv`` / ``.prom``); the
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from typing import List, Optional
 
 from repro.analysis import format_table, measure_stability, run_grid, summarize_farm
 from repro.gulfstream.params import GSParams
+from repro.runner import ResultCache
+from repro.workload.profiles import WORKLOAD_PROFILES
 
 __all__ = ["main", "build_parser"]
 
@@ -64,20 +64,20 @@ def _csv_floats(text: str) -> List[float]:
     return [float(x) for x in text.split(",") if x]
 
 
+def _result_cache(args):
+    """The on-disk result cache when ``--cache`` was given, else None."""
+    return ResultCache() if args.cache else None
+
+
 def _sweep_options(args, experiment: str, metrics=None) -> dict:
     """The ``run_grid`` pass-through options shared by sweep commands."""
-    cache = None
-    if getattr(args, "cache", False):
-        from repro.runner import ResultCache
-
-        cache = ResultCache()
     return dict(
         jobs=args.jobs,
         replicates=args.replicates,
         experiment=experiment,
         seed_arg="seed",
         base_seed=args.seed,
-        cache=cache,
+        cache=_result_cache(args),
         metrics=metrics,
     )
 
@@ -176,8 +176,8 @@ def _detector_point(scheme: str, members: int, seed: int) -> dict:
 def cmd_discover(args) -> int:
     if args.shards is not None and args.replicates > 1:
         print("--shards shards one simulation; it cannot be combined with "
-              "--replicates (shard the points' simulators with "
-              "GULFSTREAM_SHARDS instead)", file=sys.stderr)
+              "--replicates: drop --replicates to shard a single run, or drop "
+              "--shards and fan the replicates out with --jobs", file=sys.stderr)
         return 2
     if args.shards is not None:
         from repro.farm import build_testbed
@@ -393,15 +393,10 @@ def cmd_chaos(args) -> int:
         print(f"unknown mix(es) {', '.join(unknown)}; "
               f"choose from {', '.join(sorted(MIXES))}", file=sys.stderr)
         return 2
-    cache = None
-    if args.cache:
-        from repro.runner import ResultCache
-
-        cache = ResultCache()
     rows = run_campaign(
         args.farm, mixes, args.seeds,
         jobs=args.jobs, base_seed=args.seed, duration=args.duration,
-        cache=cache,
+        cache=_result_cache(args),
     )
     report = build_report(rows, args.farm, mixes, args.seeds, args.seed)
     if args.report:
@@ -428,22 +423,13 @@ def cmd_workload(args) -> int:
               "inside one case; combining them would nest process pools — "
               "pick one", file=sys.stderr)
         return 2
-    if args.profile:
-        # the env var (not a kwarg) so spawned sweep/shard workers see it;
-        # the result cache keys on it as ambient state
-        os.environ["GULFSTREAM_WORKLOAD_PROFILE"] = args.profile
-    cache = None
-    if args.cache:
-        from repro.runner import ResultCache
-
-        cache = ResultCache()
     registry = _sweep_registry(args)
     rows = run_traffic_campaign(
         cases=args.cases,
         jobs=args.jobs,
         replicates=args.replicates,
         base_seed=args.seed,
-        cache=cache,
+        cache=_result_cache(args),
         metrics=registry,
         domains=args.domains,
         front_ends=args.front_ends,
@@ -453,6 +439,7 @@ def cmd_workload(args) -> int:
         duration=args.duration,
         n_users=args.users,
         mix=mix,
+        profile=args.profile,
         shards=args.shards if args.shards is not None else 1,
     )
     report = build_traffic_report(rows, base_seed=args.seed, mix=mix)
@@ -534,11 +521,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--metrics-out", metavar="PATH", default=None,
         help="export the run's metrics registry; format follows the suffix "
              "(.jsonl time-series, .csv flat, .prom Prometheus text)")
-    common.add_argument(
-        "--sim-backend", choices=["wheel", "heap"], default=None,
-        help="pending-event structure for every simulator in this run, "
-             "including sweep workers (default: wheel). The backends are "
-             "observationally identical; see docs/PROTOCOL.md §8")
     common.add_argument(
         "--shards", type=_shards_value, default=None, metavar="N",
         help="shard the simulation across N worker processes at VLAN-island "
@@ -626,10 +608,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mix", default="none",
                    help="chaos mix to run under the traffic (none, crash, "
                         "adapters, partition, leader, mixed)")
-    p.add_argument("--profile", choices=["diurnal", "flat", "flash"],
-                   default=None,
-                   help="rate-profile shape (default diurnal; also settable "
-                        "via $GULFSTREAM_WORKLOAD_PROFILE)")
+    p.add_argument("--profile", choices=WORKLOAD_PROFILES, default="diurnal",
+                   help="rate-profile shape (default diurnal)")
     p.add_argument("--report", metavar="PATH", default=None,
                    help="write the machine-readable SLO report (JSON)")
     p.set_defaults(fn=cmd_workload)
@@ -646,20 +626,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
-    if getattr(args, "sim_backend", None):
-        # the env var (not a constructor argument) so that every Simulator
-        # built anywhere in this run — including ones constructed inside
-        # spawned sweep workers, which inherit the environment — sees it
-        os.environ["GULFSTREAM_SIM_BACKEND"] = args.sim_backend
-    if getattr(args, "shards", None) is not None:
-        if args.fn not in (cmd_discover, cmd_workload):
-            print(f"--shards is not supported by '{args.command}' "
-                  "(sharded execution currently drives 'discover' and "
-                  "'workload'; the other commands run one simulator)",
-                  file=sys.stderr)
-            return 2
-        # recorded in the environment so the result cache keys on it
-        os.environ["GULFSTREAM_SHARDS"] = str(args.shards)
+    if args.shards is not None and args.fn not in (cmd_discover, cmd_workload):
+        print(f"--shards is not supported by '{args.command}' "
+              "(sharded execution currently drives 'discover' and "
+              "'workload'; the other commands run one simulator)",
+              file=sys.stderr)
+        return 2
     try:
         return args.fn(args)
     except BrokenPipeError:  # e.g. `gulfstream-sim metrics x.jsonl | head`

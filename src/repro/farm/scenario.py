@@ -9,12 +9,12 @@ traffic totals.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Optional, Sequence, Union
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.farm.builder import Farm
 from repro.node.faults import FaultInjector, FaultPlan
 
-__all__ = ["Scenario", "ScenarioResult"]
+__all__ = ["Scenario", "ScenarioResult", "close_farm", "dress_farm"]
 
 
 @dataclass
@@ -39,6 +39,72 @@ class ScenarioResult:
         return sum(1 for n in self.notifications if n.kind == kind)
 
 
+def dress_farm(
+    farm: Farm,
+    plan: Optional[FaultPlan],
+    churn: Optional[Dict[str, float]],
+    ambient_load: Dict[int, float],
+) -> Optional[FaultInjector]:
+    """Put a scenario's ambient load, scripted faults and churn onto a
+    built, not yet started farm; returns the churn injector, if any.
+
+    The one definition both the classic path and every shard island run,
+    so the order events are scheduled in cannot differ between them.
+    """
+    sim = farm.sim
+    for vlan, load in ambient_load.items():
+        farm.fabric.segment(vlan).ambient_load = load
+    if plan is not None:
+        plan.arm(sim, farm.fabric, farm.hosts)
+    if churn is None:
+        return None
+    injector = FaultInjector(
+        sim,
+        farm.hosts,
+        mtbf=churn.get("mtbf", 300.0),
+        mttr=churn.get("mttr", 30.0),
+    )
+    sim.schedule(churn.get("start", 0.0), injector.start)
+    return injector
+
+
+def close_farm(
+    farm: Farm, plan: Optional[FaultPlan], injector: Optional[FaultInjector]
+) -> Tuple[List[dict], Dict[int, dict]]:
+    """A finished run's epilogue: ``(unfired faults, segment_stats)``.
+
+    Every fault armed by :func:`dress_farm` that never fired is also
+    traced as one ``scenario.fault.unfired`` record.
+    """
+    sim = farm.sim
+    unfired: List[dict] = []
+    if plan is not None:
+        for act in plan.pending_actions():
+            unfired.append({"time": act.time, "kind": act.kind, "target": act.target})
+    if injector is not None:
+        for node, kind in sorted(injector.pending_faults().items()):
+            unfired.append({"time": None, "kind": f"churn.{kind}", "target": node})
+    for entry in unfired:
+        sim.trace.emit(
+            sim.now,
+            "scenario.fault.unfired",
+            "scenario",
+            kind=entry["kind"],
+            target=entry["target"],
+            planned_time=entry["time"],
+        )
+    segment_stats = {
+        vlan: {
+            "frames_sent": seg.frames_sent,
+            "frames_delivered": seg.frames_delivered,
+            "frames_lost": seg.frames_lost,
+            "bytes_sent": seg.bytes_sent,
+        }
+        for vlan, seg in farm.fabric.segments.items()
+    }
+    return unfired, segment_stats
+
+
 class Scenario:
     """One runnable experiment on a farm."""
 
@@ -54,7 +120,6 @@ class Scenario:
         farm_factory: Optional[Callable[..., Farm]] = None,
         factory_kwargs: Optional[Dict[str, Any]] = None,
         cut_vlans: Optional[Sequence[int]] = None,
-        backend: Optional[str] = None,
         trace_store: bool = True,
         trace_categories: Optional[Sequence[str]] = None,
         stop_when_stable: bool = False,
@@ -95,13 +160,13 @@ class Scenario:
         cut_vlans:
             VLANs treated as the cross-shard cut (default: the admin
             VLAN). Only meaningful with ``shards``.
-        backend / trace_store / trace_categories / stop_when_stable:
+        trace_store / trace_categories / stop_when_stable:
             Forwarded verbatim to :func:`repro.sim.shard.run_sharded`:
-            the per-island simulator backend, whether island traces keep
-            records at all, which categories they keep (counters are
-            always maintained), and whether phase 1 may stop at GSC
-            stability. Only meaningful with ``shards`` — the classic
-            path's farm was already built with its trace.
+            whether island traces keep records at all, which categories
+            they keep (counters are always maintained), and whether
+            phase 1 may stop at GSC stability. Only meaningful with
+            ``shards`` — the classic path's farm was already built with
+            its trace.
         """
         if shards is not None:
             from repro.sim.shard import validate_shards
@@ -118,10 +183,9 @@ class Scenario:
             raise ValueError("Scenario() needs a built farm (or shards= with farm_factory=)")
         elif farm_factory is not None or factory_kwargs is not None:
             raise ValueError("Scenario(farm_factory=...) is only meaningful with shards=")
-        elif (backend is not None or not trace_store
-              or trace_categories is not None or stop_when_stable):
+        elif not trace_store or trace_categories is not None or stop_when_stable:
             raise ValueError(
-                "backend/trace_store/trace_categories/stop_when_stable are "
+                "trace_store/trace_categories/stop_when_stable are "
                 "shard-runner options; they are only meaningful with shards="
             )
         self.farm = farm
@@ -137,7 +201,6 @@ class Scenario:
         self.farm_factory = farm_factory
         self.factory_kwargs = dict(factory_kwargs or {})
         self.cut_vlans = cut_vlans
-        self.backend = backend
         self.trace_store = trace_store
         self.trace_categories = trace_categories
         self.stop_when_stable = stop_when_stable
@@ -157,7 +220,6 @@ class Scenario:
                 stability_timeout=self.stability_timeout,
                 shards=self.shards,
                 cut_vlans=self.cut_vlans,
-                backend=self.backend,
                 trace_store=self.trace_store,
                 trace_categories=self.trace_categories,
                 stop_when_stable=self.stop_when_stable,
@@ -165,50 +227,13 @@ class Scenario:
         farm = self.farm
         assert farm is not None
         sim = farm.sim
-        for vlan, load in self.ambient_load.items():
-            farm.fabric.segment(vlan).ambient_load = load
-        if self.plan is not None:
-            self.plan.arm(sim, farm.fabric, farm.hosts)
-        if self.churn_cfg is not None:
-            self.injector = FaultInjector(
-                sim,
-                farm.hosts,
-                mtbf=self.churn_cfg.get("mtbf", 300.0),
-                mttr=self.churn_cfg.get("mttr", 30.0),
-            )
-            sim.schedule(self.churn_cfg.get("start", 0.0), self.injector.start)
+        self.injector = dress_farm(farm, self.plan, self.churn_cfg, self.ambient_load)
         farm.start()
         stable = farm.run_until_stable(timeout=self.stability_timeout)
         if sim.now < self.duration:
             sim.run(until=self.duration)
-        unfired: list = []
-        if self.plan is not None:
-            for act in self.plan.pending_actions():
-                unfired.append(
-                    {"time": act.time, "kind": act.kind, "target": act.target}
-                )
-        if self.injector is not None:
-            for node, kind in sorted(self.injector.pending_faults().items()):
-                unfired.append({"time": None, "kind": f"churn.{kind}", "target": node})
-        for entry in unfired:
-            sim.trace.emit(
-                sim.now,
-                "scenario.fault.unfired",
-                "scenario",
-                kind=entry["kind"],
-                target=entry["target"],
-                planned_time=entry["time"],
-            )
+        unfired, segment_stats = close_farm(farm, self.plan, self.injector)
         gsc = farm.gsc()
-        segment_stats = {
-            vlan: {
-                "frames_sent": seg.frames_sent,
-                "frames_delivered": seg.frames_delivered,
-                "frames_lost": seg.frames_lost,
-                "bytes_sent": seg.bytes_sent,
-            }
-            for vlan, seg in farm.fabric.segments.items()
-        }
         return ScenarioResult(
             stable_time=gsc.stable_time if gsc is not None else stable,
             duration=sim.now,

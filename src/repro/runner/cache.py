@@ -73,14 +73,10 @@ class ResultCache:
     """Content-addressed store of task results under one directory.
 
     Entries are ``<root>/<key>.json`` where ``key`` is a SHA-256 over the
-    canonical JSON of ``{experiment, kwargs, fingerprint, ambient}`` —
-    ``ambient`` being the execution parameters that reach tasks through
-    the environment rather than through kwargs (the resolved simulator
-    backend, the ``GULFSTREAM_SHARDS`` setting, and the resolved workload
-    profile shape), so a run with ``--sim-backend heap``, ``--shards 4``
-    or ``--profile flash`` can never replay an entry computed under
-    different execution parameters. ``hits`` / ``misses`` / ``stores``
-    count this instance's traffic so benches can report a hit rate.
+    canonical JSON of ``{experiment, kwargs, fingerprint}``: a task's
+    result is a function of its arguments and the code, nothing else.
+    ``hits`` / ``misses`` / ``stores`` count this instance's traffic so
+    benches can report a hit rate.
     """
 
     def __init__(
@@ -96,22 +92,11 @@ class ResultCache:
 
     # -- keys ----------------------------------------------------------
     def key(self, experiment: str, kwargs: Mapping[str, Any]) -> str:
-        from repro.sim.engine import default_backend
-        from repro.workload.profiles import workload_profile
-
         payload = canonical_json(
             {
                 "experiment": experiment,
                 "kwargs": dict(kwargs),
                 "fingerprint": self.fingerprint,
-                # environment-carried execution parameters (see class doc);
-                # resolved (not the raw env strings) so an unset variable
-                # and an explicit default hash identically
-                "ambient": {
-                    "sim_backend": default_backend(),
-                    "shards": os.environ.get("GULFSTREAM_SHARDS"),
-                    "workload_profile": workload_profile(),
-                },
             }
         )
         return hashlib.sha256(payload.encode("utf-8")).hexdigest()

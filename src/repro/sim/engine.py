@@ -29,8 +29,7 @@ docs/PROTOCOL.md, "Performance"):
 Both backends produce *identical execution histories* for any program: the
 golden-trace equivalence suite
 (`tests/integration/test_backend_equivalence.py`) pins that. Selection is
-per-run: ``Simulator(backend="heap")`` or the ``GULFSTREAM_SIM_BACKEND``
-environment variable.
+per-run: ``Simulator(backend="heap")``.
 
 Performance invariants (relied on by the benchmarks, documented in
 docs/PROTOCOL.md):
@@ -86,16 +85,12 @@ _Entry = Tuple[float, int, int, "Event"]
 
 
 def default_backend() -> str:
-    """Resolve the event-queue backend. **This is the single source of
-    truth for the resolution order**, used by the CLI, the scenario layer,
-    and the result cache alike:
-
-    1. an explicit ``Simulator(backend=...)`` argument always wins and
-       never consults the environment;
-    2. otherwise the ``GULFSTREAM_SIM_BACKEND`` environment variable
-       (the CLI's ``--sim-backend`` flag exports it, so child worker
-       processes inherit the choice);
-    3. otherwise ``"wheel"``.
+    """The event-queue backend of a ``Simulator()`` built without
+    ``backend=``: ``"wheel"``, unless ``GULFSTREAM_SIM_BACKEND`` says
+    otherwise. That variable is a read-only test seam (the equivalence
+    suites run whole farms on either queue through it); nothing in the
+    program writes it and, the backends being observationally identical,
+    it cannot change a result.
 
     An unknown non-empty environment value is an error, not a silent
     fallback — a typo like ``GULFSTREAM_SIM_BACKEND=whee`` would

@@ -30,13 +30,12 @@ scheduled at the epoch barrier can never land in an island's past.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
 
-from repro.farm.scenario import ScenarioResult
+from repro.farm.scenario import ScenarioResult, close_farm, dress_farm
 from repro.metrics.core import MetricsRegistry
-from repro.node.faults import FaultInjector, FaultPlan
+from repro.node.faults import FaultPlan
 from repro.runner.workers import PersistentWorkerPool
 from repro.sim.shard.channel import CutMessage, ShardGateway, merge_inbox
 from repro.sim.shard.context import ShardBuildContext, active
@@ -81,8 +80,6 @@ class ShardPlan:
     ambient_load: Dict[int, float] = field(default_factory=dict)
     trace_store: bool = True
     trace_categories: Optional[Tuple[str, ...]] = None
-    #: engine backend forced in workers (None = each worker's default)
-    backend: Optional[str] = None
 
 
 @dataclass
@@ -103,18 +100,8 @@ class IslandHost:
             configdb_rows=plan.configdb_rows,
         )
         trace = Trace(store=plan.trace_store, categories=plan.trace_categories)
-        saved_backend = os.environ.get("GULFSTREAM_SIM_BACKEND")
-        if plan.backend is not None:
-            os.environ["GULFSTREAM_SIM_BACKEND"] = plan.backend
-        try:
-            with active(ctx):
-                farm = plan.factory(trace=trace, **plan.factory_kwargs)
-        finally:
-            if plan.backend is not None:
-                if saved_backend is None:
-                    os.environ.pop("GULFSTREAM_SIM_BACKEND", None)
-                else:
-                    os.environ["GULFSTREAM_SIM_BACKEND"] = saved_backend
+        with active(ctx):
+            farm = plan.factory(trace=trace, **plan.factory_kwargs)
         self.farm = farm
         self.sim = farm.sim
         # replicate every switch of the full farm: switches_connected()
@@ -132,23 +119,13 @@ class IslandHost:
             if remote:
                 seg.remote_members = remote
                 seg.gateway = self.gateway
-        # scenario dressing, mirroring Scenario.run() order exactly
-        for vlan, load in plan.ambient_load.items():
-            farm.fabric.segment(vlan).ambient_load = load
-        self.fault_plan: Optional[FaultPlan] = None
-        actions = plan.fault_actions.get(island_id) or []
-        if actions:
-            self.fault_plan = FaultPlan(actions=list(actions))
-            self.fault_plan.arm(self.sim, farm.fabric, farm.hosts)
-        self.injector: Optional[FaultInjector] = None
-        if plan.churn is not None and farm.hosts:
-            self.injector = FaultInjector(
-                self.sim,
-                farm.hosts,
-                mtbf=plan.churn.get("mtbf", 300.0),
-                mttr=plan.churn.get("mttr", 30.0),
-            )
-            self.sim.schedule(plan.churn.get("start", 0.0), self.injector.start)
+        # this island's share of the scenario: its own fault actions, and
+        # churn only if it owns a host to crash
+        actions = plan.fault_actions.get(island_id)
+        self.fault_plan = FaultPlan(actions=list(actions)) if actions else None
+        self.injector = dress_farm(
+            farm, self.fault_plan, plan.churn if farm.hosts else None, plan.ambient_load
+        )
         farm.start()
 
     # ------------------------------------------------------------------
@@ -173,34 +150,10 @@ class IslandHost:
         }
 
     def finish(self) -> Dict[str, Any]:
-        """Final per-island accounting (mirrors Scenario.run's epilogue)."""
+        """Final per-island accounting."""
         sim, farm = self.sim, self.farm
-        unfired: List[dict] = []
-        if self.fault_plan is not None:
-            for act in self.fault_plan.pending_actions():
-                unfired.append({"time": act.time, "kind": act.kind, "target": act.target})
-        if self.injector is not None:
-            for node, kind in sorted(self.injector.pending_faults().items()):
-                unfired.append({"time": None, "kind": f"churn.{kind}", "target": node})
-        for entry in unfired:
-            sim.trace.emit(
-                sim.now,
-                "scenario.fault.unfired",
-                "scenario",
-                kind=entry["kind"],
-                target=entry["target"],
-                planned_time=entry["time"],
-            )
+        unfired, segment_stats = close_farm(farm, self.fault_plan, self.injector)
         gsc = farm.gsc()
-        segment_stats = {
-            vlan: {
-                "frames_sent": seg.frames_sent,
-                "frames_delivered": seg.frames_delivered,
-                "frames_lost": seg.frames_lost,
-                "bytes_sent": seg.bytes_sent,
-            }
-            for vlan, seg in farm.fabric.segments.items()
-        }
         return {
             "stable_time": None if gsc is None else gsc.stable_time,
             "counters": dict(sim.trace.counters),
@@ -270,7 +223,6 @@ def run_sharded(
     stability_timeout: Optional[float] = None,
     shards: Union[int, str] = "auto",
     cut_vlans: Optional[Sequence[int]] = None,
-    backend: Optional[str] = None,
     trace_store: bool = True,
     trace_categories: Optional[Sequence[str]] = None,
     stop_when_stable: bool = False,
@@ -320,7 +272,6 @@ def run_sharded(
         ambient_load=dict(ambient_load or {}),
         trace_store=trace_store,
         trace_categories=tuple(trace_categories) if trace_categories is not None else None,
-        backend=backend,
     )
     inline = n_workers == 1
     pool = PersistentWorkerPool(

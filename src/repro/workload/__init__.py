@@ -33,7 +33,6 @@ from repro.workload.profiles import (
     DiurnalProfile,
     DomainLoadModel,
     SpikeSchedule,
-    workload_profile,
 )
 
 __all__ = [
@@ -53,7 +52,6 @@ __all__ = [
     "render_traffic_report",
     "run_traffic_campaign",
     "run_traffic_case",
-    "workload_profile",
 ]
 
 _LAZY = {

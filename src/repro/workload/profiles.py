@@ -11,7 +11,6 @@ now a thin compatibility shim over this one.
 from __future__ import annotations
 
 import math
-import os
 from typing import Dict, List, Optional, Tuple
 
 __all__ = [
@@ -19,30 +18,10 @@ __all__ = [
     "DiurnalProfile",
     "DomainLoadModel",
     "SpikeSchedule",
-    "workload_profile",
 ]
 
-#: profile shapes selectable through ``$GULFSTREAM_WORKLOAD_PROFILE``
+#: profile shapes ``build_traffic_farm(profile=)`` accepts
 WORKLOAD_PROFILES = ("diurnal", "flat", "flash")
-
-
-def workload_profile() -> str:
-    """The ambient workload profile shape for this run.
-
-    Resolved from ``$GULFSTREAM_WORKLOAD_PROFILE`` (default ``diurnal``),
-    mirroring how the simulator backend resolves from
-    ``$GULFSTREAM_SIM_BACKEND``: it reaches every worker process through
-    the environment rather than through kwargs, so anything keying on a
-    task's inputs (the result cache in particular) must treat it as
-    ambient state.
-    """
-    kind = os.environ.get("GULFSTREAM_WORKLOAD_PROFILE", "diurnal")
-    if kind not in WORKLOAD_PROFILES:
-        raise ValueError(
-            f"unknown workload profile {kind!r} in $GULFSTREAM_WORKLOAD_PROFILE:"
-            f" choose from {', '.join(WORKLOAD_PROFILES)}"
-        )
-    return kind
 
 
 class DiurnalProfile:

@@ -47,7 +47,7 @@ from repro.node.osmodel import OSParams
 from repro.runner import run_sweep
 from repro.sim.shard.runner import run_sharded
 from repro.workload.generators import STREAM_NAMES, RequestStream
-from repro.workload.profiles import DiurnalProfile, SpikeSchedule, workload_profile
+from repro.workload.profiles import WORKLOAD_PROFILES, DiurnalProfile, SpikeSchedule
 
 __all__ = [
     "TRAFFIC_PARAMS",
@@ -113,14 +113,11 @@ def traffic_horizon(
     return traffic_start + duration + _settle(mix) + 1.0
 
 
-def _resolve_profile(names: List[str], period: float, trough: float, duration: float):
-    """The stream's rate profile for the ambient workload-profile shape.
-
-    Returns ``(profile, peak_factor)``. The shape is environment-carried
-    (``$GULFSTREAM_WORKLOAD_PROFILE``) rather than a kwarg, so the result
-    cache must key on it as ambient state — see ``ResultCache.key``.
-    """
-    kind = workload_profile()
+def _resolve_profile(
+    kind: str, names: List[str], period: float, trough: float, duration: float
+):
+    """The stream's rate profile for shape ``kind`` (one of
+    ``WORKLOAD_PROFILES``). Returns ``(profile, peak_factor)``."""
     if kind == "flat":
         # trough == 1.0 collapses the diurnal wave to a constant full rate
         return DiurnalProfile(period=period, trough=1.0), 1.0
@@ -306,6 +303,7 @@ def build_traffic_farm(
     diurnal_period: float = 60.0,
     diurnal_trough: float = 0.25,
     mix: Optional[str] = None,
+    profile: str = "diurnal",
     autoscale: bool = True,
     high_water: float = 12.0,
     low_water: float = 4.0,
@@ -328,6 +326,11 @@ def build_traffic_farm(
     """
     if mix is not None and mix not in MIXES:
         raise ValueError(f"unknown mix {mix!r}: choose from {sorted(MIXES)}")
+    if profile not in WORKLOAD_PROFILES:
+        raise ValueError(
+            f"unknown workload profile {profile!r}:"
+            f" choose from {', '.join(WORKLOAD_PROFILES)}"
+        )
     names = _domain_names(domains)
     b = FarmBuilder(
         seed=seed, params=TRAFFIC_PARAMS, os_params=OSParams.fast(), trace=trace
@@ -392,8 +395,8 @@ def build_traffic_farm(
     # -- the source (dispatcher island) --------------------------------
     disp = farm.hosts.get("dispatch-0")
     if disp is not None:
-        profile, peak_factor = _resolve_profile(
-            names, diurnal_period, diurnal_trough, duration
+        rate_profile, peak_factor = _resolve_profile(
+            profile, names, diurnal_period, diurnal_trough, duration
         )
         rngs = {n: sim.rng.stream(f"workload/{n}") for n in STREAM_NAMES}
         stream = RequestStream(
@@ -403,7 +406,7 @@ def build_traffic_farm(
             n_users=n_users,
             user_alpha=user_alpha,
             domain_alpha=domain_alpha,
-            profile=profile,
+            profile=rate_profile,
             peak_factor=peak_factor,
             rngs=rngs,
         )
@@ -463,9 +466,9 @@ def run_traffic_case(
     duration: float = 30.0,
     n_users: int = 100_000,
     mix: Optional[str] = None,
+    profile: str = "diurnal",
     autoscale: bool = True,
     shards: Union[int, str] = 1,
-    backend: Optional[str] = None,
 ) -> Dict:
     """Run one traffic case (always through the shard runner — ``shards=1``
     runs the identical pipeline inline) and fold it into a plain-JSON row.
@@ -484,6 +487,7 @@ def run_traffic_case(
         duration=duration,
         n_users=n_users,
         mix=mix,
+        profile=profile,
         autoscale=autoscale,
         seed=seed,
     )
@@ -494,7 +498,6 @@ def run_traffic_case(
         stability_timeout=TRAFFIC_START,
         shards=shards,
         cut_vlans=(ADMIN_VLAN, DISPATCH_VLAN),
-        backend=backend,
         trace_categories=TRAFFIC_TRACE_CATEGORIES,
     )
     reg = res.metrics

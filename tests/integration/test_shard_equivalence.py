@@ -13,10 +13,6 @@ explicit NIC failure modes, VLAN partitions with scripted groups, and
 switch/router faults (which are broadcast to every island). The
 randomized differential at the bottom draws whole fault *programs* the
 same way the chaos corpus does and replays each at both layouts.
-
-As in ``test_backend_equivalence.py``, the single exclusion is the
-``sim.queue.dead`` gauge — lazy-purge bookkeeping that depends on where
-each island's backend parks cancelled entries, not protocol behavior.
 """
 
 from __future__ import annotations
@@ -33,8 +29,6 @@ from repro.sim.shard import run_sharded
 
 from tests.conftest import FAST
 
-_BACKEND_PRIVATE_METRICS = {"sim.queue.dead"}
-
 #: 2 zones x 3 nodes -> 3 islands (management hub + two zones)
 ZONED = dict(
     n_zones=2, nodes_per_zone=3, seed=77, params=FAST, os_params=OSParams.fast()
@@ -46,11 +40,7 @@ ZONE1_VLAN = 23  # vlans_per_zone defaults to 3
 def _metrics_snapshot(res):
     reg = res.metrics
     reg.collect()
-    return {
-        m.key: m.value_dict()
-        for m in reg
-        if m.key[1] not in _BACKEND_PRIVATE_METRICS
-    }
+    return {m.key: m.value_dict() for m in reg}
 
 
 def _fingerprint(res):

@@ -34,39 +34,29 @@ def test_key_covers_experiment_kwargs_and_fingerprint(tmp_path):
     assert a.key("exp", {"n": 5, "m": 1}) == a.key("exp", {"m": 1, "n": 5})
 
 
-def test_key_covers_ambient_backend_and_shards(cache, monkeypatch):
-    """The ambient execution environment is part of a task's identity:
-    the same kwargs under a different engine backend or shard layout must
-    not replay each other's rows."""
-    monkeypatch.delenv("GULFSTREAM_SIM_BACKEND", raising=False)
-    monkeypatch.delenv("GULFSTREAM_SHARDS", raising=False)
+def test_key_ignores_the_environment(cache, monkeypatch):
+    """A task's identity is its arguments and the code: no ``GULFSTREAM_*``
+    variable is an input to a result, so none may move the key."""
+    for var in ("GULFSTREAM_SIM_BACKEND", "GULFSTREAM_SHARDS",
+                "GULFSTREAM_WORKLOAD_PROFILE"):
+        monkeypatch.delenv(var, raising=False)
     base = cache.key("exp", {"n": 5})
-    monkeypatch.setenv("GULFSTREAM_SIM_BACKEND", "heap")
-    heap = cache.key("exp", {"n": 5})
-    assert heap != base
-    monkeypatch.setenv("GULFSTREAM_SHARDS", "4")
-    assert cache.key("exp", {"n": 5}) not in (base, heap)
+    for var, value in (("GULFSTREAM_SIM_BACKEND", "heap"),
+                       ("GULFSTREAM_SHARDS", "4"),
+                       ("GULFSTREAM_WORKLOAD_PROFILE", "flat")):
+        monkeypatch.setenv(var, value)
+        assert cache.key("exp", {"n": 5}) == base, var
 
 
-def test_key_covers_ambient_workload_profile(cache, monkeypatch):
-    """The workload profile shape reaches cases through the environment
-    (like the sim backend learned in PR 7), so cached sweep rows must not
-    alias across ``$GULFSTREAM_WORKLOAD_PROFILE`` values — a ``flat`` run
-    replaying a ``diurnal`` row would report the wrong SLOs."""
-    monkeypatch.delenv("GULFSTREAM_SIM_BACKEND", raising=False)
-    monkeypatch.delenv("GULFSTREAM_SHARDS", raising=False)
-    monkeypatch.delenv("GULFSTREAM_WORKLOAD_PROFILE", raising=False)
-    base = cache.key("exp", {"n": 5})
-    # unset and the explicit default resolve to the same key: the ambient
-    # entry records the *resolved* shape, not the raw env string
-    monkeypatch.setenv("GULFSTREAM_WORKLOAD_PROFILE", "diurnal")
-    assert cache.key("exp", {"n": 5}) == base
-    seen = {base}
-    for profile in ("flat", "flash"):
-        monkeypatch.setenv("GULFSTREAM_WORKLOAD_PROFILE", profile)
-        key = cache.key("exp", {"n": 5})
-        assert key not in seen
-        seen.add(key)
+def test_key_separates_profile_and_shards_kwargs(cache):
+    """What used to ride in the environment now rides in the kwargs, where
+    the key sees it: a ``flat`` run can never replay a ``diurnal`` row."""
+    keys = {
+        cache.key("workload", {"case": 0, "profile": profile, "shards": shards})
+        for profile in ("diurnal", "flat", "flash")
+        for shards in (1, 2)
+    }
+    assert len(keys) == 6
 
 
 def test_unserializable_results_are_skipped_not_fatal(cache):

@@ -1,5 +1,6 @@
 """The gulfstream-sim command-line interface."""
 
+import os
 from types import SimpleNamespace
 
 import pytest
@@ -174,20 +175,68 @@ def test_workload_unknown_mix_exits_2(capsys):
     assert code == 2
 
 
-def test_workload_jobs_and_shards_conflict(capsys, monkeypatch):
-    monkeypatch.delenv("GULFSTREAM_SHARDS", raising=False)
+def test_workload_jobs_and_shards_conflict(capsys):
     code, _ = run(capsys, "workload", "--jobs", "2", "--shards", "2")
     assert code == 2
 
 
-def test_workload_profile_flag_sets_the_ambient_env(capsys, monkeypatch):
-    monkeypatch.delenv("GULFSTREAM_WORKLOAD_PROFILE", raising=False)
-    import os
+#: the smallest workload run that still issues requests
+TINY_WORKLOAD = ("workload", "--cases", "1", "--duration", "5", "--rate", "40",
+                 "--users", "1000")
 
-    code, _ = run(capsys, "workload", "--cases", "1", "--duration", "5",
-                  "--rate", "40", "--users", "1000", "--profile", "flat")
+
+def test_workload_profile_flag_reaches_the_case(capsys):
+    """``--profile`` is handed to the case as an argument: the flat report
+    differs from the default one, and ``--profile diurnal`` is the default."""
+    code, default = run(capsys, *TINY_WORKLOAD)
     assert code == 0
-    assert os.environ["GULFSTREAM_WORKLOAD_PROFILE"] == "flat"
+    code, flat = run(capsys, *TINY_WORKLOAD, "--profile", "flat")
+    assert code == 0
+    assert flat != default
+    code, diurnal = run(capsys, *TINY_WORKLOAD, "--profile", "diurnal")
+    assert code == 0
+    assert diurnal == default
+
+
+def test_workload_cache_never_aliases_across_profiles(capsys, monkeypatch, tmp_path):
+    """Through the real CLI: rows cached under one profile are not replayed
+    under another, and are replayed under the same one."""
+    from repro.metrics import read_final
+
+    monkeypatch.setenv("GULFSTREAM_CACHE_DIR", str(tmp_path / "cache"))
+
+    def hits(profile):
+        out = tmp_path / f"{profile}.jsonl"
+        code, _ = run(capsys, *TINY_WORKLOAD, "--cache", "--profile", profile,
+                      "--metrics-out", str(out))
+        assert code == 0
+        return read_final(out)["runner.sweep.cache_hits"]["value"]
+
+    assert hits("flat") == 0
+    assert hits("diurnal") == 0
+    assert hits("flat") == 1
+
+
+def test_main_leaves_the_environment_alone(capsys):
+    before = dict(os.environ)
+    code, _ = run(capsys, *TINY_WORKLOAD, "--profile", "flat", "--shards", "1")
+    assert code == 0
+    assert dict(os.environ) == before
+
+
+def test_sim_backend_flag_is_gone(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["discover", "--sim-backend", "heap"])
+    assert exc.value.code == 2
+    assert "--sim-backend" in capsys.readouterr().err
+
+
+def test_discover_shards_with_replicates_says_what_works(capsys):
+    code = main(["discover", "--shards", "2", "--replicates", "2"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "drop --replicates" in err and "--jobs" in err
+    assert "GULFSTREAM" not in err
 
 
 def test_unknown_command_exits():

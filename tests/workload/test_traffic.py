@@ -91,25 +91,35 @@ def test_unknown_mix_rejected():
 
 
 # ----------------------------------------------------------------------
-# the ambient profile shape
+# the profile shape
 # ----------------------------------------------------------------------
-def test_profile_shape_changes_the_stream(monkeypatch):
-    """$GULFSTREAM_WORKLOAD_PROFILE is ambient state that really changes
-    results — the reason the result cache must key on it."""
-    monkeypatch.delenv("GULFSTREAM_WORKLOAD_PROFILE", raising=False)
+def test_profile_shape_changes_the_stream():
+    """``profile=`` really changes results — and, being a kwarg, it is in
+    the result-cache key by construction."""
     diurnal = run_traffic_case(case=0, seed=7, **QUICK)
-    monkeypatch.setenv("GULFSTREAM_WORKLOAD_PROFILE", "flat")
-    flat = run_traffic_case(case=0, seed=7, **QUICK)
+    flat = run_traffic_case(case=0, seed=7, profile="flat", **QUICK)
     assert canon(diurnal) != canon(flat)
     # flat holds every domain at full rate for the whole window, so it
     # strictly outproduces the diurnal wave (trough 0.25)
     assert flat["requests"]["issued"] > diurnal["requests"]["issued"]
+    assert canon(run_traffic_case(case=0, seed=7, profile="diurnal", **QUICK)) == canon(diurnal)
 
 
-def test_unknown_profile_rejected(monkeypatch):
-    monkeypatch.setenv("GULFSTREAM_WORKLOAD_PROFILE", "nosuch")
+def test_unknown_profile_rejected():
     with pytest.raises(ValueError, match="unknown workload profile"):
-        build_traffic_farm()
+        build_traffic_farm(profile="nosuch")
+
+
+def test_profile_reaches_spawned_workers():
+    """A non-default profile is a task argument, so spawned sweep workers
+    (``jobs=2``) and spawned shard workers (``shards=2``) — which inherit
+    nothing from this process but their pickled arguments — compute the
+    rows the in-process run does."""
+    inline = run_traffic_campaign(cases=2, jobs=1, profile="flat", **QUICK)
+    assert canon(run_traffic_campaign(cases=2, jobs=2, profile="flat", **QUICK)) == canon(inline)
+    assert canon(inline) != canon(run_traffic_campaign(cases=2, jobs=1, **QUICK))
+    one = run_traffic_case(case=0, seed=7, profile="flat", shards=1, **QUICK)
+    assert canon(run_traffic_case(case=0, seed=7, profile="flat", shards=2, **QUICK)) == canon(one)
 
 
 def test_traffic_horizon_covers_stream_and_settle():
