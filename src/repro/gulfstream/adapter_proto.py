@@ -28,11 +28,12 @@ from __future__ import annotations
 import enum
 from collections import deque
 from dataclasses import dataclass, field as dc_field
-from typing import Any, Deque, Dict, Optional, Set, Tuple, TYPE_CHECKING
+from functools import cached_property
+from typing import Any, Deque, Dict, FrozenSet, Optional, Set, Tuple, TYPE_CHECKING
 
 from repro.net.addressing import IPAddress
 from repro.gulfstream.amg import AMGView, choose_leader
-from repro.gulfstream.heartbeat import RingHeartbeat
+from repro.gulfstream.heartbeat import RingHeartbeat, hb_counters
 from repro.gulfstream.messages import (
     Beacon,
     Commit,
@@ -128,7 +129,7 @@ class AdapterProtocol:
         self._stable_event = None
         self._report_event = None
         self._report_retry = None
-        self._last_reported: Optional[Set[IPAddress]] = None
+        self._last_reported: Optional[FrozenSet[IPAddress]] = None
         self._removed_since_report: Set[IPAddress] = set()
         # a leader whose entire view died at once sheds the group identity
         # once the final removal report is flushed (see _install_view)
@@ -148,6 +149,12 @@ class AdapterProtocol:
     def is_admin_adapter(self) -> bool:
         """Adapter 0 is the administrative adapter by convention (§2.2)."""
         return self.nic.index == 0
+
+    @cached_property
+    def _hb_counters(self):
+        """The ``gs.hb.*`` counters, resolved when the first ring engine is
+        built and shared by every engine this adapter builds after it."""
+        return hb_counters(self.sim.metrics)
 
     def my_info(self) -> MemberInfo:
         return MemberInfo(
@@ -422,7 +429,7 @@ class AdapterProtocol:
         self._coordinate(members, reason)
 
     def _on_prepare(self, msg: Prepare) -> None:
-        if not any(m.ip == self.ip for m in msg.members):
+        if self.ip not in msg.member_ips:
             return
         ok = msg.epoch > self.epoch
         hint = self.epoch
@@ -465,14 +472,12 @@ class AdapterProtocol:
             self.coordinator.on_prepare_ack(msg)
 
     def _on_commit(self, msg: Commit) -> None:
-        if not any(m.ip == self.ip for m in msg.members):
+        if not msg.view.contains(self.ip):
             return
         if self.view is not None and msg.epoch <= self.view.epoch:
             return
         self._last_leader_contact = self.sim.now
-        self._install_view(
-            AMGView.build(msg.members, msg.epoch, msg.group_key), msg.reason
-        )
+        self._install_view(msg.view, msg.reason)
 
     # ------------------------------------------------------------------
     # view installation
@@ -485,12 +490,7 @@ class AdapterProtocol:
         old = self.view
         self.view = view
         self.epoch = view.epoch
-        now = self.sim.now
-        previous_ips = set(old.ips) if old is not None else set()
-        self._member_since = {
-            ip: self._member_since.get(ip, now) if ip in previous_ips else now
-            for ip in view.ips
-        }
+        self._track_members(old, view)
         self.pending_prepare = None
         self._leader_unreachable = False
         self._takeover_pending = False
@@ -514,7 +514,7 @@ class AdapterProtocol:
                     initial_delay=min(0.05, self.params.beacon_interval / 2),
                 )
             if old is not None and reason in ("death", "takeover"):
-                self._removed_since_report |= set(old.ips) - set(view.ips)
+                self._removed_since_report |= old.ip_set - view.ip_set
             if view.size > 1:
                 self._dissolve_pending = False
             elif old is not None and old.size > 1 and reason == "death":
@@ -566,6 +566,18 @@ class AdapterProtocol:
             self._last_leader_contact = self.sim.now
         self.daemon.on_view_installed(self)
 
+    def _track_members(self, old: Optional[AMGView], view: AMGView) -> None:
+        """Re-key ``_member_since`` to ``view``'s members, survivors keeping
+        their entry: O(change), on the hashes the two views already store."""
+        now = self.sim.now
+        if old is None:
+            self._member_since = dict.fromkeys(view.ip_set, now)
+            return
+        for ip in old.ip_set - view.ip_set:
+            del self._member_since[ip]
+        for ip in view.ip_set - old.ip_set:
+            self._member_since[ip] = now
+
     def _make_hb_engine(self, view: AMGView):
         p = self.params
         if view.size <= 1:
@@ -575,7 +587,9 @@ class AdapterProtocol:
                 self, view, self._on_hb_suspect, self._on_total_silence,
                 on_subgroup_dead=self._on_subgroup_dead,
             )
-        return RingHeartbeat(self, view, self._on_hb_suspect, self._on_total_silence)
+        return RingHeartbeat(
+            self, view, self._on_hb_suspect, self._on_total_silence, self._hb_counters
+        )
 
     # ------------------------------------------------------------------
     # reporting to GulfStream Central (§2.2)
@@ -606,7 +620,7 @@ class AdapterProtocol:
         self._report_event = None
         if self.state is not AdapterState.LEADER or self.view is None:
             return
-        current = set(self.view.ips)
+        current = self.view.ip_set
         if self._last_reported is None:
             kind = "full"
             added: tuple = self.view.members
@@ -857,12 +871,7 @@ class AdapterProtocol:
             # reporter missed a commit; re-send the current view
             self.send(
                 msg.reporter,
-                Commit(
-                    coordinator=self.ip,
-                    epoch=self.epoch,
-                    members=self.view.members,
-                    reason="resync",
-                ),
+                Commit.of_view(self.view, self.ip, "resync"),
                 size=self.params.membership_msg_size(self.view.size),
             )
         if msg.suspect == self.ip or not self.view.contains(msg.suspect):

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Dict, Iterable, Optional, Tuple
+from typing import Dict, FrozenSet, Iterable, Optional, Tuple
 
 from repro.net.addressing import IPAddress
 from repro.gulfstream.messages import MemberInfo
@@ -86,9 +86,16 @@ class AMGView:
     def size(self) -> int:
         return len(self.members)
 
-    @property
+    @cached_property
     def ips(self) -> Tuple[IPAddress, ...]:
         return tuple(m.ip for m in self.members)
+
+    @cached_property
+    def ip_set(self) -> FrozenSet[IPAddress]:
+        """``ips`` as a set, hashed once per view: every member of the group
+        holds this one view object (``Commit.view``), and set algebra between
+        two views' sets reuses the stored hashes."""
+        return frozenset(self.ips)
 
     @cached_property
     def _rank_index(self) -> Dict[IPAddress, int]:

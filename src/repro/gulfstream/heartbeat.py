@@ -16,17 +16,28 @@ self-promotion path.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Optional, Set, TYPE_CHECKING
+from typing import Callable, Dict, Optional, Set, Tuple, TYPE_CHECKING
 
 from repro.net.addressing import IPAddress
 from repro.gulfstream.amg import AMGView
 from repro.gulfstream.messages import Heartbeat
+from repro.metrics.core import Counter, MetricsRegistry
 from repro.sim.process import Timer
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.gulfstream.adapter_proto import AdapterProtocol
 
-__all__ = ["RingHeartbeat"]
+__all__ = ["RingHeartbeat", "hb_counters"]
+
+
+def hb_counters(reg: MetricsRegistry) -> Tuple[Counter, ...]:
+    """The farm-wide ``gs.hb.*`` counters every engine increments. Engines
+    are per-view and short-lived; their owner resolves these once and hands
+    them to each engine it builds."""
+    return tuple(
+        reg.counter(f"gs.hb.{name}")
+        for name in ("sent", "received", "rounds", "suspects", "false_suspects", "total_silence")
+    )
 
 
 class RingHeartbeat:
@@ -44,6 +55,8 @@ class RingHeartbeat:
     on_total_silence:
         Called (once per episode) when *every* monitored neighbour has been
         silent for ``orphan_timeout``.
+    counters:
+        The owner's :func:`hb_counters`; resolved here when not given.
     """
 
     def __init__(
@@ -52,6 +65,7 @@ class RingHeartbeat:
         view: AMGView,
         on_suspect: Callable[[IPAddress], None],
         on_total_silence: Callable[[], None],
+        counters: Optional[Tuple[Counter, ...]] = None,
     ) -> None:
         self.proto = proto
         self.view = view
@@ -94,16 +108,10 @@ class RingHeartbeat:
         # counters for load accounting
         self.sent = 0
         self.received = 0
-        # metrics plane: engines are per-view and short-lived, so the
-        # instruments are farm-wide cumulative counters resolved once here
-        # (the registry returns the same object for the same key)
-        reg = proto.sim.metrics
-        self._m_sent = reg.counter("gs.hb.sent")
-        self._m_received = reg.counter("gs.hb.received")
-        self._m_rounds = reg.counter("gs.hb.rounds")
-        self._m_suspects = reg.counter("gs.hb.suspects")
-        self._m_false = reg.counter("gs.hb.false_suspects")
-        self._m_silence = reg.counter("gs.hb.total_silence")
+        (
+            self._m_sent, self._m_received, self._m_rounds,
+            self._m_suspects, self._m_false, self._m_silence,
+        ) = counters or hb_counters(proto.sim.metrics)
 
     # ------------------------------------------------------------------
     def _send(self) -> None:

@@ -13,9 +13,13 @@ to GulfStream Central).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Tuple
+from functools import cached_property
+from typing import Any, Dict, FrozenSet, Tuple, TYPE_CHECKING
 
 from repro.net.addressing import IPAddress
+
+if TYPE_CHECKING:  # pragma: no cover - import cycle guard
+    from repro.gulfstream.amg import AMGView
 
 __all__ = [
     "Beacon",
@@ -54,6 +58,11 @@ class MemberInfo:
     admin_eligible: bool = field(default=False, compare=False)
 
 
+def _wire_state(msg: Any) -> Dict[str, Any]:
+    """Pickle the wire fields only: whoever unpickles derives its own caches."""
+    return {name: msg.__dict__[name] for name in msg.__dataclass_fields__}
+
+
 @dataclass(frozen=True)
 class Beacon:
     """Multicast self-identification on the well-known group (§2.1)."""
@@ -81,6 +90,13 @@ class Prepare:
     #: addition reports across recommits
     group_key: str = ""
 
+    __getstate__ = _wire_state
+
+    @cached_property
+    def member_ips(self) -> FrozenSet[IPAddress]:
+        """Who is proposed: hashed once per ``Prepare``, not per receiver."""
+        return frozenset(m.ip for m in self.members)
+
 
 @dataclass(frozen=True)
 class PrepareAck:
@@ -107,6 +123,23 @@ class Commit:
     reason: str = "formation"
     #: stable group identity, see :class:`Prepare`
     group_key: str = ""
+
+    __getstate__ = _wire_state
+
+    @classmethod
+    def of_view(cls, view: "AMGView", coordinator: IPAddress, reason: str) -> "Commit":
+        """The commit that installs ``view``: every member this object
+        reaches holds that same immutable view, not a rebuilt copy."""
+        msg = cls(coordinator, view.epoch, view.members, reason, view.group_key)
+        msg.__dict__["view"] = view
+        return msg
+
+    @cached_property
+    def view(self) -> "AMGView":
+        """The view these fields describe, built once per ``Commit``."""
+        from repro.gulfstream.amg import AMGView  # amg imports this module
+
+        return AMGView.build(self.members, self.epoch, self.group_key)
 
 
 @dataclass(frozen=True)

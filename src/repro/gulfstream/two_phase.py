@@ -88,6 +88,7 @@ class CommitCoordinator:
         self.acks.clear()
         self.nack_epochs.clear()
         others = [m for m in self.members if m.ip != proto.ip]
+        self._expected = len(others)
         proto.trace(
             "gs.2pc.prepare",
             reason=self.reason,
@@ -119,8 +120,7 @@ class CommitCoordinator:
         self.acks[ack.sender] = ack.ok
         if not ack.ok:
             self.nack_epochs.append(ack.current_epoch)
-        expected = sum(1 for m in self.members if m.ip != self.proto.ip)
-        if len(self.acks) >= expected:
+        if len(self.acks) >= self._expected:
             self._resolve()
 
     def _on_timeout(self) -> None:
@@ -186,13 +186,7 @@ class CommitCoordinator:
                 key = ""
                 proto.trace("gs.group.rekey", old_key=old.group_key)
         view = AMGView.build(committed, self.epoch, key)
-        msg = Commit(
-            coordinator=proto.ip,
-            epoch=self.epoch,
-            members=view.members,
-            reason=self.reason,
-            group_key=view.group_key,
-        )
+        msg = Commit.of_view(view, proto.ip, self.reason)
         size = proto.params.membership_msg_size(len(view.members))
         for m in view.members:
             if m.ip != proto.ip:

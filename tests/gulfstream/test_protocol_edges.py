@@ -203,3 +203,40 @@ def test_merge_request_rate_limited():
     deliver(leader, foreign)
     deliver(leader, foreign)
     assert farm.sim.trace.count("gs.merge.request") == before + 1
+
+
+def test_resynced_member_keeps_the_group_key():
+    """A member that missed a commit is re-sent the leader's current one
+    (PROTOCOL.md §5) — group identity included. Without the key the member
+    minted "<leader>@<current epoch>" for itself, and a later takeover by it
+    would have recommitted the group under that second identity."""
+    farm = make_flat_farm(5, seed=12, params=HB)
+    run_stable(farm)
+    leader = leader_of(farm, 2)
+    protos = vlan_protos(farm, 2)
+    deaf = protos[str(leader.view.members[2].ip)]
+    victim = protos[str(leader.view.members[3].ip)]  # deaf's ring neighbour
+    key, epoch = leader.view.group_key, leader.epoch
+    assert deaf.view.group_key == key
+    resyncs = []
+    real_send = leader.send
+
+    def spy(dst, payload, size=None):
+        if isinstance(payload, Commit) and payload.reason == "resync":
+            resyncs.append(dst)
+        return real_send(dst, payload, size=size)
+
+    leader.send = spy
+    deaf._on_commit = lambda msg: None  # the death recommit never reaches it
+    victim.host.crash()
+    while leader.epoch == epoch:
+        farm.sim.run(until=farm.sim.now + 0.1)
+    farm.sim.run(until=farm.sim.now + 0.1)  # the commit it misses is delivered
+    del deaf._on_commit
+    assert deaf.epoch == epoch and not resyncs
+    # pinned at the old epoch, deaf still rings the dead victim: its Suspect
+    # carries that epoch, and the leader answers with its current commit
+    farm.sim.run(until=farm.sim.now + 10)
+    assert resyncs and set(resyncs) == {deaf.ip}
+    assert deaf.view.epoch == leader.view.epoch
+    assert deaf.view.group_key == leader.view.group_key == key

@@ -150,3 +150,28 @@ def test_fresh_group_key_minted_from_leader_and_epoch():
     CommitCoordinator(proto, [mi("10.0.0.3"), mi("10.0.0.1")], 2, "formation", done.append)
     sim.run(until=2.0)
     assert done[0].group_key == "10.0.0.3@2"
+
+
+def test_an_ack_costs_the_coordinator_no_pass_over_the_members():
+    """How many acks a round waits for is settled when the round starts; an
+    ack that does not complete it must not walk the member list again (one
+    walk per ack is N² work per commit at the coordinator)."""
+
+    class Walked(tuple):
+        walks = 0
+
+        def __iter__(self):
+            Walked.walks += 1
+            return super().__iter__()
+
+    sim = Simulator()
+    proto = StubProto(sim, "10.0.0.3")
+    done = []
+    c = CommitCoordinator(
+        proto, [mi("10.0.0.1"), mi("10.0.0.2"), mi("10.0.0.3")], 1, "death", done.append
+    )
+    c.members = Walked(c.members)
+    c.on_prepare_ack(PrepareAck(IPAddress("10.0.0.1"), proto.ip, 1, ok=True))
+    assert Walked.walks == 0 and not done
+    c.on_prepare_ack(PrepareAck(IPAddress("10.0.0.2"), proto.ip, 1, ok=True))
+    assert done and done[0].size == 3

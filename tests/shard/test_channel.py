@@ -1,9 +1,15 @@
 """Cross-shard channel: stamping, sequencing, deterministic merge."""
 
+import pickle
+
+from repro.gulfstream.messages import Commit, Prepare, PrepareAck
+from repro.gulfstream.two_phase import CommitCoordinator
 from repro.net.addressing import IPAddress
 from repro.net.packet import Frame
 from repro.sim.engine import Simulator
 from repro.sim.shard import CutMessage, ShardGateway, merge_inbox
+
+from tests.gulfstream.test_two_phase import StubProto, mi
 
 
 def _frame(n=0):
@@ -58,3 +64,38 @@ def test_gateway_seq_is_monotonic_across_drains():
     assert [m.seq for m in first + second] == [0, 1, 2, 3]
     assert [m.dst_island for m in second] == [1, 2]
     assert gw.sent == 4
+
+
+def test_cut_payload_of_a_commit_is_its_wire_fields():
+    """``Commit``/``Prepare`` cache what receivers derive from them (the
+    committed view, the proposed IP set). None of it may ride along across
+    the cut: a message with its caches filled pickles to the bytes of a fresh
+    one, and the island that receives an epoch's batch gets one cache-free
+    payload for all of its members."""
+    members = tuple(mi(f"10.0.0.{i}") for i in (3, 2, 1))
+    fields = dict(coordinator=members[0].ip, epoch=4, members=members, reason="death",
+                  group_key="10.0.0.3@1")
+    for cls, derived in ((Commit, "view"), (Prepare, "member_ips")):
+        fresh, used = cls(**fields), cls(**fields)
+        getattr(used, derived, None)  # fills the cache, where there is one
+        assert pickle.dumps(used) == pickle.dumps(fresh)
+        assert pickle.loads(pickle.dumps(used)) == fresh
+
+    # the commit a coordinator sends carries the view it built, by reference
+    proto, committed = StubProto(Simulator(), "10.0.0.3"), []
+    coordinator = CommitCoordinator(proto, members, 4, "death", committed.append,
+                                    group_key="10.0.0.3@1")
+    for m in members[1:]:
+        coordinator.on_prepare_ack(PrepareAck(m.ip, proto.ip, 4, ok=True))
+    commit = next(p for _, p in proto.sent if isinstance(p, Commit))
+    assert getattr(commit, "view", committed[0]) is committed[0]
+    fresh = Commit(commit.coordinator, commit.epoch, commit.members, commit.reason,
+                   commit.group_key)
+    assert pickle.dumps(commit) == pickle.dumps(fresh)
+    batch = [
+        CutMessage(1.0, 0, seq, 1, 1, "sw-0", Frame(proto.ip, m.ip, commit))
+        for seq, m in enumerate(members[1:])
+    ]
+    first, second = (m.frame.payload for m in pickle.loads(pickle.dumps(batch)))
+    assert first is second and first == commit
+    assert set(vars(first)) == set(fields)
