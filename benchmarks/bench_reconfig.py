@@ -19,9 +19,9 @@ import numpy as np
 from repro.analysis import format_table
 from repro.farm.builder import FarmBuilder, build_farm
 from repro.farm.domain import DomainSpec, FarmSpec
-from repro.farm.oceano import OceanoController, SyntheticWorkload
 from repro.gulfstream.params import GSParams
 from repro.node.osmodel import OSParams
+from repro.workload import Autoscaler, DomainLoadModel
 
 from _common import emit, once
 
@@ -100,11 +100,12 @@ def run_flash_crowd():
     farm.start()
     assert farm.run_until_stable(timeout=120.0) is not None
     t0 = farm.sim.now
-    wl = SyntheticWorkload(
+    wl = DomainLoadModel(
         ["acme", "globex"], base=80, amplitude=0,
         spikes={"acme": (t0 + 10, 120, 900)},
     )
-    ctl = OceanoController(farm, wl, interval=5.0, high_water=50.0, low_water=18.0)
+    ctl = Autoscaler(farm, wl.domains, load=wl.load,
+                     interval=5.0, high_water=50.0, low_water=18.0)
     ctl.start()
     farm.sim.run(until=t0 + 300.0)
     grow = [m for m in ctl.moves if m.dst == "acme"]

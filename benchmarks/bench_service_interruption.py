@@ -19,10 +19,10 @@ far less than the crash, and service returns to 100 % afterwards.
 
 
 from repro.analysis import format_table
-from repro.farm import DomainSpec, FarmSpec, build_farm
-from repro.farm.requests import deploy_domain_service
+from repro.farm import DomainSpec, FarmSpec, TrafficSource, build_farm, deploy_service
 from repro.gulfstream.params import GSParams
 from repro.node.osmodel import OSParams
+from repro.workload.generators import constant_rate
 
 from _common import emit, once
 
@@ -39,27 +39,31 @@ def build():
         dispatchers=1, management_nodes=1, spare_nodes=1,
     )
     farm = build_farm(spec, seed=21, params=PARAMS, os_params=OSParams.fast())
-    dispatcher = deploy_domain_service(farm, "acme", rate=RATE)
+    front_ends = deploy_service(farm, request_timeout=2.0)
     farm.start()
     assert farm.run_until_stable(timeout=120.0) is not None
-    dispatcher.start()
+    TrafficSource(farm.hosts["dispatch-0"], front_ends, constant_rate("acme", RATE),
+                  start_at=farm.sim.now, timeout=2.0, max_retries=1)
     # warm-up so the windowed counters start from a steady state
     farm.sim.run(until=farm.sim.now + 10.0)
-    return farm, dispatcher
+    return farm
 
 
-def measure_window(farm, dispatcher, action) -> dict:
-    s = dispatcher.stats
+def count(farm, name) -> int:
+    return farm.sim.metrics.counter(f"traffic.{name}", domain="acme").value
+
+
+def measure_window(farm, action) -> dict:
     t0 = farm.sim.now
-    f0, r0, c0 = s.failed, s.retried, s.completed
+    f0, r0 = count(farm, "failed"), count(farm, "retried")
     if action is not None:
         action(farm)
     farm.sim.run(until=t0 + WINDOW)
     issued_window = int(RATE * WINDOW)
-    failed = s.failed - f0
+    failed = count(farm, "failed") - f0
     return {
         "failed": failed,
-        "retried": s.retried - r0,
+        "retried": count(farm, "retried") - r0,
         "interruption_pct": 100.0 * failed / issued_window,
     }
 
@@ -87,20 +91,21 @@ def run_matrix():
         ("move spare IN (managed)", move_in),
         ("hard crash (unmanaged)", crash),
     ]
-    farm, dispatcher = build()
+    farm = build()
     for label, action in scenarios:
-        window = measure_window(farm, dispatcher, action)
+        window = measure_window(farm, action)
         rows.append({"scenario": label, **window})
         # quiet gap between scenarios so effects don't bleed over
         farm.sim.run(until=farm.sim.now + 20.0)
     # post-matrix steady state: service fully recovered
-    recovery = measure_window(farm, dispatcher, None)
+    recovery = measure_window(farm, None)
     rows.append({"scenario": "post-event steady state", **recovery})
-    return rows, dispatcher.stats
+    completed, failed = count(farm, "completed"), count(farm, "failed")
+    return rows, completed / (completed + failed)
 
 
 def test_service_interruption(benchmark):
-    rows, stats = once(benchmark, run_matrix)
+    rows, success_rate = once(benchmark, run_matrix)
     table = format_table(
         rows,
         columns=["scenario", "failed", "retried", "interruption_pct"],
@@ -123,4 +128,4 @@ def test_service_interruption(benchmark):
     # service fully recovers
     assert by["post-event steady state"]["failed"] == 0
     # overall health despite four events
-    assert stats.success_rate > 0.995
+    assert success_rate > 0.995

@@ -5,21 +5,17 @@ Builds a farm in the paper's Figure 1/2 shape — two customer domains with
 front-end and back-end layers, request dispatchers, admin-eligible
 management nodes, and a pool of spare servers — then hits one domain with a
 flash crowd ("peak loads that are orders of magnitude larger than the
-normal steady state"). The Océano controller grows the domain by moving
-spare nodes' adapters onto its VLAN through GulfStream's reconfiguration
-path, and drains them back once the crowd passes.
+normal steady state"). The autoscaler, fed the synthetic load curve, grows
+the domain by moving spare nodes' adapters onto its VLAN through
+GulfStream's reconfiguration path, and drains them back once the crowd
+passes.
 
 Run:  python examples/oceano_farm.py
 """
 
-from repro.farm import (
-    DomainSpec,
-    FarmSpec,
-    OceanoController,
-    SyntheticWorkload,
-    build_farm,
-)
+from repro.farm import DomainSpec, FarmSpec, build_farm
 from repro.gulfstream import GSParams
+from repro.workload import Autoscaler, DomainLoadModel
 
 
 def domain_report(farm, ctl, workload, t):
@@ -56,12 +52,12 @@ def main() -> None:
           f"{len(farm.gsc().groups)} AMGs\n")
 
     t0 = farm.sim.now
-    workload = SyntheticWorkload(
+    workload = DomainLoadModel(
         ["acme", "globex"], base=80.0, amplitude=0.0,
         spikes={"acme": (t0 + 20.0, 150.0, 900.0)},
     )
-    ctl = OceanoController(farm, workload, interval=5.0,
-                           high_water=50.0, low_water=18.0)
+    ctl = Autoscaler(farm, workload.domains, load=workload.load,
+                     interval=5.0, high_water=50.0, low_water=18.0)
     ctl.start()
 
     print("time   farm state")

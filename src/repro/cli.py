@@ -346,9 +346,9 @@ def cmd_detectors(args) -> int:
 
 
 def cmd_serve(args) -> int:
-    from repro.farm import DomainSpec, FarmSpec, build_farm
-    from repro.farm.requests import deploy_domain_service
+    from repro.farm import DomainSpec, FarmSpec, TrafficSource, build_farm, deploy_service
     from repro.node.osmodel import OSParams
+    from repro.workload.generators import constant_rate
 
     params = GSParams(beacon_duration=2.0, amg_stable_wait=2.0, gsc_stable_wait=4.0,
                       hb_interval=0.5, probe_timeout=0.5, orphan_timeout=2.5,
@@ -356,13 +356,20 @@ def cmd_serve(args) -> int:
     spec = FarmSpec(domains=[DomainSpec("acme", 2, 3)], dispatchers=1,
                     management_nodes=1, spare_nodes=1)
     farm = build_farm(spec, seed=args.seed, params=params, os_params=OSParams.fast())
-    dispatcher = deploy_domain_service(farm, "acme", rate=args.rate)
+    front_ends = deploy_service(farm, request_timeout=2.0)
     _attach_sampler(args, farm)
     farm.start()
     farm.run_until_stable(timeout=120.0)
-    dispatcher.start()
+    TrafficSource(farm.hosts["dispatch-0"], front_ends, constant_rate("acme", args.rate),
+                  start_at=farm.sim.now, timeout=2.0, max_retries=1)
+    reg = farm.sim.metrics
+
+    def count(name: str) -> int:
+        return reg.counter(f"traffic.{name}", domain="acme").value
+
     farm.sim.run(until=farm.sim.now + 15.0)
     t0 = farm.sim.now
+    failed_before = count("failed")
     if args.event == "crash":
         print(f"t={t0:.1f}s: crashing acme-be-1")
         farm.hosts["acme-be-1"].crash()
@@ -371,13 +378,14 @@ def cmd_serve(args) -> int:
         farm.reconfig().move_node(farm.hosts["acme-be-1"],
                                   {farm.domain_vlans["acme"]: 99})
     farm.sim.run(until=t0 + 30.0)
-    s = dispatcher.stats
-    p50 = s.latency_percentile(50)
-    print(f"issued={s.issued} completed={s.completed} failed={s.failed} "
-          f"retried={s.retried}")
-    print(f"success rate={s.success_rate:.4f}  p50 latency="
-          f"{(p50 or 0) * 1000:.1f}ms")
-    print(f"failures in the 30s event window: {s.failures_in(t0, t0 + 30.0)}")
+    completed, failed = count("completed"), count("failed")
+    done = completed + failed
+    p50 = reg.histogram("traffic.latency_s").percentile(50)
+    print(f"issued={count('requests')} completed={completed} failed={failed} "
+          f"retried={count('retried')}")
+    print(f"success rate={completed / done if done else 1.0:.4f}  p50 latency="
+          f"{p50 * 1000:.1f}ms")
+    print(f"failures in the 30s event window: {failed - failed_before}")
     _export_metrics(args, farm.sim.metrics)
     return 0
 

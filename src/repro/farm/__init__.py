@@ -10,24 +10,18 @@ Reproduces the topologies of the paper's Figures 1 and 2:
   network-isolated customer domains (each with front-end and back-end
   layers), request dispatchers, and an administrative domain hosting
   GulfStream Central.
-* :class:`~repro.farm.oceano.OceanoController` — the SLA-driven controller
-  that moves nodes between domains in response to synthetic load, through
-  GulfStream's reconfiguration path.
 * :class:`~repro.farm.scenario.Scenario` — farm + fault plan + measurement
   in one runnable object.
+* :mod:`repro.farm.requests` — the application layer riding the farm: the
+  request issuer on a dispatcher node and the front-end / back-end server
+  applications (what reallocates servers under that traffic lives in
+  :mod:`repro.workload.autoscaler`).
 """
 
 from repro.farm.domain import DomainSpec, FarmSpec
 from repro.farm.builder import Farm, FarmBuilder, build_farm, build_testbed, build_zoned_farm
 from repro.farm.scenario import Scenario
-from repro.farm.oceano import OceanoController, SyntheticWorkload
-from repro.farm.requests import (
-    BackEndApp,
-    FrontEndApp,
-    RequestDispatcher,
-    RequestStats,
-    deploy_domain_service,
-)
+from repro.farm.requests import BackEndApp, FrontEndApp, TrafficSource, deploy_service
 
 __all__ = [
     "BackEndApp",
@@ -36,13 +30,10 @@ __all__ = [
     "FarmBuilder",
     "FarmSpec",
     "FrontEndApp",
-    "OceanoController",
-    "RequestDispatcher",
-    "RequestStats",
     "Scenario",
-    "SyntheticWorkload",
+    "TrafficSource",
     "build_farm",
     "build_testbed",
     "build_zoned_farm",
-    "deploy_domain_service",
+    "deploy_service",
 ]

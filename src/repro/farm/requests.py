@@ -7,16 +7,20 @@ point of dynamic reconfiguration is that it "must be accomplished with
 minimal service interruption".
 
 This module puts actual request traffic on the simulated farm so that
-claim can be measured (``benchmarks/bench_service_interruption.py``):
+claim can be measured (``benchmarks/bench_service_interruption.py``, the
+``traffic`` workload of ``benchmarks/e2e``):
 
-* a :class:`RequestDispatcher` runs on a dispatcher node, issuing requests
-  to a domain's front ends over the dispatcher VLAN (round-robin with
-  retry-on-timeout failover);
+* a :class:`TrafficSource` runs on a dispatcher node: for every arrival of
+  the event stream it is fed it sends one request to a front end of the
+  arrival's domain over the dispatcher VLAN (round-robin with
+  retry-on-timeout failover), and it keeps the score in the metrics
+  registry;
 * a :class:`FrontEndApp` on each front end forwards work to a back-end
   server over the domain-internal VLAN — choosing workers from its
   adapter's *live GulfStream AMG view*, which is exactly how membership
   quality turns into service quality;
-* a :class:`BackEndApp` serves the work after a configurable service time.
+* a :class:`BackEndApp` serves the work after :data:`SERVICE_TIME`;
+* :func:`deploy_service` installs the two applications on a built farm.
 
 All of it rides the same fabric, adapters, latency, and loss as the
 protocol traffic, through the daemon's application demux — so a crashed
@@ -27,21 +31,22 @@ as the real topology (and GulfStream's view of it) degrades.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Any, Dict, Iterable, List, Tuple
 
-import numpy as np
-
+from repro.farm.domain import DISPATCH_VLAN
 from repro.net.addressing import IPAddress
-from repro.sim.process import Timer
 
 __all__ = [
+    "SERVICE_TIME",
     "BackEndApp",
     "FrontEndApp",
-    "RequestDispatcher",
-    "RequestStats",
-    "deploy_domain_service",
+    "TrafficSource",
+    "deploy_service",
 ]
+
+#: seconds a server spends on one Work item
+SERVICE_TIME = 0.005
 
 
 # ----------------------------------------------------------------------
@@ -88,52 +93,22 @@ class Response:
 
 
 # ----------------------------------------------------------------------
-# metrics
-# ----------------------------------------------------------------------
-@dataclass
-class RequestStats:
-    """End-to-end service metrics collected at the dispatcher."""
-
-    issued: int = 0
-    completed: int = 0
-    failed: int = 0
-    retried: int = 0
-    latencies: List[float] = field(default_factory=list)
-    #: completion times of failures, for interruption-window analysis
-    failure_times: List[float] = field(default_factory=list)
-
-    @property
-    def success_rate(self) -> float:
-        done = self.completed + self.failed
-        return self.completed / done if done else 1.0
-
-    def latency_percentile(self, q: float) -> Optional[float]:
-        if not self.latencies:
-            return None
-        return float(np.percentile(self.latencies, q))
-
-    def failures_in(self, start: float, end: float) -> int:
-        return sum(1 for t in self.failure_times if start <= t < end)
-
-
-# ----------------------------------------------------------------------
 # server applications
 # ----------------------------------------------------------------------
 class BackEndApp:
     """Serves Work on a server's domain-internal adapter."""
 
-    def __init__(self, host, nic, service_time: float = 0.005) -> None:
+    def __init__(self, host, nic) -> None:
         self.host = host
         self.nic = nic
         self.sim = host.sim
-        self.service_time = service_time
         self.served = 0
         nic.app_handler = self._on_frame
 
     def _on_frame(self, frame) -> None:
         msg = frame.payload
         if isinstance(msg, Work):
-            self.sim.schedule(self.service_time, self._finish, msg)
+            self.sim.schedule(SERVICE_TIME, self._finish, msg)
 
     def _finish(self, msg: Work) -> None:
         if self.host.crashed:
@@ -154,7 +129,7 @@ class FrontEndApp:
     """
 
     def __init__(self, host, dispatch_nic, internal_nic,
-                 work_timeout: float = 1.0, domain: Optional[str] = None) -> None:
+                 work_timeout: float, domain: str) -> None:
         self.host = host
         self.sim = host.sim
         self.dispatch_nic = dispatch_nic
@@ -167,13 +142,8 @@ class FrontEndApp:
         self._pending: Dict[Tuple[IPAddress, int], bool] = {}
         self.forwarded = 0
         self.served_locally = 0
-        # per-domain arrival counter: the Autoscaler's island-local load
-        # signal (only registered when a domain label is given, so farms
-        # without the traffic plane keep their metrics surface unchanged)
-        self._m_arrivals = (
-            host.sim.metrics.counter("traffic.fe.requests", domain=domain)
-            if domain is not None else None
-        )
+        # per-domain arrival counter: the Autoscaler's island-local load signal
+        self._m_arrivals = host.sim.metrics.counter("traffic.fe.requests", domain=domain)
         dispatch_nic.app_handler = self._on_dispatch_frame
         internal_nic.app_handler = self._on_internal_frame
 
@@ -191,8 +161,7 @@ class FrontEndApp:
         msg = frame.payload
         if not isinstance(msg, Request):
             return
-        if self._m_arrivals is not None:
-            self._m_arrivals.inc()
+        self._m_arrivals.inc()
         workers = self._workers()
         if not workers:
             # no known peers: serve locally (a domain of one still serves)
@@ -215,7 +184,7 @@ class FrontEndApp:
         msg = frame.payload
         if isinstance(msg, Work):
             # front ends are servers too: serve directly
-            self.sim.schedule(0.005, self._serve_peer, msg)
+            self.sim.schedule(SERVICE_TIME, self._serve_peer, msg)
             return
         if not isinstance(msg, WorkDone):
             return
@@ -239,144 +208,156 @@ class FrontEndApp:
         self._pending.pop(key, None)
 
 
-class RequestDispatcher:
-    """Issues requests to a domain's front ends and keeps the score."""
+# ----------------------------------------------------------------------
+# the issuer
+# ----------------------------------------------------------------------
+class TrafficSource:
+    """Issues an arrival stream as Requests on the dispatcher VLAN and
+    keeps the score in the metrics registry.
+
+    ``events`` is any iterable whose items carry ``.time`` (seconds after
+    ``start_at``, non-decreasing) and ``.domain`` — a
+    :class:`~repro.workload.generators.RequestStream`, a constant-rate
+    generator, a list. Exactly one arrival is scheduled at a time — the
+    iterator is pulled again only when its event fires — so the schedule
+    never materializes in memory no matter how many requests the stream
+    holds. Requests round-robin over their domain's front ends with
+    retry-on-timeout failover to that domain's next front end.
+
+    Counts land in ``traffic.requests/completed/failed/retried{domain}``
+    and the ``traffic.latency_s`` histogram; at any instant
+    ``completed + failed + in flight == requests`` per domain.
+    """
 
     def __init__(
         self,
-        host,
-        nic,
-        front_ends: List[IPAddress],
-        rate: float = 50.0,
-        timeout: float = 2.0,
-        max_retries: int = 1,
-        seed_name: str = "dispatcher",
+        host: Any,
+        front_ends: Dict[str, List[IPAddress]],
+        events: Iterable[Any],
+        start_at: float,
+        timeout: float,
+        max_retries: int = 2,
     ) -> None:
-        if not front_ends:
-            raise ValueError("a dispatcher needs at least one front end")
+        for domain, fes in front_ends.items():
+            if not fes:
+                raise ValueError(f"domain {domain} has no front ends")
         self.host = host
-        self.nic = nic
+        self.nic = next(
+            n for n in host.adapters
+            if n.port is not None and n.port.vlan == DISPATCH_VLAN
+        )
         self.sim = host.sim
-        self.front_ends = list(front_ends)
-        self.rate = rate
+        self.front_ends = {d: list(v) for d, v in front_ends.items()}
+        self.start_at = start_at
         self.timeout = timeout
         self.max_retries = max_retries
-        self.stats = RequestStats()
-        self.rng = self.sim.rng.stream(f"requests/{seed_name}")
-        self._rr = 0
-        # per-dispatcher ids: a module-global counter would leak state
-        # between runs sharing a process (sweep workers, repeated
-        # scenarios), making request ids depend on whatever ran before
+        self._it = iter(events)
+        self._rr = {d: 0 for d in self.front_ends}
+        # per-source ids: a module-global counter would leak state between
+        # runs sharing a process (sweep workers, repeated scenarios)
         self._req_ids = itertools.count(1)
-        #: req_id -> (issued_at, retries_left, timeout event)
+        #: req_id -> (issued_at, domain, retries_left, timeout event)
         self._inflight: Dict[int, tuple] = {}
-        self._timer: Optional[Timer] = None
-        nic.app_handler = self._on_frame
+        reg = self.sim.metrics
+        self._m_req = {d: reg.counter("traffic.requests", domain=d) for d in self.front_ends}
+        self._m_done = {d: reg.counter("traffic.completed", domain=d) for d in self.front_ends}
+        self._m_fail = {d: reg.counter("traffic.failed", domain=d) for d in self.front_ends}
+        self._m_retry = {d: reg.counter("traffic.retried", domain=d) for d in self.front_ends}
+        self._m_latency = reg.histogram("traffic.latency_s")
+        self.nic.app_handler = self._on_frame
+        self._schedule_next()
 
     # ------------------------------------------------------------------
-    def start(self) -> None:
-        if self._timer is None:
-            self._timer = Timer(self.sim, 1.0 / self.rate, self._issue,
-                                initial_delay=float(self.rng.uniform(0, 1.0 / self.rate)))
+    def _schedule_next(self) -> None:
+        ev = next(self._it, None)
+        if ev is None:
+            return
+        self.sim.schedule_at(self.start_at + ev.time, self._fire, ev.domain)
 
-    def stop(self) -> None:
-        if self._timer is not None:
-            self._timer.cancel()
-            self._timer = None
-
-    # ------------------------------------------------------------------
-    def _issue(self) -> None:
+    def _fire(self, domain: str) -> None:
+        self._schedule_next()
+        self._m_req[domain].inc()
+        if self.host.crashed:
+            self._m_fail[domain].inc()
+            return
         req_id = next(self._req_ids)
-        self.stats.issued += 1
-        self._send(req_id, self.max_retries, first=True)
+        self._inflight[req_id] = (self.sim.now, domain, self.max_retries, None)
+        self._send(req_id, domain)
 
-    def _send(self, req_id: int, retries_left: int, first: bool = False) -> None:
-        target = self.front_ends[self._rr % len(self.front_ends)]
-        self._rr += 1
-        issued_at = self._inflight[req_id][0] if req_id in self._inflight else self.sim.now
+    def _send(self, req_id: int, domain: str) -> None:
+        issued_at, _, retries_left, _ = self._inflight[req_id]
+        fes = self.front_ends[domain]
+        target = fes[self._rr[domain] % len(fes)]
+        self._rr[domain] += 1
         ev = self.sim.schedule(self.timeout, self._on_timeout, req_id)
-        self._inflight[req_id] = (issued_at, retries_left, ev)
+        self._inflight[req_id] = (issued_at, domain, retries_left, ev)
         self.nic.send(target, Request(req_id=req_id, client=self.nic.ip), size=256)
 
     def _on_timeout(self, req_id: int) -> None:
         entry = self._inflight.pop(req_id, None)
         if entry is None:
             return
-        issued_at, retries_left, _ = entry
+        issued_at, domain, retries_left, _ = entry
         if retries_left > 0:
-            # fail over to the next front end (real dispatcher behaviour)
-            self.stats.retried += 1
-            self._inflight[req_id] = (issued_at, retries_left, None)
-            self._send(req_id, retries_left - 1)
+            self._m_retry[domain].inc()
+            self._inflight[req_id] = (issued_at, domain, retries_left - 1, None)
+            self._send(req_id, domain)
         else:
-            self.stats.failed += 1
-            self.stats.failure_times.append(self.sim.now)
+            self._m_fail[domain].inc()
 
-    def _on_frame(self, frame) -> None:
+    def _on_frame(self, frame: Any) -> None:
         msg = frame.payload
         if not isinstance(msg, Response):
             return
         entry = self._inflight.pop(msg.req_id, None)
         if entry is None:
-            return  # late duplicate after timeout
-        issued_at, _, ev = entry
+            return  # late duplicate after the final timeout
+        issued_at, domain, _, ev = entry
         if ev is not None:
             ev.cancel()
-        self.stats.completed += 1
-        self.stats.latencies.append(self.sim.now - issued_at)
+        self._m_done[domain].inc()
+        self._m_latency.observe(self.sim.now - issued_at)
 
 
 # ----------------------------------------------------------------------
 # deployment helper
 # ----------------------------------------------------------------------
-def deploy_domain_service(
-    farm,
-    domain: str,
-    rate: float = 50.0,
-    dispatcher_node: Optional[str] = None,
-    timeout: float = 2.0,
-    service_time: float = 0.005,
-    include_spares: bool = True,
-) -> RequestDispatcher:
-    """Wire a full service onto one domain of a built Océano farm.
+def deploy_service(farm, request_timeout: float) -> Dict[str, List[IPAddress]]:
+    """Install the serving applications on every domain and spare of ``farm``.
 
-    Installs a :class:`BackEndApp` on every back end, a
-    :class:`FrontEndApp` on every front end, and a
-    :class:`RequestDispatcher` on a dispatcher node targeting the domain's
-    front ends. With ``include_spares`` (the default) spare-pool nodes get
-    the back-end application too — Océano changes a moved node's
-    "personality (... operating system, applications and data)" before the
-    VLAN move, so a spare arriving in the domain must already serve.
-    Returns the dispatcher (call ``.start()`` after the farm stabilizes).
+    Nodes with a dispatcher-VLAN adapter get a :class:`FrontEndApp` (which
+    gives up on a Work item after half the issuer's ``request_timeout``),
+    every other domain node a :class:`BackEndApp` on its domain-internal
+    adapter. Spares get the back-end application too — Océano changes a
+    moved node's "personality (... operating system, applications and
+    data)" before the VLAN move, so a spare arriving in a domain must
+    already serve. Under a shard build context only the hosts this island
+    owns are dressed; the other island dresses the rest.
+
+    Returns each domain's front-end addresses on the dispatcher VLAN, read
+    from the node records so that the island holding the issuer knows them
+    without owning the front ends.
     """
-    from repro.farm.domain import DISPATCH_VLAN
-
-    internal_vlan = farm.domain_vlans[domain]
-    fes, bes = [], []
-    for name in farm.domain_nodes[domain]:
-        host = farm.hosts[name]
-        by_vlan = {nic.port.vlan: nic for nic in host.adapters if nic.port is not None}
-        if DISPATCH_VLAN in by_vlan:
-            fes.append((host, by_vlan[DISPATCH_VLAN], by_vlan[internal_vlan]))
-        elif internal_vlan in by_vlan:
-            bes.append((host, by_vlan[internal_vlan]))
-    if not fes:
-        raise ValueError(f"domain {domain} has no front ends")
-    for host, nic in bes:
-        BackEndApp(host, nic, service_time=service_time)
-    if include_spares:
-        for name in farm.spare_nodes:
-            host = farm.hosts[name]
-            if len(host.adapters) > 1:
-                BackEndApp(host, host.adapters[1], service_time=service_time)
-    for host, dispatch_nic, internal_nic in fes:
-        FrontEndApp(host, dispatch_nic, internal_nic, work_timeout=timeout / 2)
-    disp_name = dispatcher_node or next(n for n in farm.hosts if n.startswith("dispatch"))
-    disp_host = farm.hosts[disp_name]
-    disp_nic = next(n for n in disp_host.adapters
-                    if n.port is not None and n.port.vlan == DISPATCH_VLAN)
-    return RequestDispatcher(
-        disp_host, disp_nic,
-        front_ends=[nic.ip for _, nic, _ in fes],
-        rate=rate, timeout=timeout, seed_name=f"{domain}-dispatch",
-    )
+    records = {rec.name: rec for rec in farm.node_records}
+    front_ends: Dict[str, List[IPAddress]] = {}
+    for domain, internal in farm.domain_vlans.items():
+        front_ends[domain] = []
+        for node in farm.domain_nodes[domain]:
+            rec = records[node]
+            is_front_end = DISPATCH_VLAN in rec.vlans
+            if is_front_end:
+                front_ends[domain].append(rec.ips[rec.vlans.index(DISPATCH_VLAN)])
+            host = farm.hosts.get(node)
+            if host is None:
+                continue
+            nics = dict(zip(rec.vlans, host.adapters))
+            if is_front_end:
+                FrontEndApp(host, nics[DISPATCH_VLAN], nics[internal],
+                            work_timeout=request_timeout / 2, domain=domain)
+            else:
+                BackEndApp(host, nics[internal])
+    for node in farm.spare_nodes:
+        host = farm.hosts.get(node)
+        if host is not None:
+            BackEndApp(host, host.adapters[1])
+    return front_ends

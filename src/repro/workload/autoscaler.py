@@ -1,13 +1,18 @@
-"""The Autoscaler: request-driven domain grow/shrink over live GSC moves.
+"""The Autoscaler: load-driven domain grow/shrink over live GSC moves.
 
-Where :class:`~repro.farm.oceano.OceanoController` reshapes the farm from a
-*synthetic load curve*, the Autoscaler closes the loop the paper actually
-describes: it watches **measured** per-domain request arrivals through the
-metrics registry (the ``traffic.fe.requests`` counters the front ends
-maintain) and reallocates spare servers through the real GSC/SNMP
+"Océano reallocates servers in short time (minutes) in response to changing
+workloads" (§1). The farm's one reallocation controller compares each
+domain's load per server against two thresholds and moves spare servers
+between the free pool and the domains through the real GSC/SNMP
 reconfiguration path — ``personality change`` on the spare is already done
 (spares run the back-end application from boot), so a move is exactly one
 authorized VLAN change per adapter.
+
+The load signal is an argument. By default it is **measured**: per-domain
+request arrivals read from the metrics registry (the ``traffic.fe.requests``
+counters the front ends maintain), which closes the loop the paper
+describes. A synthetic curve — ``DomainLoadModel(...).load``, the §1
+flash-crowd experiment — is just another signal fed to the same policy.
 
 Determinism: ticks fire at fixed simulated times, decisions read only
 island-local registry counters and farm bookkeeping, and every move goes
@@ -18,7 +23,7 @@ sharded replay of the same island sees the identical move sequence.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Callable, Dict, List, Optional
 
 from repro.farm.builder import FREE_POOL_VLAN, Farm
 from repro.sim.process import Timer
@@ -37,21 +42,25 @@ class ScalerMove:
 
 
 class Autoscaler:
-    """Grows and shrinks domains against measured request arrivals.
+    """Grows and shrinks domains against a per-domain load signal.
 
     Policy, evaluated every ``interval`` simulated seconds between
-    ``start_at`` and ``stop_at``: compute each domain's arrival rate per
-    server over the last interval (from the front ends' per-domain arrival
-    counters); above ``high_water`` move a spare in, below ``low_water``
-    (and above ``min_servers``) move the domain's most recently added
-    transplant back to the free pool. A global ``cooldown`` separates
-    consecutive moves so one burst cannot thrash the reconfiguration path.
+    ``start_at`` and ``stop_at``: read ``load(domain, now)`` (requests/s)
+    for every domain and divide by the domain's servers; above
+    ``high_water`` move a spare in, below ``low_water`` (and above
+    ``min_servers``) move the domain's most recently added transplant back
+    to the free pool. A global ``cooldown`` separates consecutive moves so
+    one burst cannot thrash the reconfiguration path.
+
+    Without a ``load`` the signal is the arrival rate the domain's front
+    ends counted over the last interval.
     """
 
     def __init__(
         self,
         farm: Farm,
         domains: List[str],
+        load: Optional[Callable[[str, float], float]] = None,
         interval: float = 2.0,
         high_water: float = 12.0,
         low_water: float = 4.0,
@@ -63,6 +72,7 @@ class Autoscaler:
         self.farm = farm
         self.sim = farm.sim
         self.domains = list(domains)
+        self.load = load if load is not None else self._measured_load
         self.interval = interval
         self.high_water = high_water
         self.low_water = low_water
@@ -105,16 +115,21 @@ class Autoscaler:
     def domain_size(self, domain: str) -> int:
         return len(self.farm.domain_nodes[domain]) + len(self._transplants[domain])
 
+    def _measured_load(self, domain: str, now: float) -> float:
+        """Arrivals per second at ``domain``'s front ends since the last tick."""
+        total = float(self._arrivals[domain].value)
+        rate = (total - self._last_total[domain]) / self.interval
+        self._last_total[domain] = total
+        return rate
+
     def _tick(self) -> None:
         now = self.sim.now
         if self.stop_at is not None and now > self.stop_at:
             self.stop()
             return
-        rates: Dict[str, float] = {}
-        for domain in self.domains:
-            total = float(self._arrivals[domain].value)
-            rates[domain] = (total - self._last_total[domain]) / self.interval
-            self._last_total[domain] = total
+        # every domain, every tick: a measured signal is a delta since the
+        # previous reading, so it must not skip the ticks that cannot move
+        rates = {domain: self.load(domain, now) for domain in self.domains}
         gsc = self.farm.gsc()
         if gsc is None or gsc.stable_time is None:
             return  # no console to authorize moves yet (or mid-failover)

@@ -16,10 +16,12 @@ come from the sim's named-RNG registry, in standalone statistical tests from
   its peak rate (Lewis–Shedler), modulated by a per-domain rate profile
   (e.g. :class:`~repro.workload.profiles.DiurnalProfile`), with truncated-Zipf
   domain and user popularity.
+* :func:`constant_rate` — the degenerate stream: one domain, fixed spacing.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Callable, Dict, Iterator, List, Mapping, Optional, Sequence
 
@@ -29,6 +31,7 @@ __all__ = [
     "RequestEvent",
     "RequestStream",
     "TruncatedZipf",
+    "constant_rate",
     "default_streams",
 ]
 
@@ -118,6 +121,12 @@ class RequestEvent:
     time: float
     domain: str
     user: int
+
+
+def constant_rate(domain: str, rate: float) -> Iterator[RequestEvent]:
+    """Evenly spaced arrivals for one domain, without end: the k-th at ``k / rate``."""
+    for k in itertools.count():
+        yield RequestEvent(time=k / rate, domain=domain, user=0)
 
 
 class RequestStream:

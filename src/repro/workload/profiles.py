@@ -2,10 +2,10 @@
 
 Profiles are pure functions of simulated time — no randomness — so they can
 modulate a :class:`~repro.workload.generators.RequestStream` (as the
-``profile`` callable) or stand alone as an offered-load model (the Océano
-controller's signal). :class:`DomainLoadModel` carries the exact numerics
-that used to live in ``repro.farm.oceano.SyntheticWorkload``; that class is
-now a thin compatibility shim over this one.
+``profile`` callable) or stand alone as an offered-load model:
+``DomainLoadModel(...).load`` is a ready-made ``load=`` signal for the
+:class:`~repro.workload.autoscaler.Autoscaler` (the §1 flash-crowd
+experiment).
 """
 
 from __future__ import annotations
@@ -81,8 +81,7 @@ class DomainLoadModel:
     """Per-domain offered load (requests/sec) over time.
 
     A slow sinusoid per domain — phase-shifted so domains peak at different
-    times — plus optional flash-crowd spikes. Deterministic; numerically
-    identical to the historical ``SyntheticWorkload`` it replaces.
+    times — plus optional flash-crowd spikes. Deterministic.
     """
 
     def __init__(

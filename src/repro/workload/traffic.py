@@ -6,10 +6,11 @@ through request dispatchers ... and dynamic reconfiguration must be
 accomplished with minimal service interruption"):
 
 * :func:`build_traffic_farm` — a multi-domain farm whose dispatcher node
-  runs a :class:`TrafficSource`: a :class:`~repro.workload.generators.RequestStream`
-  (Poisson arrivals, truncated-Zipf users/domains, diurnal modulation)
-  issuing real ``Request`` frames to the domains' front ends, one pending
-  arrival at a time — millions of simulated users, constant memory.
+  runs a :class:`~repro.farm.requests.TrafficSource` fed a
+  :class:`~repro.workload.generators.RequestStream` (Poisson arrivals,
+  truncated-Zipf users/domains, diurnal modulation): real ``Request``
+  frames to the domains' front ends, one pending arrival at a time —
+  millions of simulated users, constant memory.
 * An :class:`~repro.workload.autoscaler.Autoscaler` watching measured
   per-domain arrivals and moving spare servers between the free pool and
   the domains through GSC/SNMP reconfig, live, while requests flow.
@@ -30,7 +31,6 @@ byte-identical traces, metrics, and SLO reports.
 
 from __future__ import annotations
 
-import itertools
 from typing import Any, Dict, List, Optional, Sequence, Union
 
 from repro.checks.campaign import CHAOS_PARAMS, MIXES, ChaosInjector, write_report
@@ -41,11 +41,11 @@ from repro.checks.invariants import (
 )
 from repro.farm.builder import ADMIN_VLAN, FREE_POOL_VLAN, Farm, FarmBuilder
 from repro.farm.domain import DISPATCH_VLAN, DOMAIN_VLAN_BASE
-from repro.farm.requests import BackEndApp, FrontEndApp, Request, Response
-from repro.net.addressing import IPAddress
+from repro.farm.requests import TrafficSource, deploy_service
 from repro.node.osmodel import OSParams
 from repro.runner import run_sweep
 from repro.sim.shard.runner import run_sharded
+from repro.workload.autoscaler import Autoscaler
 from repro.workload.generators import STREAM_NAMES, RequestStream
 from repro.workload.profiles import WORKLOAD_PROFILES, DiurnalProfile, SpikeSchedule
 
@@ -53,7 +53,6 @@ __all__ = [
     "TRAFFIC_PARAMS",
     "TRAFFIC_START",
     "TRAFFIC_TRACE_CATEGORIES",
-    "TrafficSource",
     "build_traffic_farm",
     "build_traffic_report",
     "render_traffic_report",
@@ -74,6 +73,13 @@ TRAFFIC_START = 20.0
 #: post-traffic calm before the quiescence checks when no chaos ran
 #: (with a mix, the monitor's own settle_time governs instead)
 TRAFFIC_SETTLE = 10.0
+
+#: the issuer's per-attempt timeout; front ends give up on Work after half
+REQUEST_TIMEOUT = 1.5
+
+#: the simulated "day" of the diurnal profiles, and its overnight trough
+DIURNAL_PERIOD = 60.0
+DIURNAL_TROUGH = 0.25
 
 #: trace categories a traffic case stores: what the monitor consumes,
 #: plus the events the SLO report is built from. Everything else stays on
@@ -106,22 +112,20 @@ def _settle(mix: Optional[str]) -> float:
     return windows.settle_time
 
 
-def traffic_horizon(
-    duration: float, mix: Optional[str], traffic_start: float = TRAFFIC_START
-) -> float:
+def traffic_horizon(duration: float, mix: Optional[str]) -> float:
     """Absolute sim-time horizon of one traffic case (stream + settle)."""
-    return traffic_start + duration + _settle(mix) + 1.0
+    return TRAFFIC_START + duration + _settle(mix) + 1.0
 
 
-def _resolve_profile(
-    kind: str, names: List[str], period: float, trough: float, duration: float
-):
+def _resolve_profile(kind: str, names: List[str], duration: float):
     """The stream's rate profile for shape ``kind`` (one of
     ``WORKLOAD_PROFILES``). Returns ``(profile, peak_factor)``."""
     if kind == "flat":
         # trough == 1.0 collapses the diurnal wave to a constant full rate
-        return DiurnalProfile(period=period, trough=1.0), 1.0
-    diurnal = DiurnalProfile(period=period, trough=trough, domains=names, stagger=True)
+        return DiurnalProfile(period=DIURNAL_PERIOD, trough=1.0), 1.0
+    diurnal = DiurnalProfile(
+        period=DIURNAL_PERIOD, trough=DIURNAL_TROUGH, domains=names, stagger=True
+    )
     if kind == "diurnal":
         return diurnal, diurnal.peak
     # flash: the diurnal baseline plus a scripted flash crowd on the most
@@ -132,106 +136,6 @@ def _resolve_profile(
         return diurnal(domain, t) + spikes.extra(domain, t)
 
     return flash, 1.5
-
-
-# ----------------------------------------------------------------------
-# the source
-# ----------------------------------------------------------------------
-class TrafficSource:
-    """Streams a :class:`RequestStream` onto the dispatcher VLAN.
-
-    Exactly one arrival is scheduled at a time — the iterator is pulled
-    again only when its event fires — so the schedule never materializes
-    in memory no matter how many requests the stream holds. Requests
-    round-robin over each domain's front ends with retry-on-timeout
-    failover to the next front end (the real dispatcher behaviour the
-    failover tests pin down).
-    """
-
-    def __init__(
-        self,
-        host: Any,
-        nic: Any,
-        front_ends: Dict[str, List[IPAddress]],
-        stream: RequestStream,
-        start_at: float,
-        timeout: float = 1.5,
-        max_retries: int = 2,
-    ) -> None:
-        for domain, fes in front_ends.items():
-            if not fes:
-                raise ValueError(f"domain {domain} has no front ends")
-        self.host = host
-        self.nic = nic
-        self.sim = host.sim
-        self.front_ends = {d: list(v) for d, v in front_ends.items()}
-        self.start_at = start_at
-        self.timeout = timeout
-        self.max_retries = max_retries
-        self._it = iter(stream)
-        self._rr = {d: 0 for d in self.front_ends}
-        self._req_ids = itertools.count(1)
-        #: req_id -> (issued_at, domain, retries_left, timeout event)
-        self._inflight: Dict[int, tuple] = {}
-        reg = self.sim.metrics
-        self._m_req = {d: reg.counter("traffic.requests", domain=d) for d in self.front_ends}
-        self._m_done = {d: reg.counter("traffic.completed", domain=d) for d in self.front_ends}
-        self._m_fail = {d: reg.counter("traffic.failed", domain=d) for d in self.front_ends}
-        self._m_retry = {d: reg.counter("traffic.retried", domain=d) for d in self.front_ends}
-        self._m_latency = reg.histogram("traffic.latency_s")
-        nic.app_handler = self._on_frame
-        self._schedule_next()
-
-    # ------------------------------------------------------------------
-    def _schedule_next(self) -> None:
-        ev = next(self._it, None)
-        if ev is None:
-            return
-        self.sim.schedule_at(self.start_at + ev.time, self._fire, ev.domain)
-
-    def _fire(self, domain: str) -> None:
-        self._schedule_next()
-        if self.host.crashed:
-            self._m_fail[domain].inc()
-            return
-        req_id = next(self._req_ids)
-        self._m_req[domain].inc()
-        self._inflight[req_id] = (self.sim.now, domain, self.max_retries, None)
-        self._send(req_id, domain)
-
-    def _send(self, req_id: int, domain: str) -> None:
-        issued_at, _, retries_left, _ = self._inflight[req_id]
-        fes = self.front_ends[domain]
-        target = fes[self._rr[domain] % len(fes)]
-        self._rr[domain] += 1
-        ev = self.sim.schedule(self.timeout, self._on_timeout, req_id)
-        self._inflight[req_id] = (issued_at, domain, retries_left, ev)
-        self.nic.send(target, Request(req_id=req_id, client=self.nic.ip), size=256)
-
-    def _on_timeout(self, req_id: int) -> None:
-        entry = self._inflight.pop(req_id, None)
-        if entry is None:
-            return
-        issued_at, domain, retries_left, _ = entry
-        if retries_left > 0:
-            self._m_retry[domain].inc()
-            self._inflight[req_id] = (issued_at, domain, retries_left - 1, None)
-            self._send(req_id, domain)
-        else:
-            self._m_fail[domain].inc()
-
-    def _on_frame(self, frame: Any) -> None:
-        msg = frame.payload
-        if not isinstance(msg, Response):
-            return
-        entry = self._inflight.pop(msg.req_id, None)
-        if entry is None:
-            return  # late duplicate after the final timeout
-        issued_at, domain, _, ev = entry
-        if ev is not None:
-            ev.cancel()
-        self._m_done[domain].inc()
-        self._m_latency.observe(self.sim.now - issued_at)
 
 
 # ----------------------------------------------------------------------
@@ -294,29 +198,18 @@ def build_traffic_farm(
     front_ends: int = 1,
     back_ends: int = 3,
     spares: int = 2,
-    dispatchers: int = 1,
     rate: float = 120.0,
     duration: float = 30.0,
     n_users: int = 1_000_000,
-    user_alpha: float = 0.9,
-    domain_alpha: float = 0.8,
-    diurnal_period: float = 60.0,
-    diurnal_trough: float = 0.25,
     mix: Optional[str] = None,
     profile: str = "diurnal",
-    autoscale: bool = True,
-    high_water: float = 12.0,
-    low_water: float = 4.0,
-    traffic_start: float = TRAFFIC_START,
-    request_timeout: float = 1.5,
-    service_time: float = 0.005,
     seed: int = 0,
     trace: Any = None,
 ) -> Farm:
     """An Océano farm with the whole traffic plane scheduled onto it.
 
-    Layout: ``dispatchers`` dispatcher nodes (admin + dispatch VLANs,
-    their own shard island), ``site-0`` (the only GSC-eligible node,
+    Layout: the dispatcher node ``dispatch-0`` (admin + dispatch VLANs,
+    its own shard island), ``site-0`` (the only GSC-eligible node,
     parked on the free pool), and per domain ``front_ends`` front ends,
     ``back_ends`` back ends — the first back end doubling as the
     free-pool *bridge* — plus ``spares`` movable spares. Everything the
@@ -336,9 +229,7 @@ def build_traffic_farm(
         seed=seed, params=TRAFFIC_PARAMS, os_params=OSParams.fast(), trace=trace
     ).switches(2)
     farm = b._farm
-    fe_ips: Dict[str, List[IPAddress]] = {}
-    for d in range(dispatchers):
-        b.add_node(f"dispatch-{d}", [ADMIN_VLAN, DISPATCH_VLAN])
+    b.add_node("dispatch-0", [ADMIN_VLAN, DISPATCH_VLAN])
     b.add_node("site-0", [ADMIN_VLAN, FREE_POOL_VLAN], admin_eligible=True)
     for k, name in enumerate(names):
         internal = DOMAIN_VLAN_BASE + k
@@ -347,7 +238,6 @@ def build_traffic_farm(
         for i in range(front_ends):
             node = f"{name}-fe-{i}"
             b.add_node(node, [ADMIN_VLAN, internal, DISPATCH_VLAN])
-            fe_ips.setdefault(name, []).append(b.node_records[-1].ips[2])
             nodes.append(node)
         for i in range(back_ends):
             node = f"{name}-be-{i}"
@@ -363,80 +253,32 @@ def build_traffic_farm(
         farm.spare_nodes.append(node)
     farm = b.finish()
     sim = farm.sim
-    traffic_end = traffic_start + duration
-
-    # -- data plane (owned hosts only: under a shard context some of
-    #    these lookups miss, and the other island dresses them) ---------
-    for name in names:
-        internal = farm.domain_vlans[name]
-        for node in farm.domain_nodes[name]:
-            host = farm.hosts.get(node)
-            if host is None:
-                continue
-            by_vlan = {
-                nic.port.vlan: nic for nic in host.adapters if nic.port is not None
-            }
-            if DISPATCH_VLAN in by_vlan:
-                FrontEndApp(
-                    host,
-                    by_vlan[DISPATCH_VLAN],
-                    by_vlan[internal],
-                    work_timeout=request_timeout / 2,
-                    domain=name,
-                )
-            else:
-                BackEndApp(host, by_vlan[internal], service_time=service_time)
-    for node in farm.spare_nodes:
-        host = farm.hosts.get(node)
-        if host is not None:
-            # personality change is already done: a spare serves from boot
-            BackEndApp(host, host.adapters[1], service_time=service_time)
+    traffic_end = TRAFFIC_START + duration
+    fe_ips = deploy_service(farm, REQUEST_TIMEOUT)
 
     # -- the source (dispatcher island) --------------------------------
     disp = farm.hosts.get("dispatch-0")
     if disp is not None:
-        rate_profile, peak_factor = _resolve_profile(
-            profile, names, diurnal_period, diurnal_trough, duration
-        )
+        rate_profile, peak_factor = _resolve_profile(profile, names, duration)
         rngs = {n: sim.rng.stream(f"workload/{n}") for n in STREAM_NAMES}
         stream = RequestStream(
             names,
             base_rate=rate,
             duration=duration,
             n_users=n_users,
-            user_alpha=user_alpha,
-            domain_alpha=domain_alpha,
             profile=rate_profile,
             peak_factor=peak_factor,
             rngs=rngs,
         )
-        nic = next(
-            n for n in disp.adapters
-            if n.port is not None and n.port.vlan == DISPATCH_VLAN
-        )
-        TrafficSource(
-            disp, nic, fe_ips, stream,
-            start_at=traffic_start, timeout=request_timeout,
-        )
+        TrafficSource(disp, fe_ips, stream, start_at=TRAFFIC_START, timeout=REQUEST_TIMEOUT)
 
     # -- control plane (data island: gated on owning site-0) -----------
     if "site-0" in farm.hosts:
-        from repro.workload.autoscaler import Autoscaler
-
         windows = CheckWindows.from_params(farm.params, OSParams.fast())
         scope = set(farm.domain_vlans.values()) | {FREE_POOL_VLAN}
         monitor = InvariantMonitor(farm, windows=windows, vlan_scope=scope)
-        sim.schedule_at(traffic_start, monitor.start)
-        if autoscale:
-            scaler = Autoscaler(
-                farm,
-                names,
-                high_water=high_water,
-                low_water=low_water,
-                start_at=traffic_start,
-                stop_at=traffic_end,
-            )
-            scaler.start()
+        sim.schedule_at(TRAFFIC_START, monitor.start)
+        Autoscaler(farm, names, start_at=TRAFFIC_START, stop_at=traffic_end).start()
         if mix is not None:
             chaos = _TrafficChaos(
                 farm, mix,
@@ -444,7 +286,7 @@ def build_traffic_farm(
                 + list(farm.spare_nodes),
                 vlans=sorted(farm.domain_vlans.values()),
             )
-            chaos.plan(start=traffic_start, duration=duration)
+            chaos.plan(start=TRAFFIC_START, duration=duration)
             for kind, count in sorted(chaos.counts.items()):
                 sim.metrics.counter("chaos.faults", kind=kind).set_total(count)
         sim.schedule_at(traffic_end + _settle(mix), _finalize_checks, monitor, farm)
@@ -467,7 +309,6 @@ def run_traffic_case(
     n_users: int = 100_000,
     mix: Optional[str] = None,
     profile: str = "diurnal",
-    autoscale: bool = True,
     shards: Union[int, str] = 1,
 ) -> Dict:
     """Run one traffic case (always through the shard runner — ``shards=1``
@@ -488,7 +329,6 @@ def run_traffic_case(
         n_users=n_users,
         mix=mix,
         profile=profile,
-        autoscale=autoscale,
         seed=seed,
     )
     res = run_sharded(

@@ -1,11 +1,11 @@
-"""Scenario runner and the Océano controller."""
+"""Scenario runner and the reallocation controller on a synthetic load curve."""
 
 
 from repro.farm.builder import build_farm, build_testbed, FREE_POOL_VLAN
 from repro.farm.domain import DomainSpec, FarmSpec
-from repro.farm.oceano import OceanoController, SyntheticWorkload
 from repro.farm.scenario import Scenario
 from repro.node.faults import FaultPlan
+from repro.workload import Autoscaler, DomainLoadModel
 
 from tests.conftest import FAST
 
@@ -57,7 +57,7 @@ def test_scenario_custom_stability_timeout_bounds_the_wait():
 
 
 def test_workload_is_deterministic_and_nonnegative():
-    wl = SyntheticWorkload(["a", "b"], base=100, amplitude=150, period=60)
+    wl = DomainLoadModel(["a", "b"], base=100, amplitude=150, period=60)
     xs = [wl.load("a", t) for t in range(0, 200, 10)]
     assert xs == [wl.load("a", t) for t in range(0, 200, 10)]
     assert all(x >= 0 for x in xs)
@@ -66,36 +66,10 @@ def test_workload_is_deterministic_and_nonnegative():
 
 
 def test_workload_spikes():
-    wl = SyntheticWorkload(["a"], base=10, amplitude=0, spikes={"a": (50, 20, 500)})
+    wl = DomainLoadModel(["a"], base=10, amplitude=0, spikes={"a": (50, 20, 500)})
     assert wl.load("a", 40) == 10
     assert wl.load("a", 60) == 510
     assert wl.load("a", 80) == 10
-
-
-def test_workload_shim_is_the_workload_package_model():
-    """``SyntheticWorkload`` is now a thin alias over
-    :class:`repro.workload.profiles.DomainLoadModel`: same class surface,
-    numerically identical ``load()``, so every existing Océano scenario
-    (and its traces) replays unchanged."""
-    from repro.workload.profiles import DomainLoadModel
-
-    assert issubclass(SyntheticWorkload, DomainLoadModel)
-    old = SyntheticWorkload(["a", "b"], base=100, amplitude=80, period=120,
-                            spikes={"a": (30, 10, 400)})
-    new = DomainLoadModel(["a", "b"], base=100, amplitude=80, period=120,
-                          spikes={"a": (30, 10, 400)})
-    for d in ("a", "b"):
-        for t in [x / 4 for x in range(0, 600)]:
-            assert old.load(d, t) == new.load(d, t)
-
-
-def test_workload_shim_gains_the_stream_adapter():
-    """The shim also inherits the RequestStream adapter — legacy call
-    sites can feed the new traffic plane without rewriting."""
-    wl = SyntheticWorkload(["a"], base=50, amplitude=25)
-    profile = wl.as_profile()
-    assert profile("a", 0.0) == wl.load("a", 0.0) / 50
-    assert wl.peak_factor == (50 + 25) / 50
 
 
 def oceano_farm(seed):
@@ -113,9 +87,10 @@ def oceano_farm(seed):
 def test_oceano_grows_domain_under_spike():
     farm = oceano_farm(4)
     t0 = farm.sim.now
-    wl = SyntheticWorkload(["acme", "globex"], base=60, amplitude=0,
-                           spikes={"acme": (t0 + 5, 500, 600)})
-    ctl = OceanoController(farm, wl, interval=5.0, high_water=50.0, low_water=10.0)
+    wl = DomainLoadModel(["acme", "globex"], base=60, amplitude=0,
+                         spikes={"acme": (t0 + 5, 500, 600)})
+    ctl = Autoscaler(farm, wl.domains, load=wl.load,
+                     interval=5.0, high_water=50.0, low_water=10.0)
     ctl.start()
     farm.sim.run(until=t0 + 60)
     grown = [m for m in ctl.moves if m.dst == "acme"]
@@ -129,10 +104,10 @@ def test_oceano_grows_domain_under_spike():
 def test_oceano_shrinks_when_load_drops():
     farm = oceano_farm(5)
     t0 = farm.sim.now
-    wl = SyntheticWorkload(["acme", "globex"], base=60, amplitude=0,
-                           spikes={"acme": (t0 + 5, 60, 600)})
-    ctl = OceanoController(farm, wl, interval=5.0, high_water=50.0, low_water=25.0,
-                           min_servers=2)
+    wl = DomainLoadModel(["acme", "globex"], base=60, amplitude=0,
+                         spikes={"acme": (t0 + 5, 60, 600)})
+    ctl = Autoscaler(farm, wl.domains, load=wl.load,
+                     interval=5.0, high_water=50.0, low_water=25.0, min_servers=2)
     ctl.start()
     farm.sim.run(until=t0 + 200)
     assert any(m.dst == "acme" for m in ctl.moves)
@@ -146,8 +121,8 @@ def test_oceano_shrinks_when_load_drops():
 def test_oceano_respects_min_servers():
     farm = oceano_farm(6)
     t0 = farm.sim.now
-    wl = SyntheticWorkload(["acme", "globex"], base=0, amplitude=0)
-    ctl = OceanoController(farm, wl, interval=5.0, min_servers=3)
+    wl = DomainLoadModel(["acme", "globex"], base=0, amplitude=0)
+    ctl = Autoscaler(farm, wl.domains, load=wl.load, interval=5.0, min_servers=3)
     ctl.start()
     farm.sim.run(until=t0 + 60)
     # nothing was ever transplanted, so nothing can shrink below base size
@@ -159,8 +134,8 @@ def test_oceano_waits_for_stability():
     spec = FarmSpec(domains=[DomainSpec("acme", 2, 1)], dispatchers=1,
                     management_nodes=1, spare_nodes=1)
     farm = build_farm(spec, seed=7, params=HB)
-    wl = SyntheticWorkload(["acme"], base=1000, amplitude=0)
-    ctl = OceanoController(farm, wl, interval=1.0, high_water=10.0)
+    wl = DomainLoadModel(["acme"], base=1000, amplitude=0)
+    ctl = Autoscaler(farm, wl.domains, load=wl.load, interval=1.0, high_water=10.0)
     farm.start()
     ctl.start()
     farm.sim.run(until=2.0)  # discovery still in progress
