@@ -151,10 +151,11 @@ class AdapterProtocol:
         return self.nic.index == 0
 
     @cached_property
-    def _hb_counters(self):
-        """The ``gs.hb.*`` counters, resolved when the first ring engine is
-        built and shared by every engine this adapter builds after it."""
-        return hb_counters(self.sim.metrics)
+    def _hb_shared(self):
+        """The ``gs.hb.*`` counters and the ``hb/<nic>`` stream, resolved when
+        the first ring engine is built and shared by every engine this
+        adapter builds after it."""
+        return hb_counters(self.sim.metrics), self.sim.rng.stream(f"hb/{self.nic.name}")
 
     def my_info(self) -> MemberInfo:
         return MemberInfo(
@@ -588,7 +589,7 @@ class AdapterProtocol:
                 on_subgroup_dead=self._on_subgroup_dead,
             )
         return RingHeartbeat(
-            self, view, self._on_hb_suspect, self._on_total_silence, self._hb_counters
+            self, view, self._on_hb_suspect, self._on_total_silence, *self._hb_shared
         )
 
     # ------------------------------------------------------------------
@@ -1002,26 +1003,31 @@ class AdapterProtocol:
     # heartbeats
     # ------------------------------------------------------------------
     def _on_heartbeat(self, msg: Heartbeat) -> None:
-        if self.view is not None and msg.sender == self.view.leader_ip:
-            self._last_leader_contact = self.sim.now
-            self._leader_unreachable = False
-        if self.view is not None and not self.view.contains(msg.sender):
-            # someone heartbeats me whom I don't know: they hold a view
-            # that includes me (e.g. I restarted so fast nobody noticed the
-            # crash). Tell them where I actually stand; if I am the leader
-            # they believe in, the hint makes them re-join my new group.
-            now = self.sim.now
-            last = self._hint_sent.get(msg.sender, -1e9)
-            if now - last >= 2 * self.params.hb_interval:
-                self._hint_sent[msg.sender] = now
-                self.send(
-                    msg.sender,
-                    GroupHint(sender=self.ip, leader=self.view.leader_ip,
-                              epoch=self.epoch, member=False),
-                )
+        if self._state is AdapterState.STOPPED:  # receive() schedules me directly
             return
+        view = self.view
+        sender = msg.sender
+        if view is not None:
+            if sender == view.leader_ip:
+                self._last_leader_contact = self.sim.now
+                self._leader_unreachable = False
+            if sender not in view.ip_set:
+                # someone heartbeats me whom I don't know: they hold a view
+                # that includes me (e.g. I restarted so fast nobody noticed the
+                # crash). Tell them where I actually stand; if I am the leader
+                # they believe in, the hint makes them re-join my new group.
+                now = self.sim.now
+                last = self._hint_sent.get(sender, -1e9)
+                if now - last >= 2 * self.params.hb_interval:
+                    self._hint_sent[sender] = now
+                    self.send(
+                        sender,
+                        GroupHint(sender=self.ip, leader=view.leader_ip,
+                                  epoch=self.epoch, member=False),
+                    )
+                return
         if self.hb is not None:
-            self.hb.on_heartbeat(msg.sender, msg.epoch)
+            self.hb.on_heartbeat(sender, msg.epoch)
 
     # ------------------------------------------------------------------
     # dispatch
@@ -1034,6 +1040,9 @@ class AdapterProtocol:
         the backlog until something could observe it (docs/PROTOCOL.md §8).
         """
         msg = frame.payload
+        if type(msg) is Heartbeat:
+            self.os.handle(self._on_heartbeat, msg)  # what on_frame would reach
+            return
         if self._state is AdapterState.LEADER or not isinstance(msg, Beacon):
             self.os.handle(self.on_frame, frame)
             return
@@ -1052,8 +1061,17 @@ class AdapterProtocol:
         """
         backlog = self._backlog
         horizon = (self.sim.now, self.sim.firing_seq)
+        me, peers = self.nic.ip, self.peers
+        collecting = self._state in (AdapterState.BEACONING, AdapterState.WAIT_FORM)
         while backlog and backlog[0] < horizon:  # seq is unique: msg never compared
-            self._on_beacon(backlog.popleft()[2])
+            msg = backlog.popleft()[2]
+            if not collecting:
+                self._on_beacon(msg)
+            elif msg.info.ip != me:
+                # all _on_beacon does while collecting, without a call per entry
+                peers[msg.info.ip] = msg.info
+                if msg.epoch > self._epoch_floor:
+                    self._epoch_floor = msg.epoch
 
     def on_frame(self, frame) -> None:
         """Entry point for a frame whose OS handling delay has elapsed."""

@@ -25,6 +25,7 @@ from repro.metrics.core import Counter, MetricsRegistry
 from repro.sim.process import Timer
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
+    import numpy as np
     from repro.gulfstream.adapter_proto import AdapterProtocol
 
 __all__ = ["RingHeartbeat", "hb_counters"]
@@ -55,8 +56,8 @@ class RingHeartbeat:
     on_total_silence:
         Called (once per episode) when *every* monitored neighbour has been
         silent for ``orphan_timeout``.
-    counters:
-        The owner's :func:`hb_counters`; resolved here when not given.
+    counters, rng:
+        The owner's :func:`hb_counters` and ``hb/<nic>`` stream; resolved here when not given.
     """
 
     def __init__(
@@ -66,6 +67,7 @@ class RingHeartbeat:
         on_suspect: Callable[[IPAddress], None],
         on_total_silence: Callable[[], None],
         counters: Optional[Tuple[Counter, ...]] = None,
+        rng: Optional[np.random.Generator] = None,
     ) -> None:
         self.proto = proto
         self.view = view
@@ -86,7 +88,8 @@ class RingHeartbeat:
         self._send_timer: Optional[Timer] = None
         self._check_timer: Optional[Timer] = None
         if self.targets or self.monitored:
-            rng = proto.sim.rng.stream(f"hb/{proto.nic.name}")
+            if rng is None:
+                rng = proto.sim.rng.stream(f"hb/{proto.nic.name}")
             # the old `min(0.05 * interval, 0.45 * interval)` was a no-op min
             # (always the 0.05 arm); the fraction is now an explicit,
             # validated param — GSParams.validate() guarantees frac < 1, so
@@ -105,6 +108,10 @@ class RingHeartbeat:
         # (a membership change builds a new engine), so cache the send list
         # in deterministic rank-independent order for the per-tick loop
         self._send_targets = tuple(sorted(self.targets, key=int))
+        # ... and neither do the message or the thresholds
+        self._msg = Heartbeat(sender=proto.ip, epoch=view.epoch)
+        self._threshold = p.hb_miss_threshold * p.hb_interval
+        self._resuspect_after = max(2, p.hb_miss_threshold) * p.hb_interval * 3
         # counters for load accounting
         self.sent = 0
         self.received = 0
@@ -118,21 +125,21 @@ class RingHeartbeat:
         targets = self._send_targets
         if not targets:
             return
-        msg = Heartbeat(sender=self.proto.ip, epoch=self.view.epoch)
         self._m_rounds.inc()
-        # one batched tick: a single fabric/segment resolution for both
-        # neighbours, and their fixed-latency deliveries share one flush
-        # event on the segment instead of one event per receiver
-        self.proto.send_many(list(targets), msg, size=self.proto.params.size_heartbeat)
+        # one batched tick: one send-eligibility test and one port → segment
+        # resolution cover both neighbours
+        self.proto.send_many(targets, self._msg, size=self.proto.params.size_heartbeat)
         n = len(targets)
         self.sent += n
         self._m_sent.inc(n)
 
     def on_heartbeat(self, src: IPAddress, epoch: int) -> None:
         """Feed an incoming heartbeat (the protocol dispatches to us)."""
-        if src in self.monitored:
-            self.last_heard[src] = self.proto.sim.now
-            if self._suspect_raised_at.pop(src, None) is not None:
+        last_heard = self.last_heard  # keyed by exactly the monitored set
+        if src in last_heard:
+            last_heard[src] = self.proto.sim.now
+            raised = self._suspect_raised_at
+            if raised and raised.pop(src, None) is not None:
                 # the suspect spoke again: that suspicion was false
                 self._m_false.inc()
             self._silence_raised_at = None
@@ -142,14 +149,15 @@ class RingHeartbeat:
     def _check(self) -> None:
         p = self.proto.params
         now = self.proto.sim.now
-        threshold = p.hb_miss_threshold * p.hb_interval
-        resuspect_after = max(2, p.hb_miss_threshold) * p.hb_interval * 3
+        heard = self.last_heard.values()
+        if heard and now - min(heard) <= self._threshold and now - max(heard) <= p.orphan_timeout:
+            return  # the oldest is no suspect and the newest breaks the silence
         for ip in self.monitored:
             silent_for = now - self.last_heard[ip]
-            if silent_for <= threshold:
+            if silent_for <= self._threshold:
                 continue
             raised = self._suspect_raised_at.get(ip)
-            if raised is None or now - raised >= resuspect_after:
+            if raised is None or now - raised >= self._resuspect_after:
                 self._suspect_raised_at[ip] = now
                 self._m_suspects.inc()
                 self.proto.trace("gs.hb.suspect", neighbor=str(ip), silent=round(silent_for, 3))

@@ -21,7 +21,8 @@ __all__ = ["LinkQuality", "PerfectLink", "LoadDependentLoss"]
 
 
 class LinkQuality:
-    """Independent per-receiver loss with uniform latency.
+    """Independent per-receiver loss with uniform latency. Immutable after
+    construction: a link changes by assigning a new model to ``Segment.quality``.
 
     Parameters
     ----------
@@ -52,6 +53,13 @@ class LinkQuality:
         self.loss_probability = loss_probability
         self.latency = latency
         self.jitter = jitter
+        #: the constant delivery latency when this link can neither drop nor jitter
+        #: at any load, else ``None`` — as whenever a subclass overrides a sampler
+        cls = type(self)
+        fixed = not loss_probability and not jitter and (
+            cls.effective_loss, cls.sample, cls.sample_batch
+        ) == (LinkQuality.effective_loss, LinkQuality.sample, LinkQuality.sample_batch)
+        self.fixed_latency = max(self.MIN_LATENCY, latency) if fixed else None
 
     def sample(self, rng: np.random.Generator, load: float = 0.0) -> Tuple[bool, float]:
         """One delivery decision: ``(delivered, latency_seconds)``.

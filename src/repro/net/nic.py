@@ -17,7 +17,7 @@ failure-detection discussion distinguishes:
 from __future__ import annotations
 
 import enum
-from typing import Any, Callable, Optional, TYPE_CHECKING
+from typing import Any, Callable, Optional, Sequence, TYPE_CHECKING
 
 from repro.net.addressing import IPAddress, MULTICAST
 from repro.net.packet import Frame
@@ -37,6 +37,10 @@ class NicState(enum.Enum):
     FAIL_RECV = "fail_recv"
     FAIL_FULL = "fail_full"
     DISABLED = "disabled"
+
+
+# member lookup on the enum class costs ten times a module global, per frame
+_OK, _FAIL_SEND, _FAIL_RECV = NicState.OK, NicState.FAIL_SEND, NicState.FAIL_RECV
 
 
 class NIC:
@@ -135,19 +139,20 @@ class NIC:
         """Multicast to every adapter on this adapter's current segment."""
         return self._transmit(Frame(self.ip, MULTICAST, payload, size))
 
-    def send_many(self, dsts: "list[IPAddress]", payload: Any, size: int = 64) -> bool:
+    def send_many(self, dsts: "Sequence[IPAddress]", payload: Any, size: int = 64) -> bool:
         """Unicast the same ``payload`` to several destinations in one call.
 
-        One send-eligibility check and one fabric/segment resolution cover
+        One send-eligibility check and one port → segment resolution cover
         the whole batch (a ring heartbeat tick hits both neighbours through
-        here), and same-instant deliveries coalesce downstream. Counters
-        and traces match ``len(dsts)`` individual :meth:`send` calls.
+        here); that is all the batch saves — same-instant deliveries share a
+        flush event however they were sent. Counters and traces match
+        ``len(dsts)`` individual :meth:`send` calls.
         """
         if not dsts:
             return True
         if self.fabric is None or self.port is None:
             raise RuntimeError(f"{self.name} is not attached to a fabric")
-        if not self.can_send:
+        if self.state is not _OK and self.state is not _FAIL_RECV:  # cannot send
             self.send_drops += len(dsts)
             emit = self.fabric.sim.trace.emit
             now = self.fabric.sim.now
@@ -162,7 +167,7 @@ class NIC:
     def _transmit(self, frame: Frame) -> bool:
         if self.fabric is None or self.port is None:
             raise RuntimeError(f"{self.name} is not attached to a fabric")
-        if not self.can_send:
+        if self.state is not _OK and self.state is not _FAIL_RECV:  # cannot send
             self.send_drops += 1
             self.fabric.sim.trace.emit(
                 self.fabric.sim.now, "net.drop.sender", self.name, state=self.state.value
@@ -173,7 +178,7 @@ class NIC:
 
     def deliver(self, frame: Frame) -> None:
         """Called by the fabric when a frame arrives (post-latency)."""
-        if not self.can_receive:
+        if self.state is not _OK and self.state is not _FAIL_SEND:  # cannot receive
             self.recv_drops += 1
             if self.fabric is not None:
                 self.fabric.sim.trace.emit(

@@ -2,37 +2,41 @@
 
 A :class:`Frame` is the unit the fabric delivers: source/destination
 addresses, an opaque payload (a protocol message object), and a nominal size
-in bytes used by the load and bandwidth accounting. Frames are immutable —
-the same object may be handed to many receivers on a multicast.
+in bytes used by the load and bandwidth accounting. Frames are immutable by
+convention — the same object may be handed to many receivers on a multicast.
 """
 
 from __future__ import annotations
 
-import itertools
-from dataclasses import dataclass, field
 from typing import Any, Union
 
-from repro.net.addressing import IPAddress, _Multicast
+from repro.net.addressing import IPAddress, MULTICAST, _Multicast
 
 __all__ = ["Frame"]
 
-_frame_ids = itertools.count()
 
-
-@dataclass(frozen=True)
 class Frame:
-    """One message on the wire."""
+    """One message on the wire: a value, equal to any frame with its fields."""
 
-    src: IPAddress
-    dst: Union[IPAddress, _Multicast]
-    payload: Any
-    size: int = 64
-    frame_id: int = field(default_factory=lambda: next(_frame_ids))
+    __slots__ = ("src", "dst", "payload", "size", "is_multicast")
 
-    @property
-    def is_multicast(self) -> bool:
-        return isinstance(self.dst, _Multicast)
+    def __init__(
+        self, src: IPAddress, dst: Union[IPAddress, _Multicast], payload: Any, size: int = 64
+    ) -> None:
+        self.src = src
+        self.dst = dst
+        self.payload = payload
+        self.size = size
+        self.is_multicast = dst is MULTICAST  # decided once, read on every transmit
 
-    def __str__(self) -> str:
-        kind = type(self.payload).__name__
-        return f"Frame#{self.frame_id} {self.src}->{self.dst} {kind} ({self.size}B)"
+    def _key(self) -> tuple:
+        return (self.src, self.dst, self.payload, self.size)
+
+    def __eq__(self, other: object) -> bool:
+        return self._key() == other._key() if type(other) is Frame else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        return f"Frame {self.src}->{self.dst} {type(self.payload).__name__} ({self.size}B)"

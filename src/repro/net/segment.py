@@ -208,16 +208,17 @@ class Segment:
             nic.deliver(frame)
 
     def transmit_multi(self, sender: "NIC", frames: "list[Frame]") -> bool:
-        """Deliver several unicast frames from one sender in one call.
+        """Put several unicast frames from one sender on the wire in one call.
 
-        Semantically identical to calling :meth:`transmit` per frame (same
-        counters, traces, and RNG draw sequence); the saving is that the
-        fixed-latency deliveries of one sender's tick — e.g. a ring
-        heartbeat to both neighbours — land in one flush batch.
+        Identical to :meth:`transmit` per frame — counters, traces, RNG draws
+        and flush events (same-instant deliveries coalesce whoever enqueues
+        them); the batch saves its callers one send-eligibility test and one
+        port → segment resolution. True when every frame was accepted.
         """
+        ok = True
         for frame in frames:
-            self.transmit(sender, frame)
-        return True
+            ok = self.transmit(sender, frame) and ok
+        return ok
 
     def transmit(self, sender: "NIC", frame: Frame) -> bool:
         """Deliver ``frame`` from ``sender`` per the segment's semantics.
@@ -227,18 +228,33 @@ class Segment:
         receiver's delivery independently samples the quality model.
         Returns True if the frame was accepted onto the wire.
         """
-        sim = self.fabric.sim
+        fabric = self.fabric
+        sim = fabric.sim
         now = sim.now
-        trace_emit = sim.trace.emit
-        self._note_send()
+        trace = sim.trace
+        trace_emit = trace.emit
+        if now - self._bucket_start >= self.LOAD_WINDOW:
+            self._note_send()  # rolls the bucket, then counts this send
+        else:
+            self._bucket_count += 1
         self.frames_sent += 1
         self.bytes_sent += frame.size
-        trace_emit(
-            now, "net.send", sender.name,
-            vlan=self.vlan, kind=type(frame.payload).__name__, mcast=frame.is_multicast,
-        )
+        if trace.wants("net.send"):
+            trace_emit(
+                now, "net.send", sender.name,
+                vlan=self.vlan, kind=type(frame.payload).__name__, mcast=frame.is_multicast,
+            )
+        else:
+            trace.counters["net.send"] += 1  # counted; nobody would read the record
         if self.remote_members and self._forward_cut(sender, frame):
             return True  # unicast fully handled by the destination island
+        # phase 1: topology eligibility (islands, dead switches, dead trunk
+        # routers) — receivers that fail here never reach the loss model.
+        # The healthy-farm fast path: nothing partitioned, no routers, no
+        # failed switch anywhere means every target is eligible, so the
+        # per-receiver walk (the multicast fan-out's dominant cost) is
+        # skipped outright.
+        healthy = self._islands is None and not fabric.routers and fabric.failed_switches == 0
         if frame.is_multicast:
             targets = [n for n in self.members.values() if n is not sender]
         else:
@@ -246,17 +262,22 @@ class Segment:
             if target is None or target is sender:
                 trace_emit(now, "net.drop.noroute", sender.name, dst=str(frame.dst))
                 return True  # on the wire, nobody home
+            latency = self.quality.fixed_latency
+            if healthy and latency is not None and self.batch_delivery:
+                # nothing to sample: join (or open) the arrival instant's batch
+                self.frames_delivered += 1
+                when = now + latency
+                batch = self._pending.get(when)
+                if batch is None:
+                    self._pending[when] = [(target, frame)]
+                    sim.schedule(latency, self._flush, when)
+                else:
+                    batch.append((target, frame))
+                return True
             targets = [target]
-        sender_switch = sender.port.switch.name if sender.port is not None else None
-        # phase 1: topology eligibility (islands, dead switches, dead trunk
-        # routers) — receivers that fail here never reach the loss model.
-        # The healthy-farm fast path: nothing partitioned, no routers, no
-        # failed switch anywhere means every target is eligible, so the
-        # per-receiver walk (the multicast fan-out's dominant cost) is
-        # skipped outright.
-        fabric = self.fabric
-        if self._islands is None and not fabric.routers and fabric.failed_switches == 0:
+        if healthy:
             return self._sample_and_enqueue(sim, now, trace_emit, frame, targets)
+        sender_switch = sender.port.switch.name if sender.port is not None else None
         eligible = self._eligible_targets(sender.ip, sender_switch, targets, now, trace_emit)
         return self._sample_and_enqueue(sim, now, trace_emit, frame, eligible)
 
@@ -346,6 +367,20 @@ class Segment:
         topology-eligible receivers of one frame."""
         if not eligible:
             return True
+        fixed = self.quality.fixed_latency
+        if fixed is not None and self.batch_delivery:
+            # loss-free fixed-latency link: every receiver shares one
+            # delivery instant, so the whole frame enqueues as one batch
+            # extension — no sampling and no per-receiver calls at all
+            self.frames_delivered += len(eligible)
+            when = now + fixed
+            batch = self._pending.get(when)
+            if batch is None:
+                self._pending[when] = [(nic, frame) for nic in eligible]
+                sim.schedule(fixed, self._flush, when)
+            else:
+                batch.extend((nic, frame) for nic in eligible)
+            return True
         rng = self._rng
         if rng is None:
             rng = self._rng = sim.rng.stream(f"segment/{self.vlan}")
@@ -365,19 +400,6 @@ class Segment:
         # one Python-level draw per receiver
         delivered, lats = self.quality.sample_batch(rng, load, len(eligible))
         scalar_lat = not isinstance(lats, np.ndarray)
-        if delivered is None and scalar_lat and self.batch_delivery:
-            # loss-free fixed-latency fan-out: every receiver shares one
-            # delivery instant, so the whole frame enqueues as one batch
-            # extension — no per-receiver calls at all
-            self.frames_delivered += len(eligible)
-            when = now + lats
-            batch = self._pending.get(when)
-            if batch is None:
-                self._pending[when] = [(nic, frame) for nic in eligible]
-                sim.schedule(lats, self._flush, when)
-            else:
-                batch.extend((nic, frame) for nic in eligible)
-            return True
         deliver_later = self._deliver_later
         for i, nic in enumerate(eligible):
             if delivered is not None and not delivered[i]:

@@ -127,7 +127,16 @@ class OSModel:
         already in flight, modelling a single-threaded daemon under load.
         """
         now = self.sim.now
-        finish = max(now, self._busy_until) + self._draw(self.params.proc_delay)
+        busy = self._busy_until
+        delay, hi = self.params.proc_delay
+        if hi > delay:
+            i = self._buf_i  # _draw(proc_delay), inline: once per received frame
+            if i >= len(self._buf):
+                self._buf = self.rng.random(self.BUFFER).tolist()
+                i = 0
+            self._buf_i = i + 1
+            delay += (hi - delay) * self._buf[i]
+        finish = (busy if busy > now else now) + delay
         self._busy_until = finish
         return finish - now
 

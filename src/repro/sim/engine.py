@@ -534,7 +534,8 @@ class Simulator:
         ev.sim = self
         self._backend.push((time, priority, seq, ev))
         self._live += 1
-        self._maybe_purge()
+        if self._backend.dead > PURGE_THRESHOLD:
+            self._maybe_purge()
         return ev
 
     def reserve_seq(self) -> int:
@@ -589,7 +590,8 @@ class Simulator:
         ev.fired = False
         self._backend.push((time, ev.priority, seq, ev))
         self._live += 1
-        self._maybe_purge()
+        if self._backend.dead > PURGE_THRESHOLD:
+            self._maybe_purge()
         return ev
 
     # ------------------------------------------------------------------

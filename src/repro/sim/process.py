@@ -84,7 +84,15 @@ class Timer:
             self._cancelled = True
             self._event = None
             return
-        delay = self.interval if self.jitter == 0.0 else self._jittered(self.interval)
+        delay = self.interval
+        if self.jitter != 0.0:
+            i = self._jbuf_i  # _jittered(interval), inline: once per tick of every timer
+            if i >= len(self._jbuf):
+                self._jbuf = self.rng.random(64).tolist()  # type: ignore[union-attr]
+                i = 0
+            self._jbuf_i = i + 1
+            delay += self.jitter * (2.0 * self._jbuf[i] - 1.0)
+            delay = delay if delay > 0.0 else 0.0
         ev = self._event
         if ev is not None and ev.fired and not ev.cancelled:
             # hot path: re-arm the just-fired event in place instead of

@@ -92,6 +92,11 @@ class Trace:
         for sub in self._subscribers:
             sub(rec)
 
+    def wants(self, category: str) -> bool:
+        """Would :meth:`emit` build a record for ``category``? When not, a hot
+        caller bumps :attr:`counters` itself and builds no payload."""
+        return not self._passive and (self.categories is None or category in self.categories)
+
     def subscribe(self, fn: Callable[[TraceRecord], None]) -> None:
         """Call ``fn`` for every emitted record that passes the category
         filter.

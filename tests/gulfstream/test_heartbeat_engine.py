@@ -3,6 +3,8 @@
 from typing import Any
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.gulfstream.amg import AMGView
 from repro.gulfstream.heartbeat import RingHeartbeat
@@ -44,8 +46,8 @@ class StubProto:
 
 def make_engine(n=4, me="10.0.0.2", mode="bidirectional", **param_overrides):
     sim = Simulator(seed=1)
-    params = GSParams(hb_interval=1.0, hb_miss_threshold=2, orphan_timeout=5.0,
-                      hb_mode=mode, **param_overrides)
+    params = GSParams(**{"hb_interval": 1.0, "hb_miss_threshold": 2, "orphan_timeout": 5.0,
+                         "hb_mode": mode, **param_overrides})
     proto = StubProto(sim, me, params)
     view = AMGView.build([mi(f"10.0.0.{i + 1}") for i in range(n)], epoch=1)
     suspects, silences = [], []
@@ -171,3 +173,91 @@ def test_send_targets_cached_in_deterministic_order():
     _, _, view, eng, *_ = make_engine(4, me="10.0.0.2")
     assert set(eng._send_targets) == eng.targets
     assert list(eng._send_targets) == sorted(eng.targets, key=int)
+
+
+def test_message_is_built_once_per_engine_and_reused_every_round():
+    sim, proto, view, eng, *_ = make_engine(4, hb_jitter_frac=0.0)
+    sim.run(until=5.5)
+    payloads = [m for _, m in proto.sent]
+    assert len(payloads) >= 8
+    assert all(m is payloads[0] for m in payloads)
+    assert payloads[0] == Heartbeat(sender=proto.ip, epoch=view.epoch)
+
+
+def test_engine_uses_the_stream_its_owner_hands_it():
+    """The adapter resolves ``hb/<nic>`` once and passes it to every engine
+    it builds; an engine built without one resolves the same stream itself."""
+    drawn = []
+    for hand_over in (False, True):
+        sim = Simulator(seed=1)
+        proto = StubProto(sim, "10.0.0.2")
+        view = AMGView.build([mi(f"10.0.0.{i + 1}") for i in range(4)], epoch=1)
+        rng = sim.rng.stream("hb/stub/10.0.0.2") if hand_over else None
+        eng = RingHeartbeat(proto, view, lambda ip: None, lambda: None, rng=rng)
+        sim.run(until=4.0)
+        assert eng._send_timer.rng is sim.rng.stream("hb/stub/10.0.0.2")
+        drawn.append(eng._send_timer.rng.bit_generator.state)
+    assert drawn[0] == drawn[1]
+
+
+def _check_without_shortcut(eng):
+    """``RingHeartbeat._check`` before it learned to return early when every
+    neighbour is fresh — kept here as the oracle for the property below."""
+    p = eng.proto.params
+    now = eng.proto.sim.now
+    threshold = p.hb_miss_threshold * p.hb_interval
+    resuspect_after = max(2, p.hb_miss_threshold) * p.hb_interval * 3
+    for ip in eng.monitored:
+        silent_for = now - eng.last_heard[ip]
+        if silent_for <= threshold:
+            continue
+        raised = eng._suspect_raised_at.get(ip)
+        if raised is None or now - raised >= resuspect_after:
+            eng._suspect_raised_at[ip] = now
+            eng._m_suspects.inc()
+            eng.on_suspect(ip)
+    if eng.monitored and all(now - t > p.orphan_timeout for t in eng.last_heard.values()):
+        if eng._silence_raised_at is None or now - eng._silence_raised_at >= p.orphan_timeout:
+            eng._silence_raised_at = now
+            eng._m_silence.inc()
+            eng.on_total_silence()
+
+
+# ages as multiples of the thresholds they are compared with, so every run
+# lands cases exactly on, just inside and just outside both of them
+_age = st.one_of(st.floats(0.0, 40.0), st.sampled_from([0.0, 0.5, 1.0, 1.5]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    interval=st.sampled_from([0.1, 0.5, 1.0, 2.5]),
+    miss=st.integers(1, 5),
+    orphan=st.sampled_from([0.2, 1.0, 5.0, 12.5]),
+    ages=st.tuples(_age, _age),
+    scale=st.sampled_from(["threshold", "orphan", "seconds"]),
+    raised_ago=st.tuples(st.none() | st.floats(0.0, 40.0), st.none() | st.floats(0.0, 40.0)),
+    silence_ago=st.none() | st.floats(0.0, 40.0),
+    mode=st.sampled_from(["bidirectional", "unidirectional"]),
+)
+def test_property_check_shortcut_raises_exactly_what_the_full_body_does(
+    interval, miss, orphan, ages, scale, raised_ago, silence_ago, mode
+):
+    unit = {"threshold": miss * interval, "orphan": orphan, "seconds": 1.0}[scale]
+    outcomes = []
+    for check in (RingHeartbeat._check, _check_without_shortcut):
+        sim, _, _, eng, suspects, silences = make_engine(
+            4, mode=mode, hb_interval=interval, hb_miss_threshold=miss, orphan_timeout=orphan
+        )
+        eng.stop()
+        sim.now = now = 100.0
+        for ip, age, ago in zip(sorted(eng.monitored, key=int), ages, raised_ago):
+            eng.last_heard[ip] = now - age * unit
+            if ago is not None:
+                eng._suspect_raised_at[ip] = now - ago
+        eng._silence_raised_at = None if silence_ago is None else now - silence_ago
+        check(eng)
+        outcomes.append((
+            suspects, silences, eng._suspect_raised_at, eng._silence_raised_at,
+            eng._m_suspects.value, eng._m_silence.value,
+        ))
+    assert outcomes[0] == outcomes[1]

@@ -1,9 +1,12 @@
 """Adapter-protocol edge cases: dropped members, stale epochs, races."""
 
+import pytest
+
 from repro.gulfstream.adapter_proto import AdapterState
 from repro.gulfstream.messages import (
     Commit,
     GroupHint,
+    Heartbeat,
     Prepare,
     PrepareAck,
     Suspect,
@@ -240,3 +243,58 @@ def test_resynced_member_keeps_the_group_key():
     assert resyncs and set(resyncs) == {deaf.ip}
     assert deaf.view.epoch == leader.view.epoch
     assert deaf.view.group_key == leader.view.group_key == key
+
+
+class _InstantOS:
+    """Stands in for the host's OSModel: handling takes no simulated time,
+    so the two entry points can be compared at one instant."""
+
+    def handle(self, fn, *args):
+        fn(*args)
+
+
+def _heartbeat_state(proto):
+    hb = proto.hb
+    return (
+        proto._last_leader_contact,
+        proto._leader_unreachable,
+        dict(proto._hint_sent),
+        proto.nic.sent,
+        hb and (dict(hb.last_heard), hb.received, dict(hb._suspect_raised_at),
+                hb._silence_raised_at),
+    )
+
+
+@pytest.mark.parametrize("case", ["from_leader", "from_stranger", "at_stopped"])
+def test_receive_and_on_frame_treat_a_heartbeat_alike(case):
+    """``receive`` hands a Heartbeat to its handler without going through
+    ``on_frame``'s dispatch; both entries must leave the ring engine, the
+    leader-contact bookkeeping and the GroupHint throttle in one state."""
+    outcomes = {}
+    for entry in ("on_frame", "receive"):
+        farm = make_flat_farm(5, seed=1, params=HB)
+        run_stable(farm)
+        leader = leader_of(farm, 2)
+        member = next(p for p in vlan_protos(farm, 2).values()
+                      if p.state is AdapterState.MEMBER and leader.ip in p.hb.monitored)
+        farm.sim.run(until=farm.sim.now + 0.2)
+        member._leader_unreachable = True
+        member.hb._suspect_raised_at[leader.ip] = farm.sim.now
+        sender = IPAddress("10.9.9.9") if case == "from_stranger" else leader.ip
+        if case == "at_stopped":
+            member.stop()
+        before = _heartbeat_state(member)
+        member.os = _InstantOS()
+        frame = Frame(sender, member.ip, Heartbeat(sender=sender, epoch=leader.epoch))
+        getattr(member, entry)(frame)
+        outcomes[entry] = (before, _heartbeat_state(member))
+    assert outcomes["on_frame"] == outcomes["receive"]
+    before, after = outcomes["receive"]
+    if case == "from_leader":
+        assert after[0] > before[0] and after[1] is False  # the leader spoke
+        assert after[4][1] == before[4][1] + 1 and not after[4][2]  # heard, suspicion cleared
+    elif case == "from_stranger":
+        assert after[3] == before[3] + 1 and list(after[2]) == [sender]  # one GroupHint
+        assert after[4] == before[4]  # the engine never saw it
+    else:
+        assert after == before

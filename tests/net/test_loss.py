@@ -89,3 +89,36 @@ def test_invalid_load_dependent_params(kwargs):
 def test_property_effective_loss_in_unit_interval(p, load):
     q = LoadDependentLoss(base_loss=p * 0.5, capacity=100.0, overload_slope=0.7)
     assert 0.0 <= q.effective_loss(load) <= 1.0
+
+
+class _SpikyLoss(LinkQuality):
+    """A test-local model that answers for itself: lossless by its fields,
+    lossy by its override."""
+
+    def effective_loss(self, load):
+        return 0.5 if load > 10 else 0.0
+
+
+@pytest.mark.parametrize(
+    "quality, expected",
+    [
+        (PerfectLink(), 0.0005),
+        (PerfectLink(latency=0.002), 0.002),
+        (PerfectLink(latency=1e-9), LinkQuality.MIN_LATENCY),
+        (LinkQuality(latency=0.001, jitter=0.0), 0.001),
+        (LinkQuality(latency=0.001, jitter=0.0002), None),
+        (LinkQuality(loss_probability=0.1, latency=0.001, jitter=0.0), None),
+        (LoadDependentLoss(jitter=0.0), None),
+        (LoadDependentLoss(), None),
+        (_SpikyLoss(latency=0.001, jitter=0.0), None),
+    ],
+)
+def test_fixed_latency_is_set_only_when_the_link_can_neither_drop_nor_jitter(quality, expected):
+    assert quality.fixed_latency == expected
+    if expected is not None:
+        # ... and then it is what every sample would have said, RNG untouched
+        rng = np.random.default_rng(0)
+        state = rng.bit_generator.state
+        assert quality.sample(rng, load=1e9) == (True, expected)
+        assert quality.sample_batch(rng, 1e9, 5) == (None, expected)
+        assert rng.bit_generator.state == state

@@ -4,7 +4,7 @@ import pytest
 
 from repro.net.addressing import IPAddress
 from repro.net.fabric import Fabric
-from repro.net.loss import LinkQuality
+from repro.net.loss import LinkQuality, PerfectLink
 from repro.net.nic import NIC
 from repro.sim.engine import Simulator
 
@@ -175,3 +175,38 @@ def test_duplicate_ip_on_segment_rejected():
     dup = NIC(IPAddress("10.0.0.1"), "b", 0)
     with pytest.raises(ValueError):
         fab.attach(dup, "sw", 1)
+
+
+def test_quality_swap_takes_effect_on_the_very_next_frame_both_ways():
+    """The chaos campaign degrades a link by assigning ``seg.quality`` and
+    heals it by assigning the old model back: nothing may be cached across
+    the swap, and a fixed-latency link must leave the segment's stream
+    exactly where the lossy one left it."""
+    sim, fab, nics = make_segment(3, seed=5)
+    seg = fab.segments[1]
+    perfect = seg.quality
+    assert type(perfect) is PerfectLink
+    box = collect(nics[1])
+    stream = sim.rng.stream("segment/1")
+
+    def send(n):
+        for _ in range(n):
+            nics[0].send(nics[1].ip, "u")
+            nics[0].multicast("m")
+        sim.run()
+
+    untouched = stream.bit_generator.state
+    send(5)
+    assert len(box) == 10 and seg.frames_lost == 0
+    assert stream.bit_generator.state == untouched
+
+    seg.quality = LinkQuality(loss_probability=1.0, latency=0.001, jitter=0.0)
+    send(1)
+    assert len(box) == 10 and seg.frames_lost == 3  # the unicast and both multicast copies
+    drawn = stream.bit_generator.state
+    assert drawn != untouched
+
+    seg.quality = perfect
+    send(5)
+    assert len(box) == 20 and seg.frames_lost == 3
+    assert stream.bit_generator.state == drawn

@@ -115,3 +115,22 @@ def test_clear_resets_everything():
 def test_record_str_renders():
     rec = TraceRecord(1.5, "cat", "src", {"k": "v"})
     assert "cat" in str(rec) and "k=v" in str(rec)
+
+
+def test_wants_agrees_with_what_emit_stores_and_delivers():
+    """``wants`` is the predicate a hot caller uses to skip building a
+    record's payload: it must say exactly whether emit would build one."""
+    for store in (True, False):
+        for categories in (None, ["gs.view.install"], []):
+            for subscribed in (True, False):
+                for category in ("gs.view.install", "net.send"):
+                    tr = Trace(store=store, categories=categories)
+                    seen = []
+                    if subscribed:
+                        tr.subscribe(seen.append)
+                    wanted = tr.wants(category)
+                    tr.emit(1.0, category, "src", k=1)
+                    built = bool(tr.records) or bool(seen)
+                    case = (store, categories, subscribed, category)
+                    assert wanted is built, case
+                    assert tr.count(category) == 1, case
