@@ -149,9 +149,9 @@ class FrontEndApp:
 
     # -- worker directory --------------------------------------------------
     def _workers(self) -> List[IPAddress]:
-        proto = None
-        if self.host.daemon is not None:
-            proto = self.host.daemon.protocol_for(self.internal_nic.ip)
+        daemon = self.host.daemon
+        # keyed by nic.index and rebuilt when the daemon restarts: resolve per call
+        proto = daemon.protocols.get(self.internal_nic.index) if daemon is not None else None
         if proto is None or proto.view is None:
             return []
         return [m.ip for m in proto.view.members if m.ip != self.internal_nic.ip]

@@ -82,6 +82,16 @@ class _Verification:
     window_event: Any = None
 
 
+#: payload type -> the :class:`AdapterProtocol` method ``on_frame`` hands it to
+_HANDLERS: Dict[type, str] = {
+    Heartbeat: "_on_heartbeat", Beacon: "_on_beacon", Prepare: "_on_prepare",
+    PrepareAck: "_on_prepare_ack", Commit: "_on_commit", Suspect: "_on_suspect_msg",
+    SuspectAck: "_on_suspect_ack", SelfFault: "_on_self_fault", Probe: "_on_probe",
+    ProbeAck: "_on_probe_ack", MergeRequest: "_on_merge_request",
+    MergeInfo: "_on_merge_info", GroupHint: "_on_group_hint",
+}
+
+
 class AdapterProtocol:
     """The GulfStream protocol instance for one adapter."""
 
@@ -1078,37 +1088,16 @@ class AdapterProtocol:
         if self._state is AdapterState.STOPPED:
             return
         p = frame.payload
-        if isinstance(p, Heartbeat):
-            self._on_heartbeat(p)
-        elif isinstance(p, Beacon):
-            self._on_beacon(p)
-        elif isinstance(p, Prepare):
-            self._on_prepare(p)
-        elif isinstance(p, PrepareAck):
-            self._on_prepare_ack(p)
-        elif isinstance(p, Commit):
-            self._on_commit(p)
-        elif isinstance(p, Suspect):
-            self._on_suspect_msg(p)
-        elif isinstance(p, SuspectAck):
-            self._on_suspect_ack(p)
-        elif isinstance(p, SelfFault):
-            self._on_self_fault(p)
-        elif isinstance(p, Probe):
-            self._on_probe(p)
-        elif isinstance(p, ProbeAck):
-            self._on_probe_ack(p)
-        elif isinstance(p, MergeRequest):
-            self._on_merge_request(p)
-        elif isinstance(p, MergeInfo):
-            self._on_merge_info(p)
-        elif isinstance(p, GroupHint):
-            self._on_group_hint(p)
-        elif isinstance(p, SubgroupPoll):
-            if self.hb is not None and isinstance(self.hb, SubgroupHeartbeat):
+        for cls in type(p).__mro__:  # the type itself first; a subclass is its base's kind
+            name = _HANDLERS.get(cls)
+            if name is not None:
+                getattr(self, name)(p)
+                return
+        if isinstance(p, SubgroupPoll):
+            if isinstance(self.hb, SubgroupHeartbeat):
                 self.hb.on_poll(p)
         elif isinstance(p, SubgroupPollAck):
-            if self.hb is not None and isinstance(self.hb, SubgroupHeartbeat):
+            if isinstance(self.hb, SubgroupHeartbeat):
                 self.hb.on_poll_ack(p)
         elif isinstance(p, MembershipReport):
             self.daemon.on_report_frame(self, p, src=frame.src)

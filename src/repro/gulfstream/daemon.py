@@ -289,8 +289,9 @@ class GulfStreamDaemon:
         return self.central is not None and self.central.active
 
     def protocol_for(self, ip: IPAddress) -> Optional[AdapterProtocol]:
+        ip = IPAddress(ip)
         for p in self.protocols.values():
-            if p.ip == IPAddress(ip):
+            if p.ip == ip:
                 return p
         return None
 

@@ -52,6 +52,9 @@ class Segment:
         #: handed to :attr:`gateway` instead of (unicast) or in addition to
         #: (multicast) local delivery. Empty when unsharded.
         self.remote_members: Dict[IPAddress, int] = {}
+        #: the distinct islands of :attr:`remote_members`, ascending — where a
+        #: multicast is copied to; set with it, by whoever wires the cut
+        self.remote_islands: Tuple[int, ...] = ()
         #: this island's outbound cut channel (sharded runs only)
         self.gateway: Optional["ShardGateway"] = None
         #: extra offered load (msgs/sec) injected by the scenario, modelling
@@ -323,8 +326,7 @@ class Segment:
         assert self.gateway is not None
         src_switch = sender.port.switch.name if sender.port is not None else None
         if frame.is_multicast:
-            for island in sorted(set(self.remote_members.values())):
-                self.gateway.send(self.vlan, frame, src_switch, island)
+            self.gateway.send_multi(self.vlan, frame, src_switch, self.remote_islands)
             return False
         dst_island = self.remote_members.get(frame.dst)  # type: ignore[arg-type]
         if dst_island is None:

@@ -13,10 +13,16 @@ lockstep thousands of times. :class:`PersistentWorkerPool` provides it:
   and answers ``("ok", result)`` or ``("error", traceback_text)``;
   ``("stop",)`` answers with the worker's peak RSS and exits;
 * **inline mode** (``inline=True``): the states live in this process and
-  calls run directly — but every init arg, payload, and result still
-  makes a full pickle round-trip, so inline and piped execution see
-  bit-identical inputs. This is what lets ``shards=1`` (in-process) and
-  ``shards>=2`` (process pool) produce byte-identical traces.
+  calls run directly, *by reference* — ``init_fn``, ``call`` and the
+  caller are handed the very objects the other side holds, nothing is
+  copied or pickled. The contract that makes this the same run as the
+  piped one belongs to the callers: what crosses the boundary is an
+  immutable value (neither side mutates an init arg, a payload or a
+  result after handing it over), and a worker's history is a function
+  of what it was built from and the payloads it received. Under that
+  contract ``shards=1`` (in-process, by reference) against ``shards>=2``
+  (real pipes, real pickles) certifies that serialization changes
+  nothing — the equivalence suite compares exactly those two.
 
 Errors raised inside a worker surface in the parent as
 :class:`WorkerError` carrying the remote traceback text; the pool is
@@ -26,7 +32,6 @@ torn down so no sibling is left stepping against a dead peer.
 from __future__ import annotations
 
 import multiprocessing as mp
-import pickle
 import resource
 import traceback
 from typing import Any, Callable, List, Optional, Sequence
@@ -40,11 +45,6 @@ DEFAULT_CALL_TIMEOUT = 600.0
 
 class WorkerError(RuntimeError):
     """A worker failed; the message carries the remote traceback."""
-
-
-def _roundtrip(obj: Any) -> Any:
-    """Pickle round-trip, mirroring exactly what a pipe transfer does."""
-    return pickle.loads(pickle.dumps(obj))
 
 
 def _worker_main(conn: Any, init_fn: Callable[[Any], Any], init_arg: Any) -> None:
@@ -91,8 +91,9 @@ class PersistentWorkerPool:
     init_args:
         One init argument per worker; the pool size is ``len(init_args)``.
     inline:
-        Run everything in this process (no children), with pickle
-        round-trips standing in for pipe transfers — see module docstring.
+        Run everything in this process (no children), handing arguments
+        and results over by reference — see module docstring for what
+        that asks of the caller.
     call_timeout:
         Seconds to wait on any single worker reply before declaring the
         pool wedged.
@@ -117,7 +118,7 @@ class PersistentWorkerPool:
             raise ValueError("PersistentWorkerPool needs at least one worker")
         if self.inline:
             for arg in init_args:
-                self._states.append(init_fn(_roundtrip(arg)))
+                self._states.append(init_fn(arg))
             return
         ctx = mp.get_context("spawn")
         for arg in init_args:
@@ -156,13 +157,12 @@ class PersistentWorkerPool:
             raise WorkerError("pool is closed")
         if self.inline:
             try:
-                result = getattr(self._states[i], method)(_roundtrip(payload))
+                return getattr(self._states[i], method)(payload)
             except WorkerError:
                 raise
             except Exception:
                 self.terminate()
                 raise WorkerError(f"worker {i} failed:\n{traceback.format_exc()}")
-            return _roundtrip(result)
         self._conns[i].send(("call", method, payload))
         return self._recv(i)[1]
 

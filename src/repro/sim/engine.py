@@ -562,7 +562,8 @@ class Simulator:
         ev.sim = self
         self._backend.push((time, priority, seq, ev))
         self._live += 1
-        self._maybe_purge()
+        if self._backend.dead > PURGE_THRESHOLD:
+            self._maybe_purge()
         return ev
 
     def reschedule(self, ev: Event, delay: float, priority: Optional[int] = None) -> Event:

@@ -17,21 +17,24 @@ event queue uses, lifted to the channel:
   ``(deliver_time, src_island, seq)`` before scheduling, so the
   injection order is a pure function of the messages themselves, not of
   worker layout or arrival order.
+
+A :class:`CutMessage` and everything it carries is an immutable value:
+between islands of one process it is handed over as the object it is,
+between processes as its pickle, and the two must be indistinguishable.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Any, Iterable, List, Optional, Sequence, Tuple
+from typing import Any, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 from repro.net.packet import Frame
 
 __all__ = ["CutMessage", "ShardGateway", "merge_inbox"]
 
 
-@dataclass(frozen=True)
-class CutMessage:
-    """One timestamped cross-cut frame."""
+class CutMessage(NamedTuple):
+    """One timestamped cross-cut frame; its first three fields are the
+    merge key, so messages order as the tuples they are."""
 
     deliver_time: float
     src_island: int
@@ -46,12 +49,13 @@ class CutMessage:
 
     @property
     def merge_key(self) -> Tuple[float, int, int]:
-        return (self.deliver_time, self.src_island, self.seq)
+        return self[:3]
 
 
 def merge_inbox(messages: Iterable[CutMessage]) -> List[CutMessage]:
-    """Deterministically order one island's epoch inbox."""
-    return sorted(messages, key=lambda m: (m.deliver_time, m.src_island, m.seq))
+    """Deterministically order one island's epoch inbox: by merge key —
+    ``(src_island, seq)`` is unique, so no comparison reads past it."""
+    return sorted(messages)
 
 
 class ShardGateway:
@@ -74,13 +78,8 @@ class ShardGateway:
         """Queue ``frame`` for delivery in ``dst_island``'s next epoch."""
         self.outbox.append(
             CutMessage(
-                deliver_time=self.sim.now + self.lookahead,
-                src_island=self.island_id,
-                seq=self._seq,
-                dst_island=dst_island,
-                vlan=vlan,
-                src_switch=src_switch,
-                frame=frame,
+                self.sim.now + self.lookahead, self.island_id, self._seq,
+                dst_island, vlan, src_switch, frame,
             )
         )
         self._seq += 1

@@ -15,11 +15,19 @@ Determinism argument (the byte-identical-traces claim):
 2. Inboxes are deterministic: a message's ``(deliver_time, src_island,
    seq)`` key depends only on the sending island's deterministic
    execution, and the merge sorts by that key before scheduling.
-3. Worker layout (how islands map onto processes, or whether they run
-   inline) therefore cannot influence any island's history — which is
-   exactly what the equivalence suite pins: ``shards=1`` (in-process)
-   vs ``shards>=2`` (process pool) produce byte-identical traces,
-   counters, notifications, and merged metrics.
+3. What crosses a boundary — the :class:`ShardPlan` into a worker, an
+   inbox into an island, an outbox and the final accounting back out —
+   is an immutable value: nobody mutates it after handing it over
+   (frames and protocol messages already obey this inside an island,
+   where one multicast hands one ``Frame`` to every receiver), so an
+   island cannot tell an object from its pickled copy.
+4. Worker layout (how islands map onto processes, or whether they run
+   inline) therefore cannot influence any island's history. ``shards=1``
+   hands everything over by reference, in this process; ``shards>=2``
+   sends it through real pipes as real pickles. The equivalence suite
+   pins that the two produce byte-identical traces, counters,
+   notifications, and merged metrics — which certifies both the
+   argument above and that serialization changes nothing.
 
 The epoch discipline matches the engine's ``run(until=X)`` contract
 (events with ``when <= X`` fire): epoch *k* covers ``(E, E+L]``. A frame
@@ -67,7 +75,9 @@ def validate_shards(shards: Union[int, str]) -> Union[int, str]:
 
 @dataclass
 class ShardPlan:
-    """Everything a worker needs to build and run one island. Picklable."""
+    """Everything a worker needs to build and run one island. Picklable,
+    and read-only once built: inline, the coordinator and every island
+    share this one object."""
 
     factory: Callable[..., Any]
     factory_kwargs: Dict[str, Any]
@@ -118,6 +128,7 @@ class IslandHost:
             remote = {ip: isl for ip, isl in members.items() if isl != island_id}
             if remote:
                 seg.remote_members = remote
+                seg.remote_islands = tuple(sorted(set(remote.values())))
                 seg.gateway = self.gateway
         # this island's share of the scenario: its own fault actions, and
         # churn only if it owns a host to crash
@@ -146,7 +157,6 @@ class IslandHost:
         return {
             "outbox": self.gateway.drain(),
             "stable_time": None if gsc is None else gsc.stable_time,
-            "now": self.sim.now,
         }
 
     def finish(self) -> Dict[str, Any]:
@@ -163,7 +173,6 @@ class IslandHost:
             "unfired": unfired,
             "metrics": sim.metrics.dump(),
             "events_executed": sim.events_executed,
-            "now": sim.now,
             "cross_sent": self.gateway.sent,
         }
 
@@ -236,9 +245,10 @@ def run_sharded(
 
     ``shards`` is a worker-process budget: ``"auto"`` means one worker
     per island; an int is clamped to the island count. ``shards=1`` runs
-    every island inline in this process — same pipeline, no children —
-    which is the determinism baseline the equivalence tests compare
-    against.
+    every island inline in this process — same pipeline, no children,
+    and cut messages handed over as the objects they are instead of as
+    pickles (module docstring, note 3) — which is the determinism
+    baseline the equivalence tests compare the piped layouts against.
     """
     factory_kwargs = dict(factory_kwargs or {})
     if "trace" in factory_kwargs:
@@ -256,6 +266,7 @@ def run_sharded(
     part = IslandPartition.from_farm(recon, cut_vlans=cut_vlans)
     configdb_rows = tuple(recon.fabric.connections())
     fault_actions = split_fault_actions(plan, part) if plan is not None else {}
+    del recon  # a whole second farm; nothing below needs it
 
     n_islands = part.n_islands
     n_workers = n_islands if shards == "auto" else min(int(shards), n_islands)

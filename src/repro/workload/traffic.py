@@ -25,7 +25,8 @@ the spares, and ``site-0`` — domains are fused through each domain's
 ``be-0`` bridge adapter on the free-pool VLAN, so GSC and every move
 target share an island, which keeps reconfiguration intra-island per
 PROTOCOL §9). Requests cross the cut on the deterministic cross-shard
-channel, so a case replayed at ``shards=1`` vs ``shards=2`` produces
+channel — as the frames they are at ``shards=1``, pickled through a
+pipe at ``shards=2`` — so a case replayed at either produces
 byte-identical traces, metrics, and SLO reports.
 """
 
@@ -312,7 +313,8 @@ def run_traffic_case(
     shards: Union[int, str] = 1,
 ) -> Dict:
     """Run one traffic case (always through the shard runner — ``shards=1``
-    runs the identical pipeline inline) and fold it into a plain-JSON row.
+    runs the identical pipeline inline, its two islands exchanging cut
+    messages by reference) and fold it into a plain-JSON row.
 
     ``case`` and ``rep`` only differentiate the derived task seed when
     fanned out by :func:`run_traffic_campaign` (``rep`` is the replicate

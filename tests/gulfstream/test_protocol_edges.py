@@ -298,3 +298,26 @@ def test_receive_and_on_frame_treat_a_heartbeat_alike(case):
         assert after[4] == before[4]  # the engine never saw it
     else:
         assert after == before
+
+
+def test_on_frame_dispatches_on_the_payload_type():
+    """The handler is looked up by the payload's type: a subclass is handled
+    as its base's kind, and anything unlisted is the application's."""
+    from dataclasses import dataclass
+
+    @dataclass(frozen=True)
+    class TaggedHeartbeat(Heartbeat):
+        tag: str = "x"
+
+    farm = make_flat_farm(3, seed=1, params=HB)
+    run_stable(farm)
+    leader = leader_of(farm, 2)
+    member = next(p for p in vlan_protos(farm, 2).values()
+                  if p.state is AdapterState.MEMBER and leader.ip in p.hb.monitored)
+    heard, app_frames = member.hb.received, []
+    member.nic.app_handler = app_frames.append
+    deliver(member, TaggedHeartbeat(sender=leader.ip, epoch=leader.epoch), src=str(leader.ip))
+    assert member.hb.received == heard + 1 and not app_frames
+    deliver(member, "not protocol traffic")
+    assert member.hb.received == heard + 1
+    assert [f.payload for f in app_frames] == ["not protocol traffic"]

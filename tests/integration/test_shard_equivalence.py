@@ -4,9 +4,13 @@ The PR 7 acceptance bar (PROTOCOL §9): for any scenario, ``shards=1``
 (every island inline, no children) and ``shards>=2`` (islands spread over
 spawned workers) must produce *byte-identical* trace streams, counters,
 notification histories, segment totals, and merged metrics. The inline
-layout runs the same partition/channel/merge pipeline — including pickle
-round-trips of every epoch payload — so equality here certifies that the
-parallel layout changed nothing but wall-clock time.
+layout runs the same partition/channel/merge pipeline but hands every plan,
+epoch payload and result over by reference, where the pooled layout sends
+them through real pipes as real pickles — so equality here certifies both
+that the parallel layout changed nothing but wall-clock time and that
+serialization changes nothing: what crosses a boundary is an immutable
+value. (``tests/shard/test_inline_handover.py`` is the in-process half: the
+old pickling inline pool, kept as a test-local oracle.)
 
 Covers the corpus-shaped fault space: crash storms, adapter flaps with
 explicit NIC failure modes, VLAN partitions with scripted groups, and

@@ -172,7 +172,9 @@ def _zoned_print(plan, shards=1, duration=21.0):
 def test_differential_random_fault_programs(program):
     """Whole fault programs drawn the way ``test_shard_equivalence`` draws
     them, through the inline shard pipeline: every commit that crosses the
-    cut arrives as a pickled copy, cache-free."""
+    cut arrives as the coordinator's own object, so members on three islands
+    install the one view it built (through a pipe it would arrive as a
+    cache-free pickled copy; ``test_shard_equivalence`` holds the two equal)."""
     plan = _compile(program)
     with pytest.MonkeyPatch.context() as monkeypatch:
         _assert_shared_equals_per_member(monkeypatch, lambda: _zoned_print(plan))

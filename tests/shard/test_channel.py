@@ -2,9 +2,16 @@
 
 import pickle
 
-from repro.gulfstream.messages import Commit, Prepare, PrepareAck
+from repro.farm.requests import Request, Response, Work, WorkDone
+from repro.gulfstream import messages
+from repro.gulfstream.hierarchy import AggregatedReport
+from repro.gulfstream.messages import (
+    Beacon, Commit, GroupHint, Heartbeat, MembershipReport, MergeInfo, MergeRequest,
+    Prepare, PrepareAck, Probe, ProbeAck, ReportAck, SelfFault, SubgroupPoll,
+    SubgroupPollAck, Suspect, SuspectAck,
+)
 from repro.gulfstream.two_phase import CommitCoordinator
-from repro.net.addressing import IPAddress
+from repro.net.addressing import MULTICAST, IPAddress
 from repro.net.packet import Frame
 from repro.sim.engine import Simulator
 from repro.sim.shard import CutMessage, ShardGateway, merge_inbox
@@ -68,10 +75,12 @@ def test_gateway_seq_is_monotonic_across_drains():
 
 def test_cut_payload_of_a_commit_is_its_wire_fields():
     """``Commit``/``Prepare`` cache what receivers derive from them (the
-    committed view, the proposed IP set). None of it may ride along across
-    the cut: a message with its caches filled pickles to the bytes of a fresh
-    one, and the island that receives an epoch's batch gets one cache-free
-    payload for all of its members."""
+    committed view, the proposed IP set). None of it may ride along through
+    a pipe: a message with its caches filled pickles to the bytes of a fresh
+    one, and the island that receives an epoch's batch from another process
+    gets one cache-free payload for all of its members. (Islands of one
+    process hand the message over as it is, caches and all: what the
+    receiver would derive is what the sender already did.)"""
     members = tuple(mi(f"10.0.0.{i}") for i in (3, 2, 1))
     fields = dict(coordinator=members[0].ip, epoch=4, members=members, reason="death",
                   group_key="10.0.0.3@1")
@@ -99,3 +108,31 @@ def test_cut_payload_of_a_commit_is_its_wire_fields():
     first, second = (m.frame.payload for m in pickle.loads(pickle.dumps(batch)))
     assert first is second and first == commit
     assert set(vars(first)) == set(fields)
+
+
+def test_everything_that_crosses_a_cut_survives_every_pickle_protocol():
+    """``shards=1`` hands cut messages over by reference, so a run no longer
+    pickles anything on its own; what ``shards>=2`` relies on is pinned here:
+    every protocol message, every application message and the ``CutMessage``
+    around them comes back ``==`` from each pickle protocol a pipe may use."""
+    a, b = IPAddress("10.0.0.3"), IPAddress("10.0.0.2")
+    members = (mi("10.0.0.3"), mi("10.0.0.2"))
+    report = MembershipReport(a, "10.0.0.3@1", 4, "delta", added=members[1:], removed=(b,),
+                              node="n", stable=True, seq=2)
+    samples = [
+        members[0], Beacon(members[0], True, 4, 2), Prepare(a, 4, members, "join", "10.0.0.3@1"),
+        PrepareAck(b, a, 4, False, 5), Commit(a, 4, members, "join", "10.0.0.3@1"),
+        Heartbeat(a, 4), Suspect(b, a, 4, 1), SuspectAck(a, b, 1), SelfFault(b, 4),
+        Probe(a, 9), ProbeAck(b, 9), GroupHint(a, a, 4, False), MergeRequest(a, 4),
+        MergeInfo(b, 3, members[1:]), SubgroupPoll(a, 1, 9), SubgroupPollAck(b, 1, 9),
+        ReportAck(a, 2), report, AggregatedReport(a, "zone-0", (report,)),
+        Request(7, a), Response(7, b), Work(7, a, b), WorkDone(7, a, b),
+    ]
+    assert {type(sample).__name__ for sample in samples} >= set(messages.__all__)
+    for sample in samples:
+        for dst in (b, MULTICAST):
+            cut = CutMessage(1.5, 0, 7, 1, 10, "sw-0", Frame(a, dst, sample, 128))
+            for protocol in range(2, 6):
+                clone = pickle.loads(pickle.dumps(cut, protocol))
+                assert type(clone) is CutMessage and clone == cut and clone is not cut
+                assert clone.frame.payload == sample and clone.merge_key == (1.5, 0, 7)

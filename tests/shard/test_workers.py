@@ -1,9 +1,13 @@
 """PersistentWorkerPool: spawn/inline parity and failure propagation.
 
 The pool's contract is that ``inline=True`` is *behaviourally identical*
-to the spawn pool — including pickle round-trips of every payload and
-result — so a shards=1 run exercises the exact serialization surface the
-multi-process layout does.
+to the spawn pool for callers that treat what they hand over as immutable
+values: state, ordering and failures are the same, but an inline worker
+receives (and returns) the very objects the other side holds, where a
+spawned one gets pickled copies. The shard pipeline keeps that discipline,
+so a shards=1 run against a shards>=2 run compares by-reference hand-over
+with the real serialization surface (tests/shard/test_inline_handover.py
+replays the old pickling inline path as an oracle).
 """
 
 import pytest
@@ -14,27 +18,38 @@ from repro.runner.workers import PersistentWorkerPool, WorkerError
 class Tally:
     """Tiny stateful worker: accumulates, echoes, or raises on demand."""
 
-    def __init__(self, start):
-        self.total = start
-        self.log = []
+    def __init__(self, init):
+        self.init = init
+        self.total = init["start"]
+        self.kept = None
 
     def add(self, payload):
         self.total += payload["n"]
-        # mutating the payload must never leak back to the coordinator
+        # across a pipe, mutating the payload must never leak back to the caller
         payload["n"] = -999
         return {"total": self.total}
+
+    def keep(self, payload):
+        self.kept = [self.init, payload]
+        return self.kept
+
+    def last_kept(self, _payload):
+        return self.kept
 
     def boom(self, payload):
         raise RuntimeError(f"worker exploded on {payload!r}")
 
 
-def _make(start):
-    return Tally(start)
+def _make(init):
+    return Tally(init)
+
+
+INIT_ARGS = ({"start": 10}, {"start": 20})  # never mutated
 
 
 @pytest.fixture(params=[True, False], ids=["inline", "spawn"])
 def pool(request):
-    p = PersistentWorkerPool(_make, [10, 20], inline=request.param)
+    p = PersistentWorkerPool(_make, INIT_ARGS, inline=request.param)
     yield p
     p.terminate()
 
@@ -51,7 +66,19 @@ def test_call_all_fans_out_in_worker_order(pool):
 
 
 def test_payload_mutation_in_worker_does_not_leak(pool):
+    """Who keeps a handed-over value intact depends on the layout. A spawned
+    worker gets a pickled copy, so the pipe isolates the caller from anything
+    the worker does to it. An inline worker gets the caller's own object —
+    init arg, payload and result all cross by identity, nothing is copied —
+    so immutability is owned by the two sides, not by the pool: neither may
+    mutate what it handed over or was handed (``Tally.add`` breaks exactly
+    that rule, and inline the caller would see it)."""
     payload = {"n": 7}
+    if pool.inline:
+        kept = pool.call(0, "keep", payload)
+        assert kept[0] is INIT_ARGS[0] and kept[1] is payload
+        assert pool.call(0, "last_kept") is kept
+        return
     pool.call(0, "add", payload)
     assert payload == {"n": 7}
 
@@ -62,9 +89,9 @@ def test_worker_exception_surfaces_as_workererror(pool):
 
 
 def test_stop_shape_differs_between_modes():
-    inline = PersistentWorkerPool(_make, [0], inline=True)
+    inline = PersistentWorkerPool(_make, [{"start": 0}], inline=True)
     assert inline.stop() == []  # no children, no stats
-    spawned = PersistentWorkerPool(_make, [0], inline=False)
+    spawned = PersistentWorkerPool(_make, [{"start": 0}], inline=False)
     (stats,) = spawned.stop()
     assert stats is not None and stats["peak_rss_kb"] > 0
 
