@@ -7,9 +7,13 @@ runs. This package turns that fan-out into a first-class subsystem:
   from a stable hash of ``(experiment, grid point, replicate)``, so a
   sweep's results are byte-identical regardless of worker count or
   scheduling order.
-* :mod:`repro.runner.pool` — :class:`ParallelRunner`, a chunked
-  ``ProcessPoolExecutor``/``spawn`` dispatcher with per-task timeouts
-  and graceful in-process fallback when ``jobs=1`` or the pool dies.
+* :mod:`repro.runner.pool` — the one worker process (``spawn``ed, a
+  duplex pipe, one state per worker) and the two classes on it:
+  :class:`ParallelRunner`, which hands chunks of sweep tasks to
+  whichever worker answers first, with per-task timeouts and graceful
+  in-process fallback when ``jobs=1``, a task does not pickle or a
+  worker dies; and :class:`PersistentWorkerPool`, which steps shard
+  islands in lockstep.
 * :mod:`repro.runner.cache` — :class:`ResultCache`, a content-addressed
   on-disk result store keyed by the task's parameters plus a fingerprint
   of the simulator's source, so re-running an unchanged sweep is a cache

@@ -1,23 +1,47 @@
-"""Process-pool task dispatch with graceful degradation.
+"""The one worker process, and the two ways the repository drives it.
+
+A worker is a ``spawn``ed child (no fork-inherited state, identical
+behavior on every platform) that builds one state, ``init_fn(init_arg)``,
+then serves ops over a duplex pipe: ``("call", method, payload)``
+answers ``("ok", result)``, ``("error", traceback_text, exception)`` or,
+when that reply does not pickle, ``("unpicklable", text)``; ``("stop",)``
+answers with the worker's peak RSS and exits.
+
+:class:`PersistentWorkerPool` holds N workers whose state is expensive to
+build (a shard island's whole sub-farm) and steps them in lockstep
+thousands of times. In **inline mode** (``inline=True``) the states live
+in this process and calls run directly, *by reference* — ``init_fn``,
+``call`` and the caller are handed the very objects the other side
+holds, nothing is copied or pickled. The contract that makes this the
+same run as the piped one belongs to the callers: what crosses the
+boundary is an immutable value (neither side mutates an init arg, a
+payload or a result after handing it over), and a worker's history is a
+function of what it was built from and the payloads it received. Under
+that contract ``shards=1`` (in-process, by reference) against
+``shards>=2`` (real pipes, real pickles) certifies that serialization
+changes nothing — the equivalence suite compares exactly those two.
+Errors surface as :class:`WorkerError` naming the worker and carrying the
+remote traceback text; the pool is torn down so no sibling is left
+stepping against a dead peer.
 
 :class:`ParallelRunner` fans a list of keyword-argument dicts out to one
-callable over a ``ProcessPoolExecutor`` using the ``spawn`` start method
-(identical behavior on every platform, no inherited interpreter state).
-Design points:
+callable: ``min(jobs, n_chunks)`` workers whose state is the callable,
+each running one contiguous chunk of tasks per call.
 
-* **Chunked dispatch.** Tasks are grouped into contiguous chunks (one
-  future per chunk) so per-task IPC overhead amortizes over short tasks
-  while long tasks still spread across workers.
+* **Chunked dispatch.** Tasks are grouped into contiguous chunks so
+  per-task IPC overhead amortizes over short tasks while long tasks
+  still spread across workers; the next chunk goes to whichever worker
+  answers first.
 * **Order independence.** Results are reassembled by task index — the
   caller sees list order, never completion order.
 * **Per-task timeout.** ``timeout`` is a per-task budget; a run whose
   pooled budget expires raises :class:`TaskTimeout` (a hung simulation
   would hang serially too — silently re-running it in-process would just
   hang the parent).
-* **Graceful fallback.** ``jobs=1``, a single task, an unpicklable
-  callable, or a pool that dies mid-run (``BrokenProcessPool``) all fall
-  back to plain in-process execution of whatever has not completed; task
-  exceptions themselves propagate unchanged, exactly as they would
+* **Graceful fallback.** ``jobs=1``, a single task, a callable or task
+  that does not pickle, or a worker that dies mid-run all fall back to
+  plain in-process execution of whatever has not completed. A task's own
+  exception propagates as the object it was, exactly as it would
   serially.
 """
 
@@ -25,28 +49,240 @@ from __future__ import annotations
 
 import multiprocessing
 import pickle
+import resource
 import time
+import traceback
 import warnings
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
-from concurrent.futures.process import BrokenProcessPool
-from typing import Any, Callable, Dict, List, Optional, Sequence
+from collections import deque
+from multiprocessing.connection import wait
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
-__all__ = ["ParallelRunner", "TaskTimeout", "sleep_task"]
+__all__ = ["ParallelRunner", "PersistentWorkerPool", "TaskTimeout", "WorkerError", "sleep_task"]
+
+#: start method of every worker process
+START_METHOD = "spawn"
+
+#: parent-side guard (seconds) against a wedged pool worker, read at call
+#: time; generous because one epoch's work is normally milliseconds
+CALL_TIMEOUT = 600.0
 
 #: marks a slot whose task has not produced a result yet
 _PENDING = object()
 
 #: pickling a closure/lambda fails with one of these, depending on path
-_PICKLE_ERRORS = (pickle.PicklingError, AttributeError, TypeError)
+_PICKLE_ERRORS = (pickle.PicklingError, AttributeError, TypeError, ValueError)
 
 
 class TaskTimeout(RuntimeError):
     """A sweep's pooled per-task time budget expired."""
 
 
-def _run_chunk(fn: Callable[..., Any], kwargs_list: List[Dict[str, Any]]) -> List[Any]:
-    """Worker-side entry point: run one contiguous chunk of tasks."""
-    return [fn(**kwargs) for kwargs in kwargs_list]
+class WorkerError(RuntimeError):
+    """A worker failed or could not be reached; the message says which."""
+
+
+class _Unpicklable(WorkerError):
+    """An init argument, a payload or a reply does not pickle."""
+
+
+def _worker_main(conn: Any, init_fn: Callable[[Any], Any], init_arg: Any) -> None:
+    """Child entry point: build the state, then serve ops until stopped."""
+    with conn:
+        try:
+            state = init_fn(init_arg)
+        except BaseException:
+            conn.send(("error", traceback.format_exc(), None))
+            return
+        conn.send(("ok", None))
+        while True:
+            try:
+                msg = conn.recv()
+            except EOFError:
+                return
+            if msg[0] == "stop":
+                peak_kb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+                conn.send(("ok", {"peak_rss_kb": int(peak_kb)}))
+                return
+            _op, method, payload = msg
+            try:
+                reply = ("ok", getattr(state, method)(payload))
+            except BaseException as exc:
+                reply = ("error", traceback.format_exc(), exc)
+            try:
+                conn.send(reply)
+            except Exception:  # the result, or the exception, does not pickle
+                text = reply[1] if reply[0] == "error" else traceback.format_exc()
+                conn.send(("unpicklable", text))
+
+
+class PersistentWorkerPool:
+    """N long-lived workers, each holding one ``init_fn(arg)`` state.
+
+    Parameters
+    ----------
+    init_fn:
+        Module-level callable building one worker's state; must be
+        importable from a spawned child.
+    init_args:
+        One init argument per worker; the pool size is ``len(init_args)``.
+    inline:
+        Run everything in this process (no children), handing arguments
+        and results over by reference — see module docstring for what
+        that asks of the caller.
+
+    Any single reply is awaited at most :data:`CALL_TIMEOUT` seconds.
+    """
+
+    def __init__(
+        self,
+        init_fn: Callable[[Any], Any],
+        init_args: Sequence[Any],
+        *,
+        inline: bool = False,
+    ) -> None:
+        self.n_workers = len(init_args)
+        self.inline = bool(inline)
+        self._closed = False
+        self._states: List[Any] = []
+        self._conns: List[Any] = []
+        self._procs: List[Any] = []
+        if self.n_workers == 0:
+            raise ValueError("PersistentWorkerPool needs at least one worker")
+        if self.inline:
+            for arg in init_args:
+                self._states.append(init_fn(arg))
+            return
+        ctx = multiprocessing.get_context(START_METHOD)
+        try:
+            for i, arg in enumerate(init_args):
+                parent_conn, child_conn = ctx.Pipe(duplex=True)
+                self._conns.append(parent_conn)
+                proc = ctx.Process(
+                    target=_worker_main, args=(child_conn, init_fn, arg), daemon=True
+                )
+                try:
+                    proc.start()  # pickles init_fn and arg, here, synchronously
+                except _PICKLE_ERRORS as exc:
+                    raise self._broken(i, exc) from exc
+                finally:
+                    child_conn.close()
+                self._procs.append(proc)
+            for i in range(self.n_workers):
+                self._recv(i)
+        except BaseException:
+            self.terminate()
+            raise
+
+    # ------------------------------------------------------------------
+    def _broken(self, i: int, why: Any) -> WorkerError:
+        """Tear the pool down and return worker ``i``'s error: ``why`` says
+        what went wrong, or is the exception that stopped a pickle."""
+        self.terminate()
+        if isinstance(why, BaseException):
+            return _Unpicklable(f"worker {i}: {type(why).__name__}: {why}")
+        return WorkerError(f"worker {i} {why}")
+
+    def _send(self, i: int, method: str, payload: Any) -> None:
+        try:
+            self._conns[i].send(("call", method, payload))
+        except _PICKLE_ERRORS as exc:
+            raise self._broken(i, exc) from exc
+        except OSError:
+            raise self._broken(i, "died before a call")
+
+    def _reply(self, i: int) -> Tuple[Any, ...]:
+        """Worker ``i``'s next ``("ok", result)`` or ``("error", text, exc)``."""
+        conn = self._conns[i]
+        try:
+            if not conn.poll(CALL_TIMEOUT):
+                raise self._broken(i, f"gave no reply within {CALL_TIMEOUT}s")
+            reply = conn.recv()
+        except (EOFError, OSError):
+            raise self._broken(i, "died without a reply")
+        except _PICKLE_ERRORS as exc:
+            raise self._broken(i, exc) from exc
+        if reply[0] == "unpicklable":
+            self.terminate()
+            raise _Unpicklable(f"worker {i}: {reply[1].strip().splitlines()[-1]}")
+        return reply
+
+    def _recv(self, i: int) -> Any:
+        reply = self._reply(i)
+        if reply[0] == "error":
+            raise self._broken(i, f"failed:\n{reply[1]}")
+        return reply[1]
+
+    # ------------------------------------------------------------------
+    def call(self, i: int, method: str, payload: Any = None) -> Any:
+        """Invoke ``state.method(payload)`` on worker ``i``; return its result."""
+        if self._closed:
+            raise WorkerError("pool is closed")
+        if self.inline:
+            try:
+                return getattr(self._states[i], method)(payload)
+            except WorkerError:
+                raise
+            except Exception:
+                raise self._broken(i, f"failed:\n{traceback.format_exc()}")
+        self._send(i, method, payload)
+        return self._recv(i)
+
+    def call_all(self, method: str, payloads: Sequence[Any]) -> List[Any]:
+        """Invoke ``method`` on every worker concurrently; results in order."""
+        if len(payloads) != self.n_workers:
+            raise ValueError(f"need {self.n_workers} payloads, got {len(payloads)}")
+        if self.inline:
+            return [self.call(i, method, p) for i, p in enumerate(payloads)]
+        if self._closed:
+            raise WorkerError("pool is closed")
+        for i, payload in enumerate(payloads):
+            self._send(i, method, payload)
+        return [self._recv(i) for i in range(self.n_workers)]
+
+    # ------------------------------------------------------------------
+    def stop(self) -> List[Optional[dict]]:
+        """Graceful shutdown. Returns per-worker stats (``peak_rss_kb``),
+        aligned with worker index; inline pools return an empty list (no
+        child processes to account)."""
+        stats: List[Optional[dict]] = []
+        if not self._closed and not self.inline:
+            for conn in self._conns:
+                try:
+                    conn.send(("stop",))
+                except OSError:
+                    pass
+            for conn in self._conns:
+                try:
+                    stats.append(conn.recv()[1] if conn.poll(CALL_TIMEOUT) else None)
+                except (EOFError, OSError):
+                    stats.append(None)
+            for proc in self._procs:
+                proc.join(timeout=30)
+        self.terminate()
+        return stats
+
+    def terminate(self) -> None:
+        """Hard teardown (error paths); safe to call repeatedly."""
+        if self._closed:
+            return
+        self._closed = True
+        self._states = []
+        for proc in self._procs:
+            proc.terminate()
+        for proc in self._procs:
+            proc.join(timeout=10)
+        for conn in self._conns:
+            conn.close()
+
+
+class _ChunkRunner:
+    """A sweep worker's state: the task callable, run over one chunk per call."""
+
+    def __init__(self, fn: Callable[..., Any]) -> None:
+        self.fn = fn
+
+    def run(self, kwargs_list: List[Dict[str, Any]]) -> List[Any]:
+        return [self.fn(**kwargs) for kwargs in kwargs_list]
 
 
 def sleep_task(seconds: float) -> Dict[str, float]:
@@ -62,7 +298,7 @@ def sleep_task(seconds: float) -> Dict[str, float]:
 
 
 class ParallelRunner:
-    """Dispatch independent tasks over a spawn-based worker pool.
+    """Dispatch independent tasks over spawned workers.
 
     Parameters
     ----------
@@ -77,8 +313,6 @@ class ParallelRunner:
     chunk_size:
         Tasks per dispatched chunk. Default: enough chunks for ~4 rounds
         per worker, so stragglers rebalance.
-    mp_context:
-        ``multiprocessing`` start method; ``spawn`` by default.
     """
 
     def __init__(
@@ -86,16 +320,15 @@ class ParallelRunner:
         jobs: int = 1,
         timeout: Optional[float] = None,
         chunk_size: Optional[int] = None,
-        mp_context: str = "spawn",
     ) -> None:
         if jobs <= 0:
             jobs = multiprocessing.cpu_count()
         self.jobs = jobs
         self.timeout = timeout
         self.chunk_size = chunk_size
-        self.mp_context = mp_context
         #: how the last ``map`` actually executed: "serial", "pool", or
-        #: "pool+fallback" (pool died, remainder ran in-process)
+        #: "pool+fallback" (the pool could not finish; the remainder ran
+        #: in-process)
         self.last_mode: str = "serial"
 
     # ------------------------------------------------------------------
@@ -106,35 +339,12 @@ class ParallelRunner:
             self.last_mode = "serial"
             return [fn(**kwargs) for kwargs in tasks]
 
-        # Validate picklability BEFORE the pool exists: on Python 3.11 a
-        # work item whose pickling fails after submission wedges the
-        # executor's management thread and shutdown() deadlocks
-        # (cpython gh-105829, fixed in 3.12) — so lambdas/closures and
-        # unpicklable params must never reach submit().
-        try:
-            pickle.dumps(fn)
-            pickle.dumps(tasks)
-        except (pickle.PicklingError, AttributeError, TypeError, ValueError) as exc:
-            warnings.warn(
-                f"sweep tasks are not picklable ({type(exc).__name__}: {exc}); "
-                "running in-process",
-                RuntimeWarning,
-                stacklevel=2,
-            )
-            self.last_mode = "pool+fallback"
-            return [fn(**kwargs) for kwargs in tasks]
-
         results: List[Any] = [_PENDING] * len(tasks)
-        try:
-            self._pool_map(fn, tasks, results)
+        fallback = self._pool_map(fn, tasks, results)
+        if fallback is None:
             self.last_mode = "pool"
-        except (BrokenProcessPool, *_PICKLE_ERRORS) as exc:
-            warnings.warn(
-                f"worker pool unavailable ({type(exc).__name__}: {exc}); "
-                "finishing sweep in-process",
-                RuntimeWarning,
-                stacklevel=2,
-            )
+        else:
+            warnings.warn(fallback, RuntimeWarning, stacklevel=2)
             self.last_mode = "pool+fallback"
         for i, kwargs in enumerate(tasks):
             if results[i] is _PENDING:
@@ -153,54 +363,61 @@ class ParallelRunner:
         fn: Callable[..., Any],
         tasks: List[Dict[str, Any]],
         results: List[Any],
-    ) -> None:
-        """Fill ``results`` in place via the pool.
+    ) -> Optional[str]:
+        """Fill ``results`` in place through spawned workers.
 
-        Raises ``BrokenProcessPool`` / pickling errors for the caller's
-        fallback path; re-raises task exceptions and :class:`TaskTimeout`
-        directly.
+        Returns ``None`` once every chunk came back, else why the rest
+        must run in-process. Re-raises a task's exception and raises
+        :class:`TaskTimeout` directly.
         """
         chunks = self._chunks(len(tasks))
-        ctx = multiprocessing.get_context(self.mp_context)
         deadline = (
             time.monotonic() + self.timeout * len(tasks)
             if self.timeout is not None
             else None
         )
-        pool = ProcessPoolExecutor(
-            max_workers=min(self.jobs, len(chunks)), mp_context=ctx
-        )
-        pending = {
-            pool.submit(_run_chunk, fn, [tasks[i] for i in chunk]): chunk
-            for chunk in chunks
-        }
+        queue = deque(chunks)
+        busy: Dict[Any, Tuple[int, range]] = {}
+        failed: Optional[Tuple[int, str, BaseException]] = None
+        pool: Optional[PersistentWorkerPool] = None
         try:
-            while pending:
-                remaining = None if deadline is None else deadline - time.monotonic()
-                done, _ = wait(pending, timeout=remaining, return_when=FIRST_COMPLETED)
-                if not done:
+            pool = PersistentWorkerPool(_ChunkRunner, [fn] * min(self.jobs, len(chunks)))
+            idle = list(range(pool.n_workers))
+            while failed is None and (queue or busy):
+                while idle and queue:
+                    i, chunk = idle.pop(), queue.popleft()
+                    pool._send(i, "run", [tasks[j] for j in chunk])
+                    busy[pool._conns[i]] = (i, chunk)
+                remaining = None if deadline is None else max(0.0, deadline - time.monotonic())
+                ready = wait(list(busy), remaining)
+                if not ready:
                     raise TaskTimeout(
-                        f"{sum(len(c) for c in pending.values())} task(s) still "
+                        f"{sum(r is _PENDING for r in results)} task(s) still "
                         f"running after the pooled budget "
                         f"({self.timeout}s/task x {len(tasks)} tasks)"
                     )
-                for fut in done:
-                    chunk = pending.pop(fut)
-                    for index, value in zip(chunk, fut.result()):
+                for conn in ready:
+                    i, chunk = busy.pop(conn)
+                    reply = pool._reply(i)
+                    if reply[0] == "error":
+                        failed = (i, reply[1], reply[2])
+                        break
+                    for index, value in zip(chunk, reply[1]):
                         results[index] = value
-        except TaskTimeout:
-            # the stuck tasks would block a graceful join forever — kill
-            # the workers outright before surfacing the timeout
-            for fut in pending:
-                fut.cancel()
-            for proc in list(getattr(pool, "_processes", {}).values()):
-                proc.terminate()
-            pool.shutdown(wait=False, cancel_futures=True)
-            raise
-        except BaseException:
-            for fut in pending:
-                fut.cancel()
-            pool.shutdown(wait=True, cancel_futures=True)
-            raise
-        else:
-            pool.shutdown(wait=True)
+                    idle.append(i)
+            if failed is None:
+                pool.stop()
+        except _Unpicklable as exc:
+            return f"sweep tasks are not picklable ({exc}); running in-process"
+        except WorkerError as exc:
+            return (
+                f"worker pool unavailable ({type(exc).__name__}: {exc}); "
+                "finishing sweep in-process"
+            )
+        finally:
+            if pool is not None:
+                pool.terminate()
+        if failed is not None:
+            i, text, exc = failed
+            raise exc from WorkerError(f"worker {i} failed:\n{text}")
+        return None

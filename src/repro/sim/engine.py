@@ -41,8 +41,10 @@ docs/PROTOCOL.md):
   entries) is dead the whole queue is compacted, so long-lived piles of
   dead heartbeat timers do not bloat every queue operation. The compaction
   check runs on every path that grows the queue — ``schedule``,
-  ``schedule_at``, ``reschedule`` — plus ``run`` and ``next_event_time``,
-  so cancel-heavy workloads that only re-arm timers stay bounded too;
+  ``schedule_at``, ``reschedule`` — once enough entries have died since
+  the last check for it to succeed (one integer compare until then), plus
+  unconditionally in ``run`` and ``next_event_time``, so cancel-heavy
+  workloads that only re-arm timers stay bounded too;
 * :meth:`Simulator.reschedule` re-arms a fired event in place, letting
   periodic timers run without allocating a fresh ``Event`` per tick.
 """
@@ -490,6 +492,10 @@ class Simulator:
         self._stopped = False
         #: events scheduled and neither fired nor cancelled (O(1) pending_count)
         self._live: int = 0
+        #: dead count the queue-growing paths wait for before looking again:
+        #: a compaction needs ``dead`` above both the threshold and half the
+        #: resident entries, so a failed check parks this at half of them
+        self._purge_gate: int = PURGE_THRESHOLD
         self.rng = RngRegistry(seed)
         self.trace = trace if trace is not None else Trace()
         #: number of events executed so far (monotonic; updated when
@@ -534,7 +540,7 @@ class Simulator:
         ev.sim = self
         self._backend.push((time, priority, seq, ev))
         self._live += 1
-        if self._backend.dead > PURGE_THRESHOLD:
+        if self._backend.dead > self._purge_gate:
             self._maybe_purge()
         return ev
 
@@ -562,7 +568,7 @@ class Simulator:
         ev.sim = self
         self._backend.push((time, priority, seq, ev))
         self._live += 1
-        if self._backend.dead > PURGE_THRESHOLD:
+        if self._backend.dead > self._purge_gate:
             self._maybe_purge()
         return ev
 
@@ -591,7 +597,7 @@ class Simulator:
         ev.fired = False
         self._backend.push((time, ev.priority, seq, ev))
         self._live += 1
-        if self._backend.dead > PURGE_THRESHOLD:
+        if self._backend.dead > self._purge_gate:
             self._maybe_purge()
         return ev
 
@@ -675,8 +681,14 @@ class Simulator:
         the queue without bound.
         """
         backend = self._backend
-        if backend.dead > PURGE_THRESHOLD and backend.dead * 2 > len(backend):
-            backend.purge()
+        gate = PURGE_THRESHOLD
+        if backend.dead > PURGE_THRESHOLD:
+            resident = len(backend)
+            if backend.dead * 2 > resident:
+                backend.purge()
+            else:
+                gate = resident // 2
+        self._purge_gate = gate
 
     def _collect_metrics(self) -> None:
         """Pull-collector: copy the engine tallies into the registry.

@@ -8,7 +8,7 @@ cannot unpickle factories defined there — and adds the sharded driver:
 segments are dealt round-robin across workers, each worker runs its
 slice on its own :class:`~repro.sim.engine.Simulator`, and the parent
 steps them in lockstep epochs via
-:class:`~repro.runner.workers.PersistentWorkerPool`.
+:class:`~repro.runner.pool.PersistentWorkerPool`.
 
 The substrate's segments are fully disjoint (no cross-segment traffic),
 so the sharded run is embarrassingly parallel — no cut channel, and a
@@ -28,7 +28,7 @@ from typing import Any, Dict, List, Tuple
 from repro.net.addressing import IPAddress
 from repro.net.fabric import Fabric
 from repro.net.nic import NIC
-from repro.runner.workers import PersistentWorkerPool
+from repro.runner.pool import PersistentWorkerPool
 from repro.sim.engine import Simulator
 from repro.sim.process import Timer
 from repro.sim.trace import Trace

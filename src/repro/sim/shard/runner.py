@@ -44,7 +44,7 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
 from repro.farm.scenario import ScenarioResult, close_farm, dress_farm
 from repro.metrics.core import MetricsRegistry
 from repro.node.faults import FaultPlan
-from repro.runner.workers import PersistentWorkerPool
+from repro.runner.pool import PersistentWorkerPool
 from repro.sim.shard.channel import CutMessage, ShardGateway, merge_inbox
 from repro.sim.shard.context import ShardBuildContext, active
 from repro.sim.shard.partition import IslandPartition, split_fault_actions

@@ -1,14 +1,19 @@
 """ParallelRunner: dispatch, ordering, fallback, timeout.
 
 The task callables live at module level so spawn workers can import them
-by reference (``tests.runner.test_pool``).
+by reference (``tests.runner.test_pool``). The fallback tests break the
+pool on purpose — a worker that dies, a payload that does not pickle — and
+each must end in bounded time with serial's rows.
 """
 
+import os
+import signal
 import time
 
 import pytest
 
 from repro.runner import ParallelRunner, TaskTimeout, sleep_task
+from repro.runner.pool import WorkerError
 
 
 def square(x):
@@ -17,6 +22,18 @@ def square(x):
 
 def boom(x):
     raise ValueError(f"task {x} exploded")
+
+
+def square_unless_child(x, home):
+    """Squares, except in a spawned worker (any process but ``home``),
+    which it SIGKILLs — so only the in-process fallback can answer."""
+    if os.getpid() != home:
+        os.kill(os.getpid(), signal.SIGKILL)
+    return square(x)
+
+
+def square_with_hook(x, hook):
+    return square(x)
 
 
 def napper(x):
@@ -60,8 +77,29 @@ def test_task_exception_propagates_serial():
 
 
 def test_task_exception_propagates_from_pool():
-    with pytest.raises(ValueError, match="exploded"):
+    with pytest.raises(ValueError, match="exploded") as info:
         ParallelRunner(jobs=2).map(boom, TASKS)
+    # the remote traceback rides along as the cause
+    assert isinstance(info.value.__cause__, WorkerError)
+    assert "in boom" in str(info.value.__cause__)
+
+
+def test_killed_worker_finishes_in_process():
+    runner = ParallelRunner(jobs=2)
+    tasks = [{**task, "home": os.getpid()} for task in TASKS]
+    with pytest.warns(RuntimeWarning, match="worker pool unavailable"):
+        out = runner.map(square_unless_child, tasks)
+    assert out == EXPECTED
+    assert runner.last_mode == "pool+fallback"
+
+
+def test_unpicklable_payload_falls_back_in_process():
+    runner = ParallelRunner(jobs=2)
+    tasks = [{**task, "hook": lambda: None} for task in TASKS]
+    with pytest.warns(RuntimeWarning, match="not picklable"):
+        out = runner.map(square_with_hook, tasks)
+    assert out == EXPECTED
+    assert runner.last_mode == "pool+fallback"
 
 
 def test_per_task_timeout_raises():

@@ -16,7 +16,7 @@ import pickle
 import pytest
 
 from repro.node.faults import FaultPlan
-from repro.runner.workers import PersistentWorkerPool
+from repro.runner.pool import PersistentWorkerPool
 from repro.sim.shard import runner
 from repro.workload.traffic import run_traffic_case
 

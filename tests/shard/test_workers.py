@@ -1,5 +1,11 @@
 """PersistentWorkerPool: spawn/inline parity and failure propagation.
 
+``repro.runner.pool`` has one worker process; shard islands drive it
+through this pool and sweeps through ``ParallelRunner``
+(``tests/runner/test_pool.py``). A worker that raises, dies between two
+steps or never answers must surface as a ``WorkerError`` naming it, in
+bounded time.
+
 The pool's contract is that ``inline=True`` is *behaviourally identical*
 to the spawn pool for callers that treat what they hand over as immutable
 values: state, ordering and failures are the same, but an inline worker
@@ -10,9 +16,12 @@ with the real serialization surface (tests/shard/test_inline_handover.py
 replays the old pickling inline path as an oracle).
 """
 
+import time
+
 import pytest
 
-from repro.runner.workers import PersistentWorkerPool, WorkerError
+from repro.runner import pool as pool_module
+from repro.runner.pool import PersistentWorkerPool, WorkerError
 
 
 class Tally:
@@ -99,3 +108,39 @@ def test_stop_shape_differs_between_modes():
 def test_empty_pool_rejected():
     with pytest.raises(ValueError):
         PersistentWorkerPool(_make, [])
+
+
+class Stuck:
+    """A worker whose one method never returns."""
+
+    def __init__(self, _init):
+        pass
+
+    def hang(self, _payload):
+        while True:
+            time.sleep(60)
+
+
+def test_worker_killed_between_steps_is_named():
+    pool = PersistentWorkerPool(_make, INIT_ARGS)
+    try:
+        assert pool.call_all("add", [{"n": 1}, {"n": 1}]) == [{"total": 11}, {"total": 21}]
+        pool._procs[1].kill()
+        pool._procs[1].join(timeout=10)
+        assert not pool._procs[1].is_alive()
+        with pytest.raises(WorkerError, match="worker 1 died"):
+            pool.call_all("add", [{"n": 1}, {"n": 1}])
+    finally:
+        pool.terminate()
+
+
+def test_hung_worker_times_out(monkeypatch):
+    pool = PersistentWorkerPool(Stuck, [None])
+    monkeypatch.setattr(pool_module, "CALL_TIMEOUT", 0.5)
+    t0 = time.monotonic()
+    try:
+        with pytest.raises(WorkerError, match="worker 0 gave no reply within 0.5s"):
+            pool.call(0, "hang")
+    finally:
+        pool.terminate()
+    assert time.monotonic() - t0 < 15.0

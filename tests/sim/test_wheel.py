@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.sim.engine import (
+    PURGE_THRESHOLD,
     WHEEL_GRANULARITY,
     WHEEL_SLOTS,
     Simulator,
@@ -137,6 +138,39 @@ def test_slot_reclamation_purges_all_tiers():
     keeper = sim.schedule(2.0, lambda: None)
     sim.run()
     assert keeper.fired and sim.now == 2.0
+
+
+def test_growing_paths_skip_the_purge_check_while_it_cannot_fire():
+    """Dead entries above the threshold but under half the queue cannot be
+    compacted. Until enough more die, ``schedule``/``schedule_at``/
+    ``reschedule`` must not even call ``_maybe_purge`` (and through it the
+    wheel's Python ``__len__``) — and once they have died, the next of
+    them still compacts."""
+    sim = Simulator(backend="wheel")
+    timers = [sim.schedule(0.1, lambda: None) for _ in range(200)]
+    sim.run(until=1.0)
+    far = [sim.schedule(1000.0 + i, lambda: None) for i in range(1000)]
+    for ev in far[: PURGE_THRESHOLD + 10]:
+        ev.cancel()
+    calls = []
+    check = sim._maybe_purge
+
+    def counting():
+        calls.append(1)
+        check()
+
+    sim._maybe_purge = counting
+    for i in range(300):
+        sim.schedule(2000.0 + i, lambda: None)
+        sim.schedule_at(3000.0 + i, lambda: None)
+    for ev in timers:
+        sim.reschedule(ev, 5.0)
+    assert PURGE_THRESHOLD < sim._dead < len(sim._queue) / 2
+    assert len(calls) <= 1, len(calls)
+    for ev in far:
+        ev.cancel()
+    sim.schedule(1.0, lambda: None)
+    assert sim._dead == 0 and len(sim._queue) == 1 + 200 + 600
 
 
 def test_wheel_len_and_queue_property_count_every_tier():
