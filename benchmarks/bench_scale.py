@@ -296,23 +296,22 @@ def test_scale_bench_trajectory():
         # guards; the full-size acceptance runs with the default size list
         assert metrics[f"delivery_rate_{smallest}"] > 100_000
         assert metrics["scale_speedup"] >= 1.5
-        # 2-shard equivalence smoke: two segments, run inline (shards=1)
-        # and across two spawned workers — the useful-work counts must be
-        # identical. No speedup assert here; CI runners may have one core.
+        # 2-shard equivalence smoke: two segments on one spawned worker
+        # and across two — the useful-work counts must be identical. No
+        # speedup assert here; CI runners may have one core.
         from repro.sim.shard.bench import run_sharded_substrate
 
         smoke_kw = dict(segment_size=SEGMENT_SIZE, hb_interval=HB_INTERVAL,
                         beacon_interval=BEACON_INTERVAL, phases=PHASES)
-        inline = run_sharded_substrate(2 * SEGMENT_SIZE, 1, 2.0, **smoke_kw)
+        single = run_sharded_substrate(2 * SEGMENT_SIZE, 1, 2.0, **smoke_kw)
         pooled = run_sharded_substrate(2 * SEGMENT_SIZE, 2, 2.0, **smoke_kw)
-        assert pooled["workers"] == 2
-        assert pooled["useful"] == inline["useful"], (
+        assert single["workers"] == 1 and pooled["workers"] == 2
+        assert pooled["useful"] == single["useful"], (
             f"2-shard pool did different work: {pooled['useful']} vs "
-            f"{inline['useful']} inline"
+            f"{single['useful']} on one worker"
         )
-        assert pooled["deliveries"] == inline["deliveries"]
-        assert pooled["events_executed"] == inline["events_executed"]
-
+        assert pooled["deliveries"] == single["deliveries"]
+        assert pooled["events_executed"] == single["events_executed"]
 
 if __name__ == "__main__":
     _RECORD = True

@@ -532,8 +532,10 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument(
         "--shards", type=_shards_value, default=None, metavar="N",
         help="shard the simulation across N worker processes at VLAN-island "
-             "granularity ('auto' = one per island; 1 = same pipeline, "
-             "in-process). Results are byte-identical for every value; see "
+             "granularity ('auto' = one per island; 1 = the classic run, one "
+             "simulator in this process). Results are byte-identical for "
+             "every value >= 2; each cut crossing then also costs the "
+             "channel's lookahead, so they differ from 1 in timing; see "
              "docs/PROTOCOL.md §9. Currently supported by 'discover' "
              "(without --replicates) and 'workload' (without --jobs)")
     parser = argparse.ArgumentParser(

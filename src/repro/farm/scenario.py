@@ -14,7 +14,7 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
 from repro.farm.builder import Farm
 from repro.node.faults import FaultInjector, FaultPlan
 
-__all__ = ["Scenario", "ScenarioResult", "close_farm", "dress_farm"]
+__all__ = ["Scenario", "ScenarioResult", "close_farm", "dress_farm", "run_classic"]
 
 
 @dataclass
@@ -103,6 +103,38 @@ def close_farm(
         for vlan, seg in farm.fabric.segments.items()
     }
     return unfired, segment_stats
+
+
+def run_classic(
+    farm: Farm,
+    plan: Optional[FaultPlan],
+    churn: Optional[Dict[str, float]],
+    *,
+    duration: float,
+    ambient_load: Dict[int, float],
+    stability_timeout: float,
+    stop_when_stable: bool = False,
+) -> Tuple[ScenarioResult, Optional[FaultInjector]]:
+    """The classic body: dress a built farm, wait for GSC stability, run
+    to ``duration``, close it; returns the result and the churn injector.
+    :meth:`Scenario.run` and a one-worker :func:`repro.sim.shard.run_sharded`
+    both run it."""
+    sim = farm.sim
+    injector = dress_farm(farm, plan, churn, ambient_load)
+    farm.start()
+    stable = farm.run_until_stable(timeout=stability_timeout)
+    if not (stop_when_stable and stable is not None) and sim.now < duration:
+        sim.run(until=duration)
+    unfired, segment_stats = close_farm(farm, plan, injector)
+    gsc = farm.gsc()
+    return ScenarioResult(
+        stable_time=gsc.stable_time if gsc is not None else stable,
+        duration=sim.now,
+        notifications=list(farm.bus.history),
+        counters=dict(sim.trace.counters),
+        segment_stats=segment_stats,
+        unfired_faults=unfired,
+    ), injector
 
 
 class Scenario:
@@ -224,21 +256,9 @@ class Scenario:
                 trace_categories=self.trace_categories,
                 stop_when_stable=self.stop_when_stable,
             )
-        farm = self.farm
-        assert farm is not None
-        sim = farm.sim
-        self.injector = dress_farm(farm, self.plan, self.churn_cfg, self.ambient_load)
-        farm.start()
-        stable = farm.run_until_stable(timeout=self.stability_timeout)
-        if sim.now < self.duration:
-            sim.run(until=self.duration)
-        unfired, segment_stats = close_farm(farm, self.plan, self.injector)
-        gsc = farm.gsc()
-        return ScenarioResult(
-            stable_time=gsc.stable_time if gsc is not None else stable,
-            duration=sim.now,
-            notifications=list(farm.bus.history),
-            counters=dict(sim.trace.counters),
-            segment_stats=segment_stats,
-            unfired_faults=unfired,
+        assert self.farm is not None
+        result, self.injector = run_classic(
+            self.farm, self.plan, self.churn_cfg, duration=self.duration,
+            ambient_load=self.ambient_load, stability_timeout=self.stability_timeout,
         )
+        return result

@@ -9,20 +9,11 @@ answers with the worker's peak RSS and exits.
 
 :class:`PersistentWorkerPool` holds N workers whose state is expensive to
 build (a shard island's whole sub-farm) and steps them in lockstep
-thousands of times. In **inline mode** (``inline=True``) the states live
-in this process and calls run directly, *by reference* — ``init_fn``,
-``call`` and the caller are handed the very objects the other side
-holds, nothing is copied or pickled. The contract that makes this the
-same run as the piped one belongs to the callers: what crosses the
-boundary is an immutable value (neither side mutates an init arg, a
-payload or a result after handing it over), and a worker's history is a
-function of what it was built from and the payloads it received. Under
-that contract ``shards=1`` (in-process, by reference) against
-``shards>=2`` (real pipes, real pickles) certifies that serialization
-changes nothing — the equivalence suite compares exactly those two.
-Errors surface as :class:`WorkerError` naming the worker and carrying the
-remote traceback text; the pool is torn down so no sibling is left
-stepping against a dead peer.
+thousands of times. Everything crosses the pipe as its pickle, so a
+worker never shares an object with its caller. Errors surface as
+:class:`WorkerError` naming the worker (``.worker`` is its index) and
+carrying the remote traceback text; the pool is torn down so no sibling
+is left stepping against a dead peer.
 
 :class:`ParallelRunner` fans a list of keyword-argument dicts out to one
 callable: ``min(jobs, n_chunks)`` workers whose state is the callable,
@@ -78,7 +69,12 @@ class TaskTimeout(RuntimeError):
 
 
 class WorkerError(RuntimeError):
-    """A worker failed or could not be reached; the message says which."""
+    """A worker failed or could not be reached; the message says which,
+    and ``worker`` is its index (``None`` when no one worker is at fault)."""
+
+    def __init__(self, message: str, worker: Optional[int] = None) -> None:
+        super().__init__(message)
+        self.worker = worker
 
 
 class _Unpicklable(WorkerError):
@@ -125,33 +121,17 @@ class PersistentWorkerPool:
         importable from a spawned child.
     init_args:
         One init argument per worker; the pool size is ``len(init_args)``.
-    inline:
-        Run everything in this process (no children), handing arguments
-        and results over by reference — see module docstring for what
-        that asks of the caller.
 
     Any single reply is awaited at most :data:`CALL_TIMEOUT` seconds.
     """
 
-    def __init__(
-        self,
-        init_fn: Callable[[Any], Any],
-        init_args: Sequence[Any],
-        *,
-        inline: bool = False,
-    ) -> None:
+    def __init__(self, init_fn: Callable[[Any], Any], init_args: Sequence[Any]) -> None:
         self.n_workers = len(init_args)
-        self.inline = bool(inline)
         self._closed = False
-        self._states: List[Any] = []
         self._conns: List[Any] = []
         self._procs: List[Any] = []
         if self.n_workers == 0:
             raise ValueError("PersistentWorkerPool needs at least one worker")
-        if self.inline:
-            for arg in init_args:
-                self._states.append(init_fn(arg))
-            return
         ctx = multiprocessing.get_context(START_METHOD)
         try:
             for i, arg in enumerate(init_args):
@@ -179,8 +159,8 @@ class PersistentWorkerPool:
         what went wrong, or is the exception that stopped a pickle."""
         self.terminate()
         if isinstance(why, BaseException):
-            return _Unpicklable(f"worker {i}: {type(why).__name__}: {why}")
-        return WorkerError(f"worker {i} {why}")
+            return _Unpicklable(f"worker {i}: {type(why).__name__}: {why}", i)
+        return WorkerError(f"worker {i} {why}", i)
 
     def _send(self, i: int, method: str, payload: Any) -> None:
         try:
@@ -203,7 +183,7 @@ class PersistentWorkerPool:
             raise self._broken(i, exc) from exc
         if reply[0] == "unpicklable":
             self.terminate()
-            raise _Unpicklable(f"worker {i}: {reply[1].strip().splitlines()[-1]}")
+            raise _Unpicklable(f"worker {i}: {reply[1].strip().splitlines()[-1]}", i)
         return reply
 
     def _recv(self, i: int) -> Any:
@@ -217,13 +197,6 @@ class PersistentWorkerPool:
         """Invoke ``state.method(payload)`` on worker ``i``; return its result."""
         if self._closed:
             raise WorkerError("pool is closed")
-        if self.inline:
-            try:
-                return getattr(self._states[i], method)(payload)
-            except WorkerError:
-                raise
-            except Exception:
-                raise self._broken(i, f"failed:\n{traceback.format_exc()}")
         self._send(i, method, payload)
         return self._recv(i)
 
@@ -231,8 +204,6 @@ class PersistentWorkerPool:
         """Invoke ``method`` on every worker concurrently; results in order."""
         if len(payloads) != self.n_workers:
             raise ValueError(f"need {self.n_workers} payloads, got {len(payloads)}")
-        if self.inline:
-            return [self.call(i, method, p) for i, p in enumerate(payloads)]
         if self._closed:
             raise WorkerError("pool is closed")
         for i, payload in enumerate(payloads):
@@ -242,10 +213,9 @@ class PersistentWorkerPool:
     # ------------------------------------------------------------------
     def stop(self) -> List[Optional[dict]]:
         """Graceful shutdown. Returns per-worker stats (``peak_rss_kb``),
-        aligned with worker index; inline pools return an empty list (no
-        child processes to account)."""
+        aligned with worker index."""
         stats: List[Optional[dict]] = []
-        if not self._closed and not self.inline:
+        if not self._closed:
             for conn in self._conns:
                 try:
                     conn.send(("stop",))
@@ -266,7 +236,6 @@ class PersistentWorkerPool:
         if self._closed:
             return
         self._closed = True
-        self._states = []
         for proc in self._procs:
             proc.terminate()
         for proc in self._procs:

@@ -164,7 +164,7 @@ def run_sharded_substrate(
         )
         for group in groups
     ]
-    pool = PersistentWorkerPool(_make_island, specs, inline=(shards == 1))
+    pool = PersistentWorkerPool(_make_island, specs)
     try:
         t0 = time.perf_counter()
         now = 0.0

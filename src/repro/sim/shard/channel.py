@@ -19,8 +19,8 @@ event queue uses, lifted to the channel:
   worker layout or arrival order.
 
 A :class:`CutMessage` and everything it carries is an immutable value:
-between islands of one process it is handed over as the object it is,
-between processes as its pickle, and the two must be indistinguishable.
+it travels through the coordinator as its pickle, and the receiving
+island must not be able to tell it from the object that was sent.
 """
 
 from __future__ import annotations

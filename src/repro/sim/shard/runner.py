@@ -4,9 +4,10 @@ One big run becomes ``n_islands`` sub-simulations, each a full
 :class:`~repro.sim.engine.Simulator` owning one island's hosts, stepped
 in lockstep epochs of length ``lookahead`` by a coordinator in the
 parent process. Cross-cut frames travel between epochs through the
-:mod:`~repro.sim.shard.channel`.
+:mod:`~repro.sim.shard.channel`. A run that would use one worker has
+nothing to synchronise and runs the classic body instead.
 
-Determinism argument (the byte-identical-traces claim):
+Determinism argument (the layout-invariance claim, ``shards>=2``):
 
 1. Each island's sub-simulation is a deterministic function of
    *(island build plan, per-epoch inbox sequence)* — the build replays
@@ -17,17 +18,9 @@ Determinism argument (the byte-identical-traces claim):
    execution, and the merge sorts by that key before scheduling.
 3. What crosses a boundary — the :class:`ShardPlan` into a worker, an
    inbox into an island, an outbox and the final accounting back out —
-   is an immutable value: nobody mutates it after handing it over
-   (frames and protocol messages already obey this inside an island,
-   where one multicast hands one ``Frame`` to every receiver), so an
-   island cannot tell an object from its pickled copy.
-4. Worker layout (how islands map onto processes, or whether they run
-   inline) therefore cannot influence any island's history. ``shards=1``
-   hands everything over by reference, in this process; ``shards>=2``
-   sends it through real pipes as real pickles. The equivalence suite
-   pins that the two produce byte-identical traces, counters,
-   notifications, and merged metrics — which certifies both the
-   argument above and that serialization changes nothing.
+   is an immutable value sent through a pipe as its pickle.
+4. Worker layout therefore cannot influence any island's history; the
+   equivalence suite pins ``shards=2`` ≡ ``"auto"`` on a three-island farm.
 
 The epoch discipline matches the engine's ``run(until=X)`` contract
 (events with ``when <= X`` fire): epoch *k* covers ``(E, E+L]``. A frame
@@ -38,13 +31,14 @@ scheduled at the epoch barrier can never land in an island's past.
 
 from __future__ import annotations
 
+import gc
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
 
-from repro.farm.scenario import ScenarioResult, close_farm, dress_farm
+from repro.farm.scenario import ScenarioResult, close_farm, dress_farm, run_classic
 from repro.metrics.core import MetricsRegistry
 from repro.node.faults import FaultPlan
-from repro.runner.pool import PersistentWorkerPool
+from repro.runner.pool import PersistentWorkerPool, WorkerError
 from repro.sim.shard.channel import CutMessage, ShardGateway, merge_inbox
 from repro.sim.shard.context import ShardBuildContext, active
 from repro.sim.shard.partition import IslandPartition, split_fault_actions
@@ -76,8 +70,7 @@ def validate_shards(shards: Union[int, str]) -> Union[int, str]:
 @dataclass
 class ShardPlan:
     """Everything a worker needs to build and run one island. Picklable,
-    and read-only once built: inline, the coordinator and every island
-    share this one object."""
+    and read-only once built."""
 
     factory: Callable[..., Any]
     factory_kwargs: Dict[str, Any]
@@ -178,7 +171,8 @@ class IslandHost:
 
 
 class ShardWorker:
-    """The state one pool worker holds: its assigned islands."""
+    """The state one pool worker holds: its assigned islands (the class is
+    the pool's spawn-importable init function)."""
 
     def __init__(self, init: _WorkerInit) -> None:
         self.hosts = {i: IslandHost(init.plan, i) for i in init.island_ids}
@@ -194,11 +188,6 @@ class ShardWorker:
         return {i: host.finish() for i, host in self.hosts.items()}
 
 
-def _make_worker(init: _WorkerInit) -> ShardWorker:
-    """Module-level worker factory (spawn-importable)."""
-    return ShardWorker(init)
-
-
 @dataclass
 class ShardedScenarioResult(ScenarioResult):
     """A :class:`ScenarioResult` plus shard-plane artifacts."""
@@ -211,7 +200,7 @@ class ShardedScenarioResult(ScenarioResult):
     metrics: Optional[MetricsRegistry] = None
     events_executed: int = 0
     n_islands: int = 0
-    #: worker processes actually used (1 = inline, no children)
+    #: worker processes actually used (1 = the classic run, in this process)
     shards: int = 0
     lookahead: float = 0.0
     #: total cross-cut messages sent over the channel
@@ -240,15 +229,14 @@ def run_sharded(
 
     ``factory`` is a module-level farm factory (e.g.
     :func:`~repro.farm.builder.build_farm`) accepting a ``trace=``
-    keyword; it is called once here for reconnaissance (partition +
-    wiring capture) and once per island inside each worker.
+    keyword; it is called once here, with the run's own trace, and once
+    per island inside each worker.
 
     ``shards`` is a worker-process budget: ``"auto"`` means one worker
-    per island; an int is clamped to the island count. ``shards=1`` runs
-    every island inline in this process — same pipeline, no children,
-    and cut messages handed over as the objects they are instead of as
-    pickles (module docstring, note 3) — which is the determinism
-    baseline the equivalence tests compare the piped layouts against.
+    per island; an int is clamped to the island count. When that leaves
+    one worker (``shards=1``, or a one-island farm) the farm built here
+    runs through :func:`~repro.farm.scenario.run_classic`, on one
+    simulator with no cut (``n_islands=1``, ``cross_messages=0``).
     """
     factory_kwargs = dict(factory_kwargs or {})
     if "trace" in factory_kwargs:
@@ -259,17 +247,37 @@ def run_sharded(
     shards = validate_shards(shards)
     if stability_timeout is None:
         stability_timeout = min(duration, 300.0)
+    categories = tuple(trace_categories) if trace_categories is not None else None
 
-    # recon pass: the full farm, built once, never run — yields the
-    # partition, link qualities, and the expected-topology rows
-    recon = factory(trace=Trace(store=False), **factory_kwargs)
-    part = IslandPartition.from_farm(recon, cut_vlans=cut_vlans)
-    configdb_rows = tuple(recon.fabric.connections())
-    fault_actions = split_fault_actions(plan, part) if plan is not None else {}
-    del recon  # a whole second farm; nothing below needs it
-
+    # the full farm, built once: the classic run's farm, or the recon
+    # pass yielding the partition, link qualities and expected topology
+    farm = factory(trace=Trace(store=trace_store, categories=categories), **factory_kwargs)
+    part = IslandPartition.from_farm(farm, cut_vlans=cut_vlans)
     n_islands = part.n_islands
     n_workers = n_islands if shards == "auto" else min(int(shards), n_islands)
+    if n_workers == 1:
+        result, _ = run_classic(
+            farm, plan, churn, duration=duration, ambient_load=dict(ambient_load or {}),
+            stability_timeout=stability_timeout, stop_when_stable=stop_when_stable,
+        )
+        sim = farm.sim
+        one = ShardedScenarioResult(
+            **vars(result),
+            trace_records=list(sim.trace.records),
+            metrics=MetricsRegistry.from_dump(sim.metrics.dump()),
+            events_executed=sim.events_executed,
+            n_islands=1,
+            shards=1,
+        )
+        # the farm is one web of reference cycles (sim <-> hosts); free it
+        # now rather than leave it for whatever the caller allocates next
+        del farm, sim
+        gc.collect()
+        return one
+    configdb_rows = tuple(farm.fabric.connections())
+    fault_actions = split_fault_actions(plan, part) if plan is not None else {}
+    del farm  # a whole farm; nothing below needs it
+
     worker_islands = [
         tuple(i for i in range(n_islands) if i % n_workers == w) for w in range(n_workers)
     ]
@@ -282,25 +290,20 @@ def run_sharded(
         churn=dict(churn) if churn is not None else None,
         ambient_load=dict(ambient_load or {}),
         trace_store=trace_store,
-        trace_categories=tuple(trace_categories) if trace_categories is not None else None,
+        trace_categories=categories,
     )
-    inline = n_workers == 1
     pool = PersistentWorkerPool(
-        _make_worker,
-        [_WorkerInit(shard_plan, ids) for ids in worker_islands],
-        inline=inline,
+        ShardWorker, [_WorkerInit(shard_plan, ids) for ids in worker_islands]
     )
     try:
         lookahead = part.lookahead
-        # a single-island farm exchanges no messages, so its barrier can
-        # match the legacy stability-poll step instead of the lookahead
-        epoch = lookahead if n_islands > 1 else max(lookahead, 0.5)
         now = 0.0
+        n_epochs = 0
         stable_time: Optional[float] = None
         pending: Dict[int, List[CutMessage]] = {i: [] for i in range(n_islands)}
 
         def step_to(target: float) -> None:
-            nonlocal now, stable_time
+            nonlocal now, n_epochs, stable_time
             payloads = []
             for w in range(n_workers):
                 inbox = {}
@@ -308,8 +311,17 @@ def run_sharded(
                     inbox[i] = merge_inbox(pending[i])
                     pending[i] = []
                 payloads.append({"until": target, "inbox": inbox})
-            results = pool.call_all("step", payloads)
+            try:
+                results = pool.call_all("step", payloads)
+            except WorkerError as exc:
+                owned = worker_islands[exc.worker] if exc.worker is not None else ()
+                raise WorkerError(
+                    f"island(s) {', '.join(map(str, owned)) or '?'}, epoch {n_epochs} "
+                    f"(barrier t={target:.6f}s): {exc}",
+                    exc.worker,
+                ) from exc
             now = target
+            n_epochs += 1
             reports: Dict[int, Dict[str, Any]] = {}
             for worker_result in results:
                 for island_id, report in worker_result.items():
@@ -325,12 +337,11 @@ def run_sharded(
 
         # phase 1: wait for GSC stability (mirrors Farm.run_until_stable)
         while stable_time is None and now < stability_timeout:
-            step_to(min(now + epoch, stability_timeout))
+            step_to(min(now + lookahead, stability_timeout))
         # phase 2: the scenario body (mirrors Scenario.run)
         if not (stop_when_stable and stable_time is not None):
             while now < duration:
-                step_to(min(now + epoch, duration))
-
+                step_to(min(now + lookahead, duration))
         dropped = sum(len(v) for v in pending.values())
         finals = pool.call_all("finish", [None] * n_workers)
         pool.stop()

@@ -19,15 +19,13 @@ accomplished with minimal service interruption"):
   capacity number is *moves per hour sustained without invariant
   violation* and the availability/latency SLOs are measured during churn.
 
-Sharding: with ``cut_vlans=(ADMIN, DISPATCH)`` the farm splits into a
-dispatcher island (the traffic source) and one data island (every domain,
-the spares, and ``site-0`` — domains are fused through each domain's
-``be-0`` bridge adapter on the free-pool VLAN, so GSC and every move
-target share an island, which keeps reconfiguration intra-island per
-PROTOCOL §9). Requests cross the cut on the deterministic cross-shard
-channel — as the frames they are at ``shards=1``, pickled through a
-pipe at ``shards=2`` — so a case replayed at either produces
-byte-identical traces, metrics, and SLO reports.
+Sharding: ``shards=1`` (the default) is the classic one-simulator run.
+From two workers up, ``cut_vlans=(ADMIN, DISPATCH)`` splits the farm into
+a dispatcher island (the traffic source) and one data island (every
+domain, the spares, and ``site-0`` — fused through each domain's ``be-0``
+bridge adapter on the free-pool VLAN, which keeps reconfiguration
+intra-island per PROTOCOL §9), and each request crossing the cut also
+pays the channel's lookahead.
 """
 
 from __future__ import annotations
@@ -312,14 +310,13 @@ def run_traffic_case(
     profile: str = "diurnal",
     shards: Union[int, str] = 1,
 ) -> Dict:
-    """Run one traffic case (always through the shard runner — ``shards=1``
-    runs the identical pipeline inline, its two islands exchanging cut
-    messages by reference) and fold it into a plain-JSON row.
+    """Run one traffic case through the shard runner (``shards=1``: the
+    classic run) and fold it into a plain-JSON row.
 
     ``case`` and ``rep`` only differentiate the derived task seed when
     fanned out by :func:`run_traffic_campaign` (``rep`` is the replicate
     index of the same case); the shard count never appears in the row, so
-    rows are byte-identical at ``shards=1`` vs ``shards=2``.
+    rows are byte-identical at any layout of two or more workers.
     """
     kwargs = dict(
         domains=domains,
@@ -452,7 +449,7 @@ def run_traffic_campaign(
 
     Rows are byte-identical for any ``jobs`` value (deterministic
     per-task seed derivation, grid-order results) and for any per-case
-    ``shards`` value (the shard-equivalence contract).
+    ``shards`` value of two or more (the shard-equivalence contract).
     """
     if replicates < 1:
         raise ValueError(f"replicates must be >= 1, got {replicates}")

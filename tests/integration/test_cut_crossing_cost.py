@@ -1,11 +1,12 @@
-"""What a cut crossing and a request cost, pinned with counts (docs/PROTOCOL.md §8).
+"""What a request costs, pinned with counts (docs/PROTOCOL.md §8).
 
-One QUICK traffic case at ``shards=1`` — two islands in this process, every
-request, response and admin-VLAN frame crossing the cut between them — runs
-under cProfile. Counts repeat exactly for a seed and do not care how loaded
-the host is. Every pin fails on the code before inline hand-over went by
-reference: two pickle calls per epoch and island, 15.9 ``isinstance`` tests
-per ``on_frame``, one ``_maybe_purge`` per ``schedule_at``.
+One QUICK traffic case at ``shards=1`` — the classic run, one simulator in
+this process, with no cut for a request, response or admin-VLAN frame to
+cross — runs under cProfile. Counts repeat exactly for a seed and do not
+care how loaded the host is. The pins fail on older code: the one-worker
+shard pipeline called the cut channel for every crossing and once pickled
+each epoch twice per island; ``on_frame`` made 15.9 ``isinstance`` tests
+per call; ``schedule_at`` made one ``_maybe_purge`` call per call.
 """
 
 import cProfile
@@ -24,7 +25,7 @@ def profile():
     profiler.enable()
     row = run_traffic_case(case=0, seed=7, shards=1, **QUICK)
     profiler.disable()
-    assert row["cross_messages"] > 1000 and row["requests"]["issued"] > 500
+    assert row["cross_messages"] == 0 and row["requests"]["issued"] > 500
     return pstats.Stats(profiler).stats
 
 
@@ -46,9 +47,19 @@ def _calls_from(stats, callee, caller, module):
 
 
 def test_inline_run_pickles_nothing(profile):
-    """Between islands of one process a frame crosses as the object it is."""
+    """One worker is one simulator in this process: nothing is serialised."""
     pickling = {fn: entry[1] for (_file, _line, fn), entry in profile.items() if "_pickle." in fn}
     assert pickling == {}
+
+
+def test_classic_run_never_touches_the_cut_channel(profile):
+    """No partition gateway, no cut message, no inbox merge: the channel's
+    functions are never called."""
+    channel = {
+        fn: entry[1] for (filename, _line, fn), entry in profile.items()
+        if filename.endswith("sim/shard/channel.py")
+    }
+    assert channel == {}
 
 
 def test_on_frame_finds_its_handler_by_type(profile):
@@ -63,9 +74,9 @@ def test_on_frame_finds_its_handler_by_type(profile):
 
 
 def test_schedule_at_checks_the_dead_count_before_calling_purge(profile):
-    """Every request arrival and every cut injection is a ``schedule_at``;
-    it calls for a purge only when the dead count says one may be due (the
-    unconditional check at the end of each ``run`` is what keeps the bound)."""
+    """Every request arrival is a ``schedule_at``; it calls for a purge only
+    when the dead count says one may be due (the unconditional check at the
+    end of each ``run`` is what keeps the bound)."""
     schedule_at = _calls(profile, "schedule_at", "sim/engine.py")
-    assert schedule_at > 1000
+    assert schedule_at > 500
     assert _calls_from(profile, "_maybe_purge", "schedule_at", "sim/engine.py") < schedule_at / 2

@@ -169,9 +169,17 @@ def _zoned(os_name):
     return dict(ZONED, os_params=OS[os_name])
 
 
-def _zoned_print(os_name, plan, shards=1, duration=21.0):
-    res = run_sharded(build_zoned_farm, _zoned(os_name), plan=plan, duration=duration,
-                      shards=shards)
+def build_eager_zoned_farm(trace=None, **kwargs):
+    """``build_zoned_farm`` in a process switched to the eager oracle. A
+    spawned shard worker imports the lazy handler afresh, so the factory
+    it runs is what swaps the oracle in (in the parent, the test's own
+    monkeypatch has already done so, and undoes it afterwards)."""
+    AdapterProtocol.receive = _eager_receive
+    return build_zoned_farm(trace=trace, **kwargs)
+
+
+def _zoned_print(os_name, plan, shards=1, duration=21.0, factory=build_zoned_farm):
+    res = run_sharded(factory, _zoned(os_name), plan=plan, duration=duration, shards=shards)
     out = _shard_fingerprint(res)
     out["metrics"] = {k: v for k, v in out["metrics"].items() if k not in _ENGINE_METRICS}
     return out
@@ -182,7 +190,7 @@ def _zoned_print(os_name, plan, shards=1, duration=21.0):
 @given(st.lists(_action, min_size=1, max_size=4), st.sampled_from(sorted(OS)))
 def test_differential_random_fault_programs(program, os_name):
     """Whole fault programs drawn the way ``test_shard_equivalence`` draws
-    them, through the inline shard pipeline."""
+    them, on the ZONED farm's one simulator."""
     plan = _compile(program)
     with pytest.MonkeyPatch.context() as monkeypatch:
         _assert_lazy_equals_eager(monkeypatch, lambda: _zoned_print(os_name, plan))
@@ -190,12 +198,13 @@ def test_differential_random_fault_programs(program, os_name):
 
 @pytest.mark.slow
 def test_sharded_run_matches_eager_single_process(monkeypatch):
-    """Spawned workers import the unpatched (lazy) handler; the patched
-    parent runs every island inline on the eager oracle."""
+    """Spawned workers import the unpatched (lazy) handler: two of them run
+    the three ZONED islands lazily, then three run them on the eager oracle
+    their factory swaps in — two layouts, two handlers, one simulation."""
     plan = _compile([("crash_restart", "z0-n1"), ("split", 23)])
     sharded = _zoned_print("fast", plan, shards=2)
     monkeypatch.setattr(AdapterProtocol, "receive", _eager_receive)
-    eager = _zoned_print("fast", plan, shards=1)
+    eager = _zoned_print("fast", plan, shards="auto", factory=build_eager_zoned_farm)
     assert sharded.pop("events") < eager.pop("events")
     assert sharded == eager
 

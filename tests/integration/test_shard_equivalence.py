@@ -1,22 +1,24 @@
-"""Sharded ≡ single-process at farm scale: byte-identical artifacts.
+"""Layout invariance at farm scale: byte-identical artifacts.
 
-The PR 7 acceptance bar (PROTOCOL §9): for any scenario, ``shards=1``
-(every island inline, no children) and ``shards>=2`` (islands spread over
-spawned workers) must produce *byte-identical* trace streams, counters,
-notification histories, segment totals, and merged metrics. The inline
-layout runs the same partition/channel/merge pipeline but hands every plan,
-epoch payload and result over by reference, where the pooled layout sends
-them through real pipes as real pickles — so equality here certifies both
-that the parallel layout changed nothing but wall-clock time and that
-serialization changes nothing: what crosses a boundary is an immutable
-value. (``tests/shard/test_inline_handover.py`` is the in-process half: the
-old pickling inline pool, kept as a test-local oracle.)
+The sharding acceptance bar (PROTOCOL §9): for any scenario, every layout of
+two or more workers must produce *byte-identical* trace streams,
+counters, notification histories, segment totals, and merged metrics.
+The ZONED farm has three islands, so ``shards=2`` (two workers, one of
+them holding two islands) and ``"auto"`` (one worker per island) are two
+different layouts; both send every plan, epoch payload and result through
+real pipes as real pickles, so equality certifies that the layout changed
+nothing but wall-clock time. (``shards=1`` is the classic one-simulator
+run, with no cut; ``tests/shard/test_classic_vs_sharded.py`` compares it.)
 
 Covers the corpus-shaped fault space: crash storms, adapter flaps with
 explicit NIC failure modes, VLAN partitions with scripted groups, and
 switch/router faults (which are broadcast to every island). The
 randomized differential at the bottom draws whole fault *programs* the
 same way the chaos corpus does and replays each at both layouts.
+
+The traffic farm has two islands, where ``2`` and ``"auto"`` are one
+layout; its tests compare the classic run with ``shards=2`` instead,
+and name the fields the cut's lookahead is allowed to move.
 """
 
 from __future__ import annotations
@@ -32,6 +34,7 @@ from repro.node.osmodel import OSParams
 from repro.sim.shard import run_sharded
 
 from tests.conftest import FAST
+from tests.workload.test_traffic import assert_same_but_lookahead
 
 #: 2 zones x 3 nodes -> 3 islands (management hub + two zones)
 ZONED = dict(
@@ -85,11 +88,12 @@ def _run(shards, plan=None, duration=18.0, factory_kwargs=ZONED):
     )
 
 
-def _assert_equivalent(plan, shards=2, duration=18.0, factory_kwargs=ZONED):
-    inline = _fingerprint(_run(1, plan, duration, factory_kwargs))
-    pooled = _fingerprint(_run(shards, plan, duration, factory_kwargs))
-    for key in inline:
-        assert inline[key] == pooled[key], f"{key} diverged between layouts"
+def _assert_equivalent(plan, duration=18.0, factory_kwargs=ZONED):
+    two = _fingerprint(_run(2, plan, duration, factory_kwargs))
+    auto = _fingerprint(_run("auto", plan, duration, factory_kwargs))
+    assert two["cross"] > 0  # the islands did talk across the cut
+    for key in two:
+        assert two[key] == auto[key], f"{key} diverged between layouts"
 
 
 # ----------------------------------------------------------------------
@@ -148,14 +152,14 @@ def test_vlan_partition_and_switch_faults_equivalent():
 
 @pytest.mark.slow
 def test_three_way_layout_invariance():
-    """auto (one worker per island) agrees with 1 and 2: worker *layout*
-    is free, only the partition is semantic."""
+    """auto (one worker per island) agrees with 2 workers and with an
+    explicit 3: worker *layout* is free, only the partition is semantic."""
     plan = FaultPlan().crash_node(13.0, "z1-n1")
     prints = {
         shards: _fingerprint(_run(shards, plan, duration=20.0))
-        for shards in (1, 2, "auto")
+        for shards in (2, 3, "auto")
     }
-    assert prints[1] == prints[2] == prints["auto"]
+    assert prints[2] == prints[3] == prints["auto"]
 
 
 # ----------------------------------------------------------------------
@@ -163,38 +167,46 @@ def test_three_way_layout_invariance():
 # ----------------------------------------------------------------------
 def test_traffic_case_rows_identical_at_1_vs_2():
     """A full traffic case — streamed requests crossing the dispatcher cut,
-    live autoscaler moves on the data island — is the same JSON row at
-    every shard layout."""
+    live autoscaler moves on the data island — classic vs two workers:
+    every request, move, check and fault count is the same; only the
+    fields the lookahead moves differ."""
     from repro.workload.traffic import run_traffic_case
 
     kw = dict(case=0, seed=7, duration=15.0, rate=80.0, n_users=50_000)
-    assert run_traffic_case(shards=1, **kw) == run_traffic_case(shards=2, **kw)
+    classic = run_traffic_case(shards=1, **kw)
+    sharded = run_traffic_case(shards=2, **kw)
+    assert_same_but_lookahead(classic, sharded)
+    assert classic["latency"]["p50"] < sharded["latency"]["p50"]
 
 
 @pytest.mark.slow
 def test_traffic_chaos_three_way_layout_invariance():
     """With a chaos mix on top (faults island-local, requests crossing the
-    cut, retries timing out against cross-shard latency): shards=1, 2 and
-    auto all fold to identical rows and identical SLO reports."""
+    cut, retries timing out against cross-shard latency): shards=2 and
+    auto fold to identical rows and identical SLO reports."""
     from repro.workload.traffic import build_traffic_report, run_traffic_case
 
     kw = dict(case=0, seed=3, duration=20.0, rate=80.0, n_users=50_000,
               mix="mixed")
-    rows = {s: run_traffic_case(shards=s, **kw) for s in (1, 2, "auto")}
-    assert rows[1] == rows[2] == rows["auto"]
+    rows = {s: run_traffic_case(shards=s, **kw) for s in (2, "auto")}
+    assert rows[2] == rows["auto"]
     reports = {
         s: build_traffic_report([{**row, "case": 0}], base_seed=3, mix="mixed")
         for s, row in rows.items()
     }
-    assert reports[1] == reports[2] == reports["auto"]
-    assert reports[1]["ok"], reports[1]["violations"]
-    assert sum(reports[1]["faults_injected"].values()) >= 6
+    assert reports[2] == reports["auto"]
+    assert reports[2]["ok"], reports[2]["violations"]
+    assert sum(reports[2]["faults_injected"].values()) >= 6
 
 
 @pytest.mark.slow
 def test_traffic_scenario_fingerprints_identical():
-    """The raw ShardedScenarioResult artifacts (not just the folded row):
-    trace records, counters, metrics, segment totals all agree."""
+    """The raw ShardedScenarioResult artifacts (not just the folded row),
+    classic vs two workers. The lookahead delays every admin-VLAN crossing,
+    so discovery settles later and the heartbeat ring on the admin VLAN
+    (the cut) gets through fewer rounds; everything off that VLAN — every
+    data and dispatch segment, the request plane's counters, the trace
+    records and notifications bar their times — is the same."""
     from repro.farm.builder import ADMIN_VLAN
     from repro.farm.domain import DISPATCH_VLAN
     from repro.workload.traffic import (
@@ -203,9 +215,9 @@ def test_traffic_scenario_fingerprints_identical():
     )
 
     kw = dict(duration=15.0, rate=80.0, n_users=50_000, seed=11)
-    prints = {}
+    res, prints = {}, {}
     for shards in (1, 2):
-        res = run_sharded(
+        res[shards] = run_sharded(
             build_traffic_farm, kw,
             duration=traffic_horizon(15.0, None),
             stability_timeout=TRAFFIC_START,
@@ -213,10 +225,28 @@ def test_traffic_scenario_fingerprints_identical():
             cut_vlans=(ADMIN_VLAN, DISPATCH_VLAN),
             trace_categories=TRAFFIC_TRACE_CATEGORIES,
         )
-        assert res.n_islands == 2
-        prints[shards] = _fingerprint(res)
-    for key in prints[1]:
-        assert prints[1][key] == prints[2][key], f"{key} diverged between layouts"
+        prints[shards] = _fingerprint(res[shards])
+    classic, sharded = prints[1], prints[2]
+    assert res[1].n_islands == 1 and res[2].n_islands == 2
+    assert classic["cross"] == 0 and sharded["cross"] > 0
+    for key in ("clock", "unfired", "dropped"):
+        assert classic[key] == sharded[key], key
+    assert classic["stable"] < sharded["stable"]
+    assert [r[1:] for r in classic["records"]] == [r[1:] for r in sharded["records"]]
+    assert [(n.kind, n.subject, n.detail) for n in classic["notifications"]] == [
+        (n.kind, n.subject, n.detail) for n in sharded["notifications"]
+    ]
+    for vlan, stats in classic["segments"].items():
+        if vlan != ADMIN_VLAN:
+            assert stats == sharded["segments"][vlan], vlan
+    request_plane = [
+        key for key in classic["metrics"]
+        if key.startswith(("traffic.", "autoscaler.", "checks.", "chaos."))
+        and key != "traffic.latency_s"
+    ]
+    assert any(key.startswith("traffic.requests") for key in request_plane)
+    for key in request_plane:
+        assert classic["metrics"][key] == sharded["metrics"][key], key
 
 
 # ----------------------------------------------------------------------

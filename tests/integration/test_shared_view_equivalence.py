@@ -161,8 +161,17 @@ def test_chaos_corpus(monkeypatch, mix, seed):
     )
 
 
-def _zoned_print(plan, shards=1, duration=21.0):
-    res = run_sharded(build_zoned_farm, ZONED, plan=plan, duration=duration, shards=shards)
+def build_per_member_zoned_farm(trace=None, **kwargs):
+    """``build_zoned_farm`` in a process switched to the per-member oracle.
+    A spawned shard worker imports the shared-view code afresh, so the
+    factory it runs is what swaps the oracle in (in the parent, the test's
+    own monkeypatch has already done so, and undoes it afterwards)."""
+    _patch_in_per_member_derivation(SimpleNamespace(setattr=setattr))
+    return build_zoned_farm(trace=trace, **kwargs)
+
+
+def _zoned_print(plan, shards=1, duration=21.0, factory=build_zoned_farm):
+    res = run_sharded(factory, ZONED, plan=plan, duration=duration, shards=shards)
     return _shard_fingerprint(res)
 
 
@@ -171,10 +180,11 @@ def _zoned_print(plan, shards=1, duration=21.0):
 @given(st.lists(_action, min_size=1, max_size=4))
 def test_differential_random_fault_programs(program):
     """Whole fault programs drawn the way ``test_shard_equivalence`` draws
-    them, through the inline shard pipeline: every commit that crosses the
-    cut arrives as the coordinator's own object, so members on three islands
-    install the one view it built (through a pipe it would arrive as a
-    cache-free pickled copy; ``test_shard_equivalence`` holds the two equal)."""
+    them, on the ZONED farm's one simulator: every commit arrives as the
+    coordinator's own object, so members across all three zones install the
+    one view it built (between shard workers it arrives as a cache-free
+    pickled copy; ``test_sharded_run_matches_per_member_single_process``
+    covers that)."""
     plan = _compile(program)
     with pytest.MonkeyPatch.context() as monkeypatch:
         _assert_shared_equals_per_member(monkeypatch, lambda: _zoned_print(plan))
@@ -182,12 +192,14 @@ def test_differential_random_fault_programs(program):
 
 @pytest.mark.slow
 def test_sharded_run_matches_per_member_single_process(monkeypatch):
-    """Spawned workers import the unpatched (shared-view) code; the patched
-    parent runs every island inline on the per-member oracle."""
+    """Spawned workers import the unpatched (shared-view) code: two of them
+    run the three ZONED islands on it, then three run them on the per-member
+    oracle their factory swaps in — two layouts, two derivations, one
+    simulation."""
     plan = _compile([("crash_restart", "z0-n1"), ("split", 23)])
     sharded = _zoned_print(plan, shards=2)
     _patch_in_per_member_derivation(monkeypatch)
-    assert sharded == _zoned_print(plan, shards=1)
+    assert sharded == _zoned_print(plan, shards="auto", factory=build_per_member_zoned_farm)
 
 
 # ----------------------------------------------------------------------

@@ -1,19 +1,11 @@
-"""PersistentWorkerPool: spawn/inline parity and failure propagation.
+"""PersistentWorkerPool: state, ordering and failure propagation.
 
 ``repro.runner.pool`` has one worker process; shard islands drive it
 through this pool and sweeps through ``ParallelRunner``
 (``tests/runner/test_pool.py``). A worker that raises, dies between two
 steps or never answers must surface as a ``WorkerError`` naming it, in
-bounded time.
-
-The pool's contract is that ``inline=True`` is *behaviourally identical*
-to the spawn pool for callers that treat what they hand over as immutable
-values: state, ordering and failures are the same, but an inline worker
-receives (and returns) the very objects the other side holds, where a
-spawned one gets pickled copies. The shard pipeline keeps that discipline,
-so a shards=1 run against a shards>=2 run compares by-reference hand-over
-with the real serialization surface (tests/shard/test_inline_handover.py
-replays the old pickling inline path as an oracle).
+bounded time. Everything crosses the pipe as its pickle, so what a worker
+does to a payload never reaches the caller.
 """
 
 import time
@@ -56,9 +48,10 @@ def _make(init):
 INIT_ARGS = ({"start": 10}, {"start": 20})  # never mutated
 
 
-@pytest.fixture(params=[True, False], ids=["inline", "spawn"])
+# the start method every pool worker is created with, named in each test id
+@pytest.fixture(params=[pool_module.START_METHOD])
 def pool(request):
-    p = PersistentWorkerPool(_make, INIT_ARGS, inline=request.param)
+    p = PersistentWorkerPool(_make, INIT_ARGS)
     yield p
     p.terminate()
 
@@ -75,21 +68,15 @@ def test_call_all_fans_out_in_worker_order(pool):
 
 
 def test_payload_mutation_in_worker_does_not_leak(pool):
-    """Who keeps a handed-over value intact depends on the layout. A spawned
-    worker gets a pickled copy, so the pipe isolates the caller from anything
-    the worker does to it. An inline worker gets the caller's own object —
-    init arg, payload and result all cross by identity, nothing is copied —
-    so immutability is owned by the two sides, not by the pool: neither may
-    mutate what it handed over or was handed (``Tally.add`` breaks exactly
-    that rule, and inline the caller would see it)."""
+    """A worker gets a pickled copy, so the pipe isolates the caller from
+    anything the worker does to it (``Tally.add`` mutates its payload), and
+    what it keeps or returns is a copy too."""
     payload = {"n": 7}
-    if pool.inline:
-        kept = pool.call(0, "keep", payload)
-        assert kept[0] is INIT_ARGS[0] and kept[1] is payload
-        assert pool.call(0, "last_kept") is kept
-        return
     pool.call(0, "add", payload)
     assert payload == {"n": 7}
+    kept = pool.call(0, "keep", payload)
+    assert kept == [INIT_ARGS[0], payload] and kept[1] is not payload
+    assert pool.call(0, "last_kept") == kept
 
 
 def test_worker_exception_surfaces_as_workererror(pool):
@@ -97,12 +84,11 @@ def test_worker_exception_surfaces_as_workererror(pool):
         pool.call(0, "boom", {"why": "test"})
 
 
-def test_stop_shape_differs_between_modes():
-    inline = PersistentWorkerPool(_make, [{"start": 0}], inline=True)
-    assert inline.stop() == []  # no children, no stats
-    spawned = PersistentWorkerPool(_make, [{"start": 0}], inline=False)
-    (stats,) = spawned.stop()
-    assert stats is not None and stats["peak_rss_kb"] > 0
+def test_stop_reports_each_workers_peak_rss():
+    spawned = PersistentWorkerPool(_make, [{"start": 0}, {"start": 1}])
+    stats = spawned.stop()
+    assert len(stats) == 2
+    assert all(s is not None and s["peak_rss_kb"] > 0 for s in stats)
 
 
 def test_empty_pool_rejected():
@@ -128,8 +114,9 @@ def test_worker_killed_between_steps_is_named():
         pool._procs[1].kill()
         pool._procs[1].join(timeout=10)
         assert not pool._procs[1].is_alive()
-        with pytest.raises(WorkerError, match="worker 1 died"):
+        with pytest.raises(WorkerError, match="worker 1 died") as err:
             pool.call_all("add", [{"n": 1}, {"n": 1}])
+        assert err.value.worker == 1
     finally:
         pool.terminate()
 
