@@ -360,8 +360,7 @@ class _ChaosInjector:
         host = self.farm.hosts[name]
         if host.crashed:
             return
-        os = host.os
-        os._busy_until = max(os._busy_until, self.sim.now + spike)
+        host.os.stall(self.sim.now + spike)
 
     def _move_adapter(self, ip, target_vlan: int) -> None:
         try:

@@ -184,13 +184,21 @@ class AdapterProtocol:
         # whatever the finished part of the backlog would have done under the
         # old state happens before anyone can see the new one
         self._absorb()
-        self._state = new
+        old, self._state = self._state, new
         if new is AdapterState.LEADER:
             # a leader acts on beacons: the unfinished rest become the events
             # they would have been, at their original keys
             while self._backlog:
                 when, seq, msg = self._backlog.popleft()
                 self.sim.schedule_at(when, self._on_beacon, msg, seq=seq)
+        if (old is AdapterState.LEADER) is not (new is AdapterState.LEADER):
+            self.nic._sync()  # a leader takes beacon multicasts eagerly
+
+    @property
+    def lazy(self) -> bool:
+        """May this adapter take beacon multicasts as records (a sink's
+        ``lazy``, :meth:`NIC.bind`)? Everyone but a leader."""
+        return self._state is not AdapterState.LEADER
 
     def trace(self, category: str, **data: Any) -> None:
         self.sim.trace.emit(self.sim.now, category, self.nic.name, **data)
@@ -1062,7 +1070,55 @@ class AdapterProtocol:
             self._absorb()  # keeps a MEMBER's backlog at O(in flight)
         backlog.append((sim.now + self.os.charge(), sim.reserve_seq(), msg))
 
+    def receive_at(self, frame, seq: int) -> None:
+        """A beacon multicast logged as a record, at this eager (leader)
+        adapter: the event :meth:`receive` schedules, at its slot's ``seq``."""
+        sim = self.sim
+        sim.schedule_at(sim.now + self.os.charge(seq), self.on_frame, frame, seq=seq)
+
+    def take(self, entries) -> None:
+        """Beacon records the host's OS model billed for this adapter, as
+        ``(finish, seq, beacon)`` backlog entries in key order: the ones
+        already finished are handled here, the rest join the backlog."""
+        backlog = self._backlog
+        horizon = (self.sim.now, self.sim.firing_seq)
+        if backlog and backlog[0] < horizon:
+            self._fold_due()
+        if backlog:  # an older entry is unfinished: these queue behind it
+            backlog.extend(entries)
+            return
+        due = 0
+        state = self._state
+        if state is AdapterState.BEACONING or state is AdapterState.WAIT_FORM:
+            # _fold_due's collecting branch, straight from the list (a record
+            # is never this adapter's own beacon: the sender's slot is skipped)
+            peers, floor = self.peers, self._epoch_floor
+            for entry in entries:
+                if not entry < horizon:
+                    break
+                due += 1
+                msg = entry[2]
+                peers[msg.info.ip] = msg.info
+                if msg.epoch > floor:
+                    floor = msg.epoch
+            self._epoch_floor = floor
+        else:
+            # a lazy adapter is never a LEADER (the state setter bills first),
+            # and every other state ignores a beacon (§2.1)
+            for entry in entries:
+                if not entry < horizon:
+                    break
+                due += 1
+        if due < len(entries):
+            backlog.extend(entries[due:])
+
     def _absorb(self) -> None:
+        """Handle every beacon whose event would have fired by now: the
+        host bills its pending records first, then the due backlog folds."""
+        self.os.catch_up()
+        self._fold_due()
+
+    def _fold_due(self) -> None:
         """Handle every backlog beacon whose event would have fired by now.
 
         Entries are in key order (one host's handling finishes in arrival

@@ -26,6 +26,33 @@ from repro.net.addressing import IPAddress
 
 __all__ = ["CorrelationEngine"]
 
+_NONE: Set[IPAddress] = frozenset()  # type: ignore[assignment]
+
+
+class _Wiring(Dict[IPAddress, str]):
+    """adapter → component, with component → {adapters} kept beside it, so
+    inferring one component's status costs O(its adapters), not O(farm)."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.adapters: Dict[str, Set[IPAddress]] = {}
+
+    def __setitem__(self, ip: IPAddress, component: str) -> None:
+        old = self.get(ip)
+        if old is not None:
+            self.adapters[old].discard(ip)
+        super().__setitem__(ip, component)
+        self.adapters.setdefault(component, set()).add(ip)
+
+    def setdefault(self, ip: IPAddress, component: str) -> str:  # type: ignore[override]
+        if ip not in self:
+            self[ip] = component
+        return self[ip]
+
+    def of(self, component: str) -> Set[IPAddress]:
+        """The adapters mapped to ``component`` (live; do not mutate)."""
+        return self.adapters.get(component, _NONE)
+
 
 class CorrelationEngine:
     """Infers component status from adapter status."""
@@ -34,11 +61,11 @@ class CorrelationEngine:
         #: publish(kind, subject, **detail) — bound to the GSC's bus
         self._publish = publish
         #: adapter → node name (learned from reports)
-        self.adapter_node: Dict[IPAddress, str] = {}
+        self.adapter_node = _Wiring()
         #: adapter → switch name (from config DB or SNMP walk)
-        self.adapter_switch: Dict[IPAddress, str] = {}
+        self.adapter_switch = _Wiring()
         #: adapter → trunk router it sits behind (from config DB)
-        self.adapter_router: Dict[IPAddress, str] = {}
+        self.adapter_router = _Wiring()
         #: adapter liveness as currently known
         self.adapter_up: Dict[IPAddress, bool] = {}
         #: components currently inferred down
@@ -86,10 +113,10 @@ class CorrelationEngine:
     # inference
     # ------------------------------------------------------------------
     def _node_adapters(self, node: str) -> Set[IPAddress]:
-        return {ip for ip, n in self.adapter_node.items() if n == node}
+        return self.adapter_node.of(node)
 
     def _switch_adapters(self, switch: str) -> Set[IPAddress]:
-        return {ip for ip, s in self.adapter_switch.items() if s == switch}
+        return self.adapter_switch.of(switch)
 
     def _evaluate_node(self, node: str) -> None:
         adapters = self._node_adapters(node)
@@ -127,7 +154,7 @@ class CorrelationEngine:
             self._publish("switch_recovered", switch)
 
     def _router_adapters(self, router: str) -> Set[IPAddress]:
-        return {ip for ip, r in self.adapter_router.items() if r == router}
+        return self.adapter_router.of(router)
 
     def _evaluate_router(self, router: str) -> None:
         """§3: all adapters behind one router dead ⇒ the router is dead."""

@@ -112,7 +112,7 @@ class GulfStreamDaemon:
         for nic in self.host.enumerate_adapters():
             proto = AdapterProtocol(self, nic, self.params)
             self.protocols[nic.index] = proto
-            nic.handler = proto.receive
+            nic.bind(proto.receive, proto)
         for proto in self.protocols.values():
             proto.start()
 

@@ -177,11 +177,16 @@ class RingHeartbeat:
                 self.on_total_silence()
 
     def stop(self) -> None:
-        """Tear the engine down (view superseded or daemon stopping)."""
+        """Tear the engine down (view superseded or daemon stopping).
+
+        Dropping the timers breaks the engine ↔ timer reference cycle, so a
+        superseded engine is freed at once instead of by the cyclic GC."""
         if self._send_timer is not None:
             self._send_timer.cancel()
+            self._send_timer = None
         if self._check_timer is not None:
             self._check_timer.cancel()
+            self._check_timer = None
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (

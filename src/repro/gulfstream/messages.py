@@ -67,6 +67,10 @@ def _wire_state(msg: Any) -> Dict[str, Any]:
 class Beacon:
     """Multicast self-identification on the well-known group (§2.1)."""
 
+    # a non-leader only ever collects or ignores a beacon, so a segment may
+    # log a beacon multicast once for them (docs/PROTOCOL.md §8)
+    lazy_multicast = True
+
     info: MemberInfo
     #: set once the sender leads an AMG; merge logic keys off this
     is_leader: bool = False

@@ -56,6 +56,8 @@ class Fabric:
         reg.register_collector(self._collect_metrics)
 
     def _collect_metrics(self) -> None:
+        for nic in self.nics.values():
+            nic._settle()  # multicast records not yet billed count as received
         sent, received, send_drops, recv_drops = self._detached_totals
         for nic in self.nics.values():
             sent += nic.sent
@@ -169,6 +171,7 @@ class Fabric:
 
     def detach(self, nic: NIC) -> None:
         """Remove an adapter from the fabric entirely."""
+        nic._settle()
         if self.nics.get(nic.ip) is nic:
             totals = self._detached_totals
             totals[0] += nic.sent

@@ -12,6 +12,14 @@ failure-detection discussion distinguishes:
 * ``FAIL_FULL`` — both directions dead (also used for node crashes);
 * ``DISABLED`` — administratively downed by GulfStream Central after a
   configuration-verification conflict.
+
+An adapter bound to a *sink* (:meth:`NIC.bind`: the GulfStream protocol
+instance reading it) may take its segment's multicasts lazily, as records the
+host's OS model bills later (docs/PROTOCOL.md §8, "One record per
+multicast"). It does so while it can receive and the sink says ``lazy``;
+:attr:`NIC.cursor` is then its place in the segment's log. Whatever changes
+that — a failure, a repair, a new handler, leaving the segment — first lets
+the host catch up on what was delivered under the old rules.
 """
 
 from __future__ import annotations
@@ -24,6 +32,7 @@ from repro.net.packet import Frame
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.net.fabric import Fabric
+    from repro.net.segment import Segment
     from repro.net.switch import Port
 
 __all__ = ["NIC", "NicState"]
@@ -65,8 +74,15 @@ class NIC:
         self.state = NicState.OK
         self.port: Optional["Port"] = None
         self.fabric: Optional["Fabric"] = None
-        #: receive callback installed by the daemon; called as handler(frame)
-        self.handler: Optional[Callable[[Frame], None]] = None
+        # receive callback (see :attr:`handler`) and the object behind it that
+        # can take multicast records lazily, if any (see :meth:`bind`)
+        self._handler: Optional[Callable[[Frame], None]] = None
+        self.sink: Any = None
+        #: the segment listing this adapter as a member (set by the segment)
+        self.segment: Optional["Segment"] = None
+        #: absolute index of the first record in ``segment``'s multicast log
+        #: this adapter has not taken; None while it takes deliveries eagerly
+        self.cursor: Optional[int] = None
         #: secondary callback for application (non-GulfStream) payloads;
         #: the daemon demuxes unrecognized frames here (§1: the farm hosts
         #: real request traffic on the same adapters)
@@ -81,13 +97,61 @@ class NIC:
         self.recv_drops = 0
 
     # ------------------------------------------------------------------
+    # receive callback and lazy multicast records
+    # ------------------------------------------------------------------
+    @property
+    def handler(self) -> Optional[Callable[[Frame], None]]:
+        """Receive callback installed by the daemon; called as handler(frame)."""
+        return self._handler
+
+    @handler.setter
+    def handler(self, fn: Optional[Callable[[Frame], None]]) -> None:
+        self.bind(fn)
+
+    def bind(self, fn: Optional[Callable[[Frame], None]], sink: Any = None) -> None:
+        """Install the receive callback ``fn``.
+
+        ``sink`` is the object ``fn`` belongs to when it can also take
+        multicast records lazily: it has ``lazy`` (may it, now?), ``os``
+        (the host's OS model, which bills the records), ``take(entries)``
+        (the billed ``(key time, seq, payload)`` entries, in order) and
+        ``receive_at(frame, seq)`` (``fn``'s work for a logged multicast
+        while it is not lazy, its event at the reserved ``seq``). Records
+        never reach ``fn``.
+        """
+        if sink is not None and self not in sink.os.nics:
+            raise ValueError(f"{self.name}: the sink's OS model does not bill this adapter")
+        self._settle()
+        self._handler = fn
+        self.sink = sink
+        self._sync()
+
+    @property
+    def lazy(self) -> bool:
+        """Would this adapter take a multicast record lazily right now?"""
+        s = self.state
+        return self.sink is not None and self.sink.lazy and (s is _OK or s is _FAIL_SEND)
+
+    def _settle(self) -> None:
+        """Bill the records delivered so far before the rules change."""
+        if self.cursor is not None:
+            self.sink.os.catch_up()
+
+    def _sync(self) -> None:
+        """Tell the segment whether this adapter is lazy now."""
+        if self.segment is not None:
+            self.segment.place(self)
+
+    # ------------------------------------------------------------------
     # state management
     # ------------------------------------------------------------------
     def fail(self, mode: NicState = NicState.FAIL_FULL) -> None:
         """Inject a failure. ``mode`` must be one of the FAIL_* states."""
         if mode not in (NicState.FAIL_SEND, NicState.FAIL_RECV, NicState.FAIL_FULL):
             raise ValueError(f"not a failure mode: {mode!r}")
+        self._settle()
         self.state = mode
+        self._sync()
         if self.fabric is not None:
             self.fabric.sim.trace.emit(
                 self.fabric.sim.now, "net.nic.fail", self.name, mode=mode.value
@@ -95,13 +159,17 @@ class NIC:
 
     def disable(self) -> None:
         """Administrative disable (GulfStream Central conflict handling)."""
+        self._settle()
         self.state = NicState.DISABLED
+        self._sync()
         if self.fabric is not None:
             self.fabric.sim.trace.emit(self.fabric.sim.now, "net.nic.disable", self.name)
 
     def repair(self) -> None:
         """Return the adapter to full service."""
+        self._settle()
         self.state = NicState.OK
+        self._sync()
         if self.fabric is not None:
             self.fabric.sim.trace.emit(self.fabric.sim.now, "net.nic.repair", self.name)
 
@@ -186,8 +254,18 @@ class NIC:
                 )
             return
         self.received += 1
-        if self.handler is not None:
-            self.handler(frame)
+        if self._handler is not None:
+            self._handler(frame)
+
+    def deliver_at(self, frame: Frame, seq: int) -> None:
+        """:meth:`deliver` for a logged multicast at an eager adapter: the
+        handling event the sink schedules takes the reserved ``seq``."""
+        s = self.state
+        if self.sink is None or not (s is _OK or s is _FAIL_SEND):
+            self.deliver(frame)
+            return
+        self.received += 1
+        self.sink.receive_at(frame, seq)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"NIC({self.name}, {self.ip}, {self.state.value})"

@@ -6,11 +6,17 @@ per receiver (a multicast can reach some members and miss others), measures
 offered load for the congestion model, and supports *partitioning* — the
 paper's AMG-merge logic exists precisely because network partitions can form
 and heal, leaving independently formed groups that must merge.
+
+A multicast on a healthy, loss-free fixed-latency segment whose payload says
+``lazy_multicast`` (receivers that are not eager only ever collect or ignore
+it) is not delivered per receiver: it is logged once, at its arrival instant,
+with one block of schedule seqs, and each lazy member's host bills it later
+(docs/PROTOCOL.md §8, "One record per multicast").
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple, TYPE_CHECKING
+from typing import Any, Dict, List, Optional, Tuple, TYPE_CHECKING
 
 import numpy as np
 
@@ -24,6 +30,21 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.sim.shard.channel import ShardGateway
 
 __all__ = ["Segment"]
+
+
+class _Fanout:
+    """A multicast in a flush batch, standing where its per-receiver
+    deliveries would: the flush hands it the frame like any receiver."""
+
+    __slots__ = ("segment", "snapshot", "sender")
+
+    def __init__(self, segment: "Segment", snapshot: Dict["NIC", int], sender: "NIC") -> None:
+        self.segment = segment
+        self.snapshot = snapshot
+        self.sender = sender
+
+    def deliver(self, frame: Frame) -> None:
+        self.segment._deliver_record(frame, self.snapshot, self.sender)
 
 
 class Segment:
@@ -41,6 +62,9 @@ class Segment:
 
     #: width of the load-measurement bucket in seconds
     LOAD_WINDOW = 1.0
+    #: records the multicast log may gain before the ones every lazy member
+    #: has taken are dropped (it empties by itself whenever nobody lags)
+    LOG_TRIM = 64
 
     def __init__(self, fabric: "Fabric", vlan: int, quality: Optional[LinkQuality] = None) -> None:
         self.fabric = fabric
@@ -75,7 +99,23 @@ class Segment:
         # fixed-latency multicast to N members costs one queue entry, not N.
         # Benchmarks flip this off to measure the per-receiver-event cost.
         self.batch_delivery = True
-        self._pending: Dict[float, List[Tuple["NIC", Frame]]] = {}
+        self._pending: Dict[float, List[Tuple[Any, Frame]]] = {}
+        # one record per multicast: ``(when, seq base, payload, snapshot,
+        # sender)``; the log holds the newest records, the last one
+        # being record ``logged - 1`` of the segment's life. A member's slot
+        # in the block is ``base +`` its position in the snapshot ({member:
+        # position}, built once per membership, lazily).
+        self._log: List[tuple] = []
+        #: records logged so far: a lazy member whose cursor is here is done
+        self.logged = 0
+        self._trim_at = self.LOG_TRIM
+        # (record, lazy member) pairs not taken yet: at zero the log empties
+        self._untaken = 0
+        self._snapshot: Optional[Dict["NIC", int]] = None
+        # members taking records lazily (their cursor is set) and the rest,
+        # which get a delivery per multicast
+        self._lazy: Dict["NIC", None] = {}
+        self._eager: Dict["NIC", None] = {}
         # counters
         self.frames_sent = 0
         self.frames_delivered = 0
@@ -117,12 +157,40 @@ class Segment:
     def join(self, nic: "NIC") -> None:
         if nic.ip in self.members and self.members[nic.ip] is not nic:
             raise ValueError(f"duplicate IP {nic.ip} on {self.name}")
+        if nic.segment is not None and nic.segment is not self:
+            nic.segment.leave(nic)  # one broadcast domain at a time
         self.members[nic.ip] = nic
+        self._snapshot = None
+        nic.segment = self
+        self.place(nic)
 
     def leave(self, nic: "NIC") -> None:
+        nic._settle()
         self.members.pop(nic.ip, None)
         if self._islands is not None:
             self._islands.pop(nic.ip, None)
+        self._snapshot = None
+        if nic.segment is self:
+            nic.segment = nic.cursor = None
+            self._lazy.pop(nic, None)
+            self._eager.pop(nic, None)
+
+    def place(self, nic: "NIC") -> None:
+        """File member ``nic`` as lazy (it takes records from the log's
+        current end on) or eager (a delivery per multicast)."""
+        if nic.lazy:
+            if nic.cursor is None:
+                nic.cursor = self.logged
+                self._eager.pop(nic, None)
+                self._lazy[nic] = None
+        elif nic.cursor is not None or nic not in self._eager:
+            nic.cursor = None
+            self._lazy.pop(nic, None)
+            self._eager[nic] = None
+        if not self._eager:
+            # every NIC joins eager (no sink yet); an emptied dict keeps its
+            # table, so hand the farm-sized one back once boot has drained it
+            self._eager = {}
 
     # ------------------------------------------------------------------
     # partitioning
@@ -210,6 +278,95 @@ class Segment:
         for nic, frame in self._pending.pop(when):
             nic.deliver(frame)
 
+    # ------------------------------------------------------------------
+    # one record per multicast
+    # ------------------------------------------------------------------
+    def _enqueue_record(self, sim, now: float, latency: float, sender: "NIC", frame: Frame) -> bool:
+        """Batch a multicast as one :class:`_Fanout` entry instead of one
+        ``(nic, frame)`` entry per receiver."""
+        snap = self._snapshot
+        if snap is None:
+            snap = self._snapshot = {nic: i for i, nic in enumerate(self.members.values())}
+        receivers = len(snap) - (sender in snap)
+        if not receivers:
+            return True
+        self.frames_delivered += receivers
+        when = now + latency
+        entry = (_Fanout(self, snap, sender), frame)
+        batch = self._pending.get(when)
+        if batch is None:
+            self._pending[when] = [entry]
+            sim.schedule(latency, self._flush, when)
+        else:
+            batch.append(entry)
+        return True
+
+    def _deliver_each(self, frame: Frame, snap: Dict["NIC", int], sender: "NIC") -> None:
+        """The per-receiver delivery a record replaces, in member order."""
+        for nic in snap:
+            if nic is not sender:
+                nic.deliver(frame)
+
+    def _deliver_record(self, frame: Frame, snap: Dict["NIC", int], sender: "NIC") -> None:
+        """Log an arriving multicast once for the lazy members; deliver it
+        to the eager ones at their slot of the record's seq block.
+
+        Falls back to :meth:`_deliver_each` when membership changed since the
+        transmit, when nobody is lazy, or when an eager member's handler is
+        not a sink's (it may schedule anything; only a delivery in its own
+        turn keeps the order).
+        """
+        eager = self._eager
+        if snap is not self._snapshot or not self._lazy or any(
+            nic.sink is None and nic.handler is not None and nic.can_receive for nic in eager
+        ):
+            self._deliver_each(frame, snap, sender)
+            return
+        sim = self.fabric.sim
+        base = sim.reserve_seq(len(snap))
+        log = self._log
+        log.append((sim.now, base, frame.payload, snap, sender))
+        self.logged += 1
+        self._untaken += len(self._lazy)
+        sim.deferred += 1
+        if eager:
+            for nic in sorted(eager, key=snap.__getitem__):
+                if nic is not sender:
+                    nic.deliver_at(frame, base + snap[nic])
+        if len(log) >= self._trim_at:
+            self._trim()
+
+    def take(self, nic: "NIC", tag: int, before: float, out: list) -> int:
+        """Hand over the records lazy member ``nic`` has not taken, up to
+        seq ``before``: appends ``(seq, when, payload, tag)`` to ``out``,
+        counts them received and advances the cursor. Returns how many."""
+        log = self._log
+        end = len(log)
+        start = self.logged - end
+        k = first = nic.cursor - start
+        had = len(out)
+        while k < end:
+            when, base, msg, snap, sender = log[k]
+            if nic is not sender:  # its own multicast is no delivery
+                seq = base + snap[nic]
+                if seq >= before:
+                    break
+                out.append((seq, when, msg, tag))
+            k += 1
+        nic.cursor = start + k
+        self._untaken -= k - first
+        if not self._untaken:  # the last member caught up: nobody needs the log
+            log.clear()
+        taken = len(out) - had
+        nic.received += taken
+        return taken
+
+    def _trim(self) -> None:
+        """Drop the records every lazy member has taken (while some lag)."""
+        low = min((nic.cursor for nic in self._lazy), default=self.logged)
+        del self._log[: len(self._log) - (self.logged - low)]
+        self._trim_at = len(self._log) + self.LOG_TRIM
+
     def transmit_multi(self, sender: "NIC", frames: "list[Frame]") -> bool:
         """Put several unicast frames from one sender on the wire in one call.
 
@@ -259,6 +416,12 @@ class Segment:
         # skipped outright.
         healthy = self._islands is None and not fabric.routers and fabric.failed_switches == 0
         if frame.is_multicast:
+            latency = self.quality.fixed_latency
+            if (
+                healthy and latency is not None and self.batch_delivery
+                and getattr(frame.payload, "lazy_multicast", False)
+            ):
+                return self._enqueue_record(sim, now, latency, sender, frame)
             targets = [n for n in self.members.values() if n is not sender]
         else:
             target = self.members.get(frame.dst)  # type: ignore[arg-type]

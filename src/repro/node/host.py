@@ -35,8 +35,10 @@ class Host:
     ) -> None:
         self.sim = sim
         self.name = name
-        self.os = OSModel(sim, name, os_params if os_params is not None else OSParams())
         self.adapters: List[NIC] = []
+        self.os = OSModel(
+            sim, name, os_params if os_params is not None else OSParams(), nics=self.adapters
+        )
         #: may this node host GulfStream Central? In the paper only nodes
         #: with database and switch-console permission are eligible; they
         #: carry a small config file and flag it in their BEACONs (§2.2).

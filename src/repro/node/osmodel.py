@@ -22,11 +22,16 @@ thread-pool churn. Every distribution is a tunable in :class:`OSParams`, and
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Tuple
+from typing import TYPE_CHECKING, Any, Callable, List, Optional, Sequence, Tuple
 
 from repro.sim.engine import Event, Simulator
 
+if TYPE_CHECKING:  # pragma: no cover - import cycle guard
+    from repro.net.nic import NIC
+
 __all__ = ["OSModel", "OSParams"]
+
+_INF = float("inf")
 
 
 @dataclass(frozen=True)
@@ -70,27 +75,39 @@ class OSModel:
 
     All draws come from the host's dedicated RNG stream, so adding a node to
     a scenario never perturbs another node's delays.
+
+    ``nics`` are the host's adapters (its own list, so adapters added later
+    are seen). A multicast their segment logged as one record is billed
+    here, by :meth:`catch_up`, before this model draws or charges anything
+    else — so every draw is taken in the order the deliveries happened.
     """
 
     #: unit draws prefetched per vectorised RNG call (one numpy call
     #: amortised over this many events)
     BUFFER = 256
 
-    def __init__(self, sim: Simulator, host_name: str, params: OSParams) -> None:
+    def __init__(
+        self, sim: Simulator, host_name: str, params: OSParams, nics: Sequence["NIC"] = ()
+    ) -> None:
         self.sim = sim
         self.params = params
         self.rng = sim.rng.stream(f"os/{host_name}")
+        self.nics = nics
         # the daemon is modelled single-threaded: event handling serializes
         self._busy_until = 0.0
         # prefetched uniform [0,1) draws; every simulated event costs a
         # proc_delay draw, so scalar numpy calls would dominate the model
         self._buf: list[float] = []
         self._buf_i = 0
+        # ``sim.deferred`` at the last full catch-up: while it has not moved,
+        # no segment logged a record and there is nothing to bill
+        self._seen = sim.deferred
 
     # ------------------------------------------------------------------
     # draws
     # ------------------------------------------------------------------
     def _draw(self, lohi: Tuple[float, float]) -> float:
+        self.catch_up()
         lo, hi = lohi
         if hi <= lo:
             return lo
@@ -120,13 +137,19 @@ class OSModel:
     # ------------------------------------------------------------------
     # serialized event handling
     # ------------------------------------------------------------------
-    def charge(self) -> float:
+    def charge(self, before: Optional[float] = None) -> float:
         """Bill one event's handling; returns the delay until it completes.
 
         Handling costs a ``proc_delay`` draw and queues behind any handling
         already in flight, modelling a single-threaded daemon under load.
+        ``before``: the seq the handling event will take, when it was
+        reserved ahead (a multicast's slot); records ordered after it are
+        left for later.
         """
-        now = self.sim.now
+        sim = self.sim
+        if before is not None or self._seen != sim.deferred:
+            self.catch_up(before)
+        now = sim.now
         busy = self._busy_until
         delay, hi = self.params.proc_delay
         if hi > delay:
@@ -139,6 +162,63 @@ class OSModel:
         finish = (busy if busy > now else now) + delay
         self._busy_until = finish
         return finish - now
+
+    def stall(self, until: float) -> None:
+        """Keep the daemon busy until ``until`` (a CPU spike): handling
+        billed from now on queues behind it."""
+        self.catch_up()
+        if until > self._busy_until:
+            self._busy_until = until
+
+    def catch_up(self, before: Optional[float] = None) -> None:
+        """Bill every multicast record delivered to this host's adapters and
+        not billed yet, in seq order — the order the deliveries happened.
+
+        Each record costs what :meth:`charge` would have at its delivery
+        instant ``when``: the next ``proc_delay`` draw, queued behind the
+        busy chain, keyed ``(when + (finish - when), seq)``. The charged
+        entries go to each adapter's receiver (``nic.sink.take``) in one
+        list. ``before`` stops at that seq (see :meth:`charge`).
+        """
+        if before is None:
+            if self._seen == self.sim.deferred:
+                return
+            self._seen = self.sim.deferred
+            before = _INF
+        taken: List[tuple] = []
+        takers: List["NIC"] = []
+        for nic in self.nics:
+            cursor = nic.cursor
+            if (
+                cursor is not None and cursor != nic.segment.logged
+                and nic.segment.take(nic, len(takers), before, taken)
+            ):
+                takers.append(nic)
+        if not taken:
+            return
+        if len(takers) > 1:
+            taken.sort()  # seqs are unique: only the first field is compared
+            out: List[list] = [[] for _ in takers]
+        else:
+            out = [[]]  # the usual steady-state case: one adapter, one record
+        lo, hi = self.params.proc_delay
+        span = hi - lo
+        busy = self._busy_until
+        buf, i = self._buf, self._buf_i
+        for seq, when, msg, who in taken:
+            delay = lo
+            if hi > lo:  # charge(), inline
+                if i >= len(buf):
+                    buf = self._buf = self.rng.random(self.BUFFER).tolist()
+                    i = 0
+                delay += span * buf[i]
+                i += 1
+            busy = (busy if busy > when else when) + delay
+            out[who].append((when + (busy - when), seq, msg))
+        self._busy_until = busy
+        self._buf_i = i
+        for nic, entries in zip(takers, out):
+            nic.sink.take(entries)
 
     def handle(self, fn: Callable[..., Any], *args: Any) -> Event:
         """Run ``fn(*args)`` after the daemon gets CPU for it (:meth:`charge`)."""

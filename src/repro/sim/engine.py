@@ -488,6 +488,10 @@ class Simulator:
         #: :meth:`reserve_seq` slot compares against to tell whether its
         #: event would already have run.
         self.firing_seq: float = float("inf")
+        #: bumped whenever work is parked for a consumer to catch up on later
+        #: (a segment's multicast record): a consumer that kept the value it
+        #: last caught up at skips the catch-up while this has not moved
+        self.deferred: int = 0
         self._running = False
         self._stopped = False
         #: events scheduled and neither fired nor cancelled (O(1) pending_count)
@@ -544,12 +548,14 @@ class Simulator:
             self._maybe_purge()
         return ev
 
-    def reserve_seq(self) -> int:
-        """Claim the next sequence number without queueing an event:
-        ``schedule_at(time, ..., seq=n)`` later yields the event ``schedule``
-        would have made now, same-instant FIFO position included."""
+    def reserve_seq(self, n: int = 1) -> int:
+        """Claim the next ``n`` sequence numbers without queueing an event
+        and return the first: ``schedule_at(time, ..., seq=k)`` later yields
+        the event ``schedule`` would have made now, same-instant FIFO
+        position included. Seqs are only ever compared, so a block may keep
+        slots nobody takes."""
         seq = self._seq
-        self._seq = seq + 1
+        self._seq = seq + n
         return seq
 
     def schedule_at(

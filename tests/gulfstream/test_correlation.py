@@ -95,3 +95,51 @@ def test_load_wiring_from_db():
     eng.load_wiring_from_db(db)
     assert eng.adapter_switch[IPAddress("10.0.0.1")] == "sw7"
     assert eng.adapter_node[IPAddress("10.0.0.1")] == "n0"
+
+
+def _scans(eng):
+    """Each component's adapters by a full scan of the adapter maps."""
+    return [
+        {c: {ip for ip, v in wiring.items() if v == c} for c in set(wiring.values())}
+        for wiring in (eng.adapter_node, eng.adapter_switch, eng.adapter_router)
+    ]
+
+
+def _indexes(eng):
+    return [
+        {c: eng._node_adapters(c) for c in set(eng.adapter_node.values())},
+        {c: eng._switch_adapters(c) for c in set(eng.adapter_switch.values())},
+        {c: eng._router_adapters(c) for c in set(eng.adapter_router.values())},
+    ]
+
+
+def test_component_indexes_equal_full_scans_through_wiring_move_and_crash():
+    """The node/switch/router → adapters indexes answer what a scan of every
+    known adapter would, after a wiring load, a move and a crash."""
+    from repro.gulfstream.configdb import ConfigDatabase, ExpectedAdapter
+
+    db = ConfigDatabase()
+    for i in range(6):
+        db.add(ExpectedAdapter(
+            IPAddress(f"10.0.0.{i + 1}"), f"n{i // 2}", f"sw{i % 3}", i % 2, 1,
+            router="r0" if i < 4 else None,
+        ))
+    pub = Recorder()
+    eng = CorrelationEngine(pub)
+    eng.load_wiring_from_db(db)
+    for i in range(6):
+        eng.adapter_event(IPAddress(f"10.0.0.{i + 1}"), f"n{i // 2}", up=True)
+    assert _indexes(eng) == _scans(eng)
+    assert eng._router_adapters("r0") == {IPAddress(f"10.0.0.{i}") for i in range(1, 5)}
+    # a move: the adapter re-wired to another switch and reported by another node
+    moved = IPAddress("10.0.0.1")
+    eng.adapter_switch[moved] = "sw2"
+    eng.adapter_event(moved, "n2", up=True)
+    assert _indexes(eng) == _scans(eng)
+    assert eng._node_adapters("n0") == {IPAddress("10.0.0.2")}
+    # a crash: both adapters of n1 down, the node inferred down
+    for ip in ("10.0.0.3", "10.0.0.4"):
+        eng.adapter_event(IPAddress(ip), "n1", up=False)
+    assert _indexes(eng) == _scans(eng)
+    assert pub.kinds("node_failed") == ["n1"] and eng.node_status("n1") is False
+    assert eng.node_status("ghost") is None and eng._node_adapters("ghost") == set()

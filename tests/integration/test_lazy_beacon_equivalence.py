@@ -3,13 +3,15 @@
 A BEACON received by an adapter that is not an AMG leader costs no engine
 event: ``AdapterProtocol.receive`` charges the host's OS model on arrival
 and parks the beacon in a backlog that is folded in before anything can
-observe the difference (docs/PROTOCOL.md §8). The handler it replaced —
-one scheduled ``on_frame`` event per received frame — survives only here,
-as the oracle: every scenario below runs under both and must produce the
-same trace records, notification history, segment statistics and metrics
-dump. The only things allowed to differ are the ones that *count engine
-events*: ``events_executed`` / ``sim.events.dispatched`` and the
-``sim.queue.*`` gauges.
+observe the difference (docs/PROTOCOL.md §8). On a healthy fixed-latency
+segment it costs no delivery either: the multicast is logged once and each
+host's OS model bills it later, in one catch-up. Both layers are switched
+off together for the oracle — one scheduled ``on_frame`` event per received
+frame, delivered per receiver — which survives only here: every scenario
+below runs under both and must produce the same trace records, notification
+history, segment statistics and metrics dump. The only things allowed to
+differ are the ones that *count engine events*: ``events_executed`` /
+``sim.events.dispatched`` and the ``sim.queue.*`` gauges.
 
 The unit tests beside the differential runs pin the parts of the
 equivalence argument one at a time: the ``(finish, seq)`` tie rule, the
@@ -35,6 +37,7 @@ from repro.net.addressing import IPAddress
 from repro.net.fabric import Fabric
 from repro.net.loss import LinkQuality
 from repro.net.packet import Frame
+from repro.net.segment import Segment
 from repro.node.host import Host
 from repro.node.osmodel import OSParams
 from repro.sim.engine import Simulator
@@ -59,6 +62,14 @@ _ENGINE_METRICS = {"sim.events.dispatched", "sim.queue.depth", "sim.queue.dead"}
 def _eager_receive(self, frame):
     """The pre-lazy NIC handler: one engine event per received frame."""
     self.os.handle(self.on_frame, frame)
+
+
+def _use_eager_oracle(setattr_):
+    """Switch both lazy layers off through ``setattr_`` (a monkeypatch's, or
+    plain ``setattr`` in a spawned worker): every frame is delivered per
+    receiver, and each delivery is one engine event."""
+    setattr_(AdapterProtocol, "receive", _eager_receive)
+    setattr_(Segment, "_deliver_record", Segment._deliver_each)
 
 
 def _records(trace):
@@ -89,7 +100,7 @@ def _assert_lazy_equals_eager(monkeypatch, run, saves_events=True):
     """``run()`` -> fingerprint dict with an ``"events"`` entry."""
     lazy = run()
     with monkeypatch.context() as patch:
-        patch.setattr(AdapterProtocol, "receive", _eager_receive)
+        _use_eager_oracle(patch.setattr)
         eager = run()
     # guards the guard: the oracle really is the event-per-frame path
     # (a hand-fed beacon that ends up materialised saves nothing)
@@ -171,10 +182,10 @@ def _zoned(os_name):
 
 def build_eager_zoned_farm(trace=None, **kwargs):
     """``build_zoned_farm`` in a process switched to the eager oracle. A
-    spawned shard worker imports the lazy handler afresh, so the factory
+    spawned shard worker imports the lazy layers afresh, so the factory
     it runs is what swaps the oracle in (in the parent, the test's own
     monkeypatch has already done so, and undoes it afterwards)."""
-    AdapterProtocol.receive = _eager_receive
+    _use_eager_oracle(setattr)
     return build_zoned_farm(trace=trace, **kwargs)
 
 
@@ -203,7 +214,7 @@ def test_sharded_run_matches_eager_single_process(monkeypatch):
     their factory swaps in — two layouts, two handlers, one simulation."""
     plan = _compile([("crash_restart", "z0-n1"), ("split", 23)])
     sharded = _zoned_print("fast", plan, shards=2)
-    monkeypatch.setattr(AdapterProtocol, "receive", _eager_receive)
+    _use_eager_oracle(monkeypatch.setattr)
     eager = _zoned_print("fast", plan, shards="auto", factory=build_eager_zoned_farm)
     assert sharded.pop("events") < eager.pop("events")
     assert sharded == eager
@@ -337,10 +348,12 @@ def test_stop_discards_backlog():
 def test_member_backlog_stays_bounded_over_600s():
     """A MEMBER hears its leader's beacon every interval, forever, and never
     changes state: arrivals must drop the finished head, or the backlog (and
-    RSS) grows without bound."""
+    RSS) grows without bound. The same holds for the segment's multicast
+    log: the records every member has taken must go."""
     farm = make_flat_farm(4, seed=3)
     run_stable(farm)
-    worst = 0
+    segments = farm.fabric.segments.values()
+    worst = worst_log = logged = 0
     end = farm.sim.now + 600.0
     while farm.sim.now < end:
         farm.sim.run(until=farm.sim.now + 7.3)
@@ -352,13 +365,31 @@ def test_member_backlog_stays_bounded_over_600s():
         ]
         assert backlogs, "the farm must have members"
         worst = max(worst, *backlogs)
+        worst_log = max(worst_log, *(len(seg._log) for seg in segments))
+    logged = sum(seg.logged for seg in segments)
     # one leader per segment: at most its last beacon and the one in flight
     assert 1 <= worst <= 2
+    # ≈ 600 leader beacons per segment were logged; at most one trim's worth stays
+    assert logged > 4 * Segment.LOG_TRIM
+    assert 1 <= worst_log <= Segment.LOG_TRIM
 
 
 # ----------------------------------------------------------------------
 # stop/restart and a live move while beacons sit in the backlog
 # ----------------------------------------------------------------------
+def _pending_beacons(proto):
+    """Beacons delivered to ``proto`` and not handled yet: logged on its
+    segment and not billed, or billed and waiting in the backlog."""
+    nic, logged = proto.nic, 0
+    if nic.cursor is not None:
+        seg = nic.segment
+        logged = sum(
+            sender is not nic
+            for _when, _base, _msg, _snap, sender in seg._log[len(seg._log) - (seg.logged - nic.cursor):]
+        )
+    return logged + len(proto._backlog)
+
+
 def test_restart_during_beacon_phase_with_backlog(monkeypatch):
     """Crash + restart a node mid-discovery, when every adapter's backlog
     holds collected-but-unfolded beacons."""
@@ -368,7 +399,9 @@ def test_restart_during_beacon_phase_with_backlog(monkeypatch):
         farm = make_flat_farm(5, seed=8, os_params=OS["default"])
         farm.sim.run(until=1.2)
         victim = farm.hosts["node-3"]
-        backlog_at_crash.append(sum(len(p._backlog) for p in victim.daemon.protocols.values()))
+        backlog_at_crash.append(
+            sum(_pending_beacons(p) for p in victim.daemon.protocols.values())
+        )
         victim.crash()
         farm.sim.run(until=1.9)
         victim.restart()
@@ -382,11 +415,11 @@ def test_restart_during_beacon_phase_with_backlog(monkeypatch):
 
 def test_live_domain_move_with_backlog(monkeypatch):
     """Move a MEMBER adapter to another VLAN while its leader's last beacon
-    is still in its backlog; it must orphan, self-promote and merge into
-    the target domain exactly as on the eager path."""
+    is still pending (logged or backlogged); it must orphan, self-promote
+    and merge into the target domain exactly as on the eager path."""
     from tests.gulfstream.test_reconfig import build_two_domain_farm, moved_proto
 
-    backlog_at_move = []
+    backlog_at_move, move_at = [], []
 
     def run():
         farm = build_two_domain_farm(4)
@@ -396,7 +429,14 @@ def test_live_domain_move_with_backlog(monkeypatch):
             for p in d.protocols.values()
             if p.nic.port.vlan == 2 and p.state is AdapterState.MEMBER
         )
-        backlog_at_move.append(len(mover._backlog))
+        if not move_at:  # the lazy run finds the instant, the oracle replays it
+            for _ in range(1000):
+                if _pending_beacons(mover):
+                    break
+                farm.sim.run(until=farm.sim.now + 0.005)
+            move_at.append(farm.sim.now)
+        farm.sim.run(until=move_at[0])
+        backlog_at_move.append(_pending_beacons(mover))
         farm.reconfig().move_adapter(mover.ip, 3)
         farm.sim.run(until=farm.sim.now + 40.0)
         assert moved_proto(farm, mover.ip).view.size == 4
