@@ -3,8 +3,9 @@
 ROADMAP item 1 targets 1k–10k adapters, two orders of magnitude past the
 paper's 55-node testbed. This bench drives the *substrate* at that scale
 with the protocols' two dominant traffic shapes — per-adapter ring
-heartbeats (unicast ×2, via ``send_many``) and per-adapter segment beacons
-(multicast to every segment member, the §2.1 discovery shape) — over
+heartbeats (two prebuilt unicast frames, via ``send_frames``) and
+per-adapter segment beacons (multicast to every segment member, the §2.1
+discovery shape) — over
 256 / 1024 / 4096 adapters, and records:
 
 * ``events_per_sec_<n>``   — engine events dispatched per wall second;
@@ -57,6 +58,7 @@ from _common import emit, emit_bench_json
 from repro.net.addressing import IPAddress
 from repro.net.fabric import Fabric
 from repro.net.nic import NIC
+from repro.net.packet import Frame
 from repro.sim.engine import Simulator
 from repro.sim.process import Timer
 from repro.sim.trace import Trace
@@ -133,8 +135,8 @@ def _build(n_adapters: int, backend: str, batched: bool) -> tuple:
             right = members[(j + 1) % m]
             phase = (j % PHASES) / PHASES
             timers.append(Timer(
-                sim, HB_INTERVAL, nic.send_many,
-                [left.ip, right.ip], "hb", 64,
+                sim, HB_INTERVAL, nic.send_frames,
+                (Frame(nic.ip, left.ip, "hb", 64), Frame(nic.ip, right.ip, "hb", 64)),
                 initial_delay=phase * HB_INTERVAL,
             ))
             timers.append(Timer(

@@ -102,6 +102,9 @@ class AdapterProtocol:
         self.sim = daemon.sim
         self.host = daemon.host
         self.os = daemon.host.os
+        #: put prebuilt frames from this adapter on the wire in one call
+        #: (the ring heartbeat's send path; :meth:`NIC.send_frames`)
+        self.send_frames = nic.send_frames
         self._state = AdapterState.BOOT
         #: beacons received while not LEADER: charged to the OS model on
         #: arrival, folded in by :meth:`_absorb` — ``(finish time, reserved
@@ -205,11 +208,6 @@ class AdapterProtocol:
 
     def send(self, dst: IPAddress, payload: Any, size: Optional[int] = None) -> bool:
         return self.nic.send(dst, payload, size=size or self.params.size_control)
-
-    def send_many(
-        self, dsts: "list[IPAddress]", payload: Any, size: Optional[int] = None
-    ) -> bool:
-        return self.nic.send_many(dsts, payload, size=size or self.params.size_control)
 
     def _later(self, delay: float, fn, *args):
         gen = self.gen
@@ -1058,13 +1056,13 @@ class AdapterProtocol:
         the backlog until something could observe it (docs/PROTOCOL.md §8).
         """
         msg = frame.payload
+        sim = self.sim
         if type(msg) is Heartbeat:
-            self.os.handle(self._on_heartbeat, msg)  # what on_frame would reach
+            sim.schedule(self.os.charge(), self._on_heartbeat, msg)  # what on_frame would reach
             return
         if self._state is AdapterState.LEADER or not isinstance(msg, Beacon):
-            self.os.handle(self.on_frame, frame)
+            sim.schedule(self.os.charge(), self.on_frame, frame)
             return
-        sim = self.sim
         backlog = self._backlog
         if backlog and backlog[0][0] < sim.now:
             self._absorb()  # keeps a MEMBER's backlog at O(in flight)

@@ -78,8 +78,9 @@ class AMGView:
     def leader(self) -> MemberInfo:
         return self.members[0]
 
-    @property
+    @cached_property
     def leader_ip(self) -> IPAddress:
+        """Read per received heartbeat: resolved once per (immutable) view."""
         return self.members[0].ip
 
     @property

@@ -22,6 +22,7 @@ from repro.net.addressing import IPAddress
 from repro.gulfstream.amg import AMGView
 from repro.gulfstream.messages import Heartbeat
 from repro.metrics.core import Counter, MetricsRegistry
+from repro.net.packet import Frame
 from repro.sim.process import Timer
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -47,7 +48,8 @@ class RingHeartbeat:
     Parameters
     ----------
     proto:
-        Owning adapter protocol (I/O, params, clock).
+        Owning adapter protocol (params, clock, and ``send_frames``, the
+        one call a tick puts its frames on the wire with).
     view:
         The committed view this engine serves; a new commit builds a new
         engine.
@@ -108,8 +110,12 @@ class RingHeartbeat:
         # (a membership change builds a new engine), so cache the send list
         # in deterministic rank-independent order for the per-tick loop
         self._send_targets = tuple(sorted(self.targets, key=int))
-        # ... and neither do the message or the thresholds
-        self._msg = Heartbeat(sender=proto.ip, epoch=view.epoch)
+        # ... and neither do the message, the frames carrying it to each
+        # target in that order, or the thresholds
+        msg = Heartbeat(sender=proto.ip, epoch=view.epoch)
+        self._frames = tuple(
+            Frame(proto.ip, ip, msg, p.size_heartbeat) for ip in self._send_targets
+        )
         self._threshold = p.hb_miss_threshold * p.hb_interval
         self._resuspect_after = max(2, p.hb_miss_threshold) * p.hb_interval * 3
         # counters for load accounting
@@ -122,14 +128,14 @@ class RingHeartbeat:
 
     # ------------------------------------------------------------------
     def _send(self) -> None:
-        targets = self._send_targets
-        if not targets:
+        frames = self._frames
+        if not frames:
             return
         self._m_rounds.inc()
-        # one batched tick: one send-eligibility test and one port → segment
+        # one call: one send-eligibility test and one port → segment
         # resolution cover both neighbours
-        self.proto.send_many(targets, self._msg, size=self.proto.params.size_heartbeat)
-        n = len(targets)
+        self.proto.send_frames(frames)
+        n = len(frames)
         self.sent += n
         self._m_sent.inc(n)
 

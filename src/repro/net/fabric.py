@@ -3,9 +3,10 @@
 A :class:`Fabric` ties the pieces together: it owns the switches, realizes
 one :class:`~repro.net.segment.Segment` per VLAN id (VLANs are trunked
 across switches, as on the paper's Cisco 6509 testbed), attaches adapters to
-switch ports, and routes each transmitted frame to the segment matching the
-sender port's *current* VLAN — which is how an SNMP VLAN change transparently
-moves an adapter into a different broadcast domain.
+switch ports, and keeps the ``segments`` map an adapter's send looks its
+port's *current* VLAN up in (:meth:`NIC.send_frames
+<repro.net.nic.NIC.send_frames>`) — which is how an SNMP VLAN change
+transparently moves an adapter into a different broadcast domain.
 """
 
 from __future__ import annotations
@@ -15,7 +16,6 @@ from typing import Dict, Optional
 from repro.net.addressing import IPAddress
 from repro.net.loss import LinkQuality
 from repro.net.nic import NIC
-from repro.net.packet import Frame
 from repro.net.router import Router
 from repro.net.segment import Segment
 from repro.net.switch import Port, Switch
@@ -211,39 +211,6 @@ class Fabric:
             old=old_vlan, new=new_vlan,
             nic=port.nic.name if port.nic else None,
         )
-
-    # ------------------------------------------------------------------
-    # transmission
-    # ------------------------------------------------------------------
-    def transmit(self, nic: NIC, frame: Frame) -> bool:
-        """Route a frame from ``nic`` onto its current segment."""
-        port = nic.port
-        if port is None or port.vlan is None:
-            self.sim.trace.emit(self.sim.now, "net.drop.unattached", nic.name)
-            return False
-        if port.switch.failed:
-            self.sim.trace.emit(self.sim.now, "net.drop.switch", nic.name, switch=port.switch.name)
-            return False
-        return self.segments[port.vlan].transmit(nic, frame)
-
-    def transmit_many(self, nic: NIC, frames: "list[Frame]") -> bool:
-        """Route a batch of frames from one sender onto its current segment.
-
-        The port/VLAN/switch checks run once for the batch; per-frame
-        semantics downstream are identical to :meth:`transmit`.
-        """
-        port = nic.port
-        if port is None or port.vlan is None:
-            emit = self.sim.trace.emit
-            for _ in frames:
-                emit(self.sim.now, "net.drop.unattached", nic.name)
-            return False
-        if port.switch.failed:
-            emit = self.sim.trace.emit
-            for _ in frames:
-                emit(self.sim.now, "net.drop.switch", nic.name, switch=port.switch.name)
-            return False
-        return self.segments[port.vlan].transmit_multi(nic, frames)
 
     # ------------------------------------------------------------------
     # inspection

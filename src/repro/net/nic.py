@@ -201,48 +201,49 @@ class NIC:
         Returns True if the frame made it onto the wire (delivery may still
         fail downstream); False if this adapter could not transmit.
         """
-        return self._transmit(Frame(self.ip, dst, payload, size))
+        return self.send_frames((Frame(self.ip, dst, payload, size),))
 
     def multicast(self, payload: Any, size: int = 64) -> bool:
         """Multicast to every adapter on this adapter's current segment."""
-        return self._transmit(Frame(self.ip, MULTICAST, payload, size))
+        return self.send_frames((Frame(self.ip, MULTICAST, payload, size),))
 
-    def send_many(self, dsts: "Sequence[IPAddress]", payload: Any, size: int = 64) -> bool:
-        """Unicast the same ``payload`` to several destinations in one call.
+    def send_frames(self, frames: Sequence[Frame]) -> bool:
+        """Put ``frames`` (built by the caller, ``src`` this adapter) on the
+        wire of the segment this adapter's port is in now.
 
-        One send-eligibility check and one port → segment resolution cover
-        the whole batch (a ring heartbeat tick hits both neighbours through
-        here); that is all the batch saves — same-instant deliveries share a
-        flush event however they were sent. Counters and traces match
-        ``len(dsts)`` individual :meth:`send` calls.
+        The send-eligibility test and the port → VLAN → switch checks run
+        once for the batch, then :meth:`Segment.transmit` once per frame;
+        counters, traces and deliveries are those of one :meth:`send` per
+        frame (a ring heartbeat tick sends its prebuilt frames through
+        here). True if the frames made it onto the wire.
         """
-        if not dsts:
-            return True
-        if self.fabric is None or self.port is None:
+        fabric, port = self.fabric, self.port
+        if fabric is None or port is None:
             raise RuntimeError(f"{self.name} is not attached to a fabric")
-        if self.state is not _OK and self.state is not _FAIL_RECV:  # cannot send
-            self.send_drops += len(dsts)
-            emit = self.fabric.sim.trace.emit
-            now = self.fabric.sim.now
-            for _ in dsts:
-                emit(now, "net.drop.sender", self.name, state=self.state.value)
+        state = self.state
+        if state is not _OK and state is not _FAIL_RECV:  # cannot send
+            self.send_drops += len(frames)
+            for _ in frames:
+                fabric.sim.trace.emit(
+                    fabric.sim.now, "net.drop.sender", self.name, state=state.value
+                )
             return False
-        self.sent += len(dsts)
-        return self.fabric.transmit_many(
-            self, [Frame(self.ip, dst, payload, size) for dst in dsts]
-        )
-
-    def _transmit(self, frame: Frame) -> bool:
-        if self.fabric is None or self.port is None:
-            raise RuntimeError(f"{self.name} is not attached to a fabric")
-        if self.state is not _OK and self.state is not _FAIL_RECV:  # cannot send
-            self.send_drops += 1
-            self.fabric.sim.trace.emit(
-                self.fabric.sim.now, "net.drop.sender", self.name, state=self.state.value
-            )
+        self.sent += len(frames)
+        if port.vlan is None:
+            for _ in frames:
+                fabric.sim.trace.emit(fabric.sim.now, "net.drop.unattached", self.name)
             return False
-        self.sent += 1
-        return self.fabric.transmit(self, frame)
+        if port.switch.failed:
+            for _ in frames:
+                fabric.sim.trace.emit(
+                    fabric.sim.now, "net.drop.switch", self.name, switch=port.switch.name
+                )
+            return False
+        segment = fabric.segments[port.vlan]
+        ok = True
+        for frame in frames:
+            ok = segment.transmit(self, frame) and ok
+        return ok
 
     def deliver(self, frame: Frame) -> None:
         """Called by the fabric when a frame arrives (post-latency)."""

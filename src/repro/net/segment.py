@@ -367,19 +367,6 @@ class Segment:
         del self._log[: len(self._log) - (self.logged - low)]
         self._trim_at = len(self._log) + self.LOG_TRIM
 
-    def transmit_multi(self, sender: "NIC", frames: "list[Frame]") -> bool:
-        """Put several unicast frames from one sender on the wire in one call.
-
-        Identical to :meth:`transmit` per frame — counters, traces, RNG draws
-        and flush events (same-instant deliveries coalesce whoever enqueues
-        them); the batch saves its callers one send-eligibility test and one
-        port → segment resolution. True when every frame was accepted.
-        """
-        ok = True
-        for frame in frames:
-            ok = self.transmit(sender, frame) and ok
-        return ok
-
     def transmit(self, sender: "NIC", frame: Frame) -> bool:
         """Deliver ``frame`` from ``sender`` per the segment's semantics.
 

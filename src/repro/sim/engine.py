@@ -11,25 +11,23 @@ schedule millions of events, and the paper's experiments (Figure 5) need
 2..55-node farms with three adapters per node to run in well under a second
 each so the benchmark harness can sweep them.
 
-Two interchangeable queue backends implement the same contract (see
-docs/PROTOCOL.md, "Performance"):
+The queue is a timer wheel (see docs/PROTOCOL.md, "The timer-wheel event
+queue"), and the simulator runs it itself: ``schedule``, ``schedule_at`` and
+``reschedule`` file each ``(time, priority, seq, event)`` tuple straight into
+its tier, and :meth:`Simulator.run` consumes the current tier in its own
+loop. Near-term events go into O(1) slots (one per
+:data:`WHEEL_GRANULARITY` seconds, :data:`WHEEL_SLOTS` of them), each slot is
+sorted once when the cursor reaches it, events at or behind the cursor wait
+in a small *inflow* heap merged with that sorted run, and far-future events
+overflow into a heap of their own. Periodic near-term timers — the
+overwhelming majority at farm scale (heartbeats, beacons, check timers) —
+never pay per-op costs that grow with the total pending count.
 
-* ``"heap"`` — a single binary heap of ``(time, priority, seq, event)``
-  tuples. Every operation is O(log n) in the total pending count; sifting
-  compares at C speed and never calls back into Python, because ``seq`` is
-  unique.
-* ``"wheel"`` (the default) — a timer wheel: near-term events go into O(1)
-  wheel slots (one slot per :data:`WHEEL_GRANULARITY` seconds of simulated
-  time, :data:`WHEEL_SLOTS` slots of horizon), each slot is sorted once when
-  the clock reaches it, and far-future events overflow into a small heap
-  tier. Periodic near-term timers — the overwhelming majority at farm scale
-  (heartbeats, beacons, check timers) — never pay per-op costs that grow
-  with the total pending count.
-
-Both backends produce *identical execution histories* for any program: the
-golden-trace equivalence suite
-(`tests/integration/test_backend_equivalence.py`) pins that. Selection is
-per-run: ``Simulator(backend="heap")``.
+``Simulator(backend="heap")`` is the same queue with one slot that never
+advances: every entry sits in the inflow binary heap. It replays the
+identical execution history (the golden-trace equivalence suite,
+``tests/integration/test_backend_equivalence.py``, pins that), which makes it
+the reference the wheel is compared against.
 
 Performance invariants (relied on by the benchmarks, documented in
 docs/PROTOCOL.md):
@@ -38,8 +36,8 @@ docs/PROTOCOL.md):
   maintained by ``schedule``/``cancel``/``run``;
 * cancelled events are purged *lazily*: they are skipped when they surface,
   and when more than half the queue (and at least :data:`PURGE_THRESHOLD`
-  entries) is dead the whole queue is compacted, so long-lived piles of
-  dead heartbeat timers do not bloat every queue operation. The compaction
+  entries) is dead the queue is compacted, so long-lived piles of dead
+  heartbeat timers do not bloat every queue operation. The compaction
   check runs on every path that grows the queue — ``schedule``,
   ``schedule_at``, ``reschedule`` — once enough entries have died since
   the last check for it to succeed (one integer compare until then), plus
@@ -51,8 +49,8 @@ docs/PROTOCOL.md):
 
 from __future__ import annotations
 
-import heapq
 import os
+from heapq import heapify, heappop, heappush
 from typing import Any, Callable, List, Optional, Tuple
 
 from repro.metrics.core import MetricsRegistry
@@ -85,14 +83,16 @@ WHEEL_SLOTS = 4096
 #: comparison is total and never falls through to Event.__lt__
 _Entry = Tuple[float, int, int, "Event"]
 
+_INF = float("inf")
+
 
 def default_backend() -> str:
-    """The event-queue backend of a ``Simulator()`` built without
+    """The event-queue configuration of a ``Simulator()`` built without
     ``backend=``: ``"wheel"``, unless ``GULFSTREAM_SIM_BACKEND`` says
     otherwise. That variable is a read-only test seam (the equivalence
-    suites run whole farms on either queue through it); nothing in the
-    program writes it and, the backends being observationally identical,
-    it cannot change a result.
+    suites run whole farms on either configuration through it); nothing in
+    the program writes it and, the two being observationally identical, it
+    cannot change a result.
 
     An unknown non-empty environment value is an error, not a silent
     fallback — a typo like ``GULFSTREAM_SIM_BACKEND=whee`` would
@@ -129,6 +129,7 @@ class Event:
         seq: int,
         fn: Callable[..., Any],
         args: tuple,
+        sim: Optional["Simulator"] = None,
     ) -> None:
         self.time = time
         self.priority = priority
@@ -137,9 +138,8 @@ class Event:
         self.args = args
         self.cancelled = False
         self.fired = False
-        #: owning simulator; set by ``schedule`` so ``cancel`` can keep the
-        #: live/dead counters exact
-        self.sim: Optional["Simulator"] = None
+        #: owning simulator, so ``cancel`` can keep the live/dead counters exact
+        self.sim = sim
 
     def cancel(self) -> None:
         """Prevent the event from firing. Safe to call more than once."""
@@ -149,7 +149,7 @@ class Event:
         sim = self.sim
         if sim is not None:
             sim._live -= 1
-            sim._backend.dead += 1
+            sim._dead += 1
             sim.events_cancelled += 1
 
     @property
@@ -169,268 +169,8 @@ class Event:
         return f"Event(t={self.time:.6f}, fn={getattr(self.fn, '__qualname__', self.fn)}, {state})"
 
 
-class _QueueBackend:
-    """Event-queue contract shared by the heap and wheel backends.
-
-    The three hot operations are ``push`` (enqueue one entry), ``peek_time``
-    (time of the earliest *live* entry, physically dropping any cancelled
-    entries it has to step over, or ``None`` when empty), and ``pop`` (remove
-    and return that earliest live entry; only valid immediately after a
-    non-``None`` ``peek_time``). ``dead`` counts cancelled entries still
-    resident anywhere in the structure; ``purge`` drops them all.
-    """
-
-    __slots__ = ()
-    name = "?"
-    dead: int
-
-    def push(self, entry: _Entry) -> None:
-        raise NotImplementedError
-
-    def peek_time(self) -> Optional[float]:
-        raise NotImplementedError
-
-    def pop(self) -> _Entry:
-        raise NotImplementedError
-
-    def purge(self) -> None:
-        raise NotImplementedError
-
-    def entries(self) -> List[_Entry]:
-        raise NotImplementedError
-
-    def __len__(self) -> int:
-        raise NotImplementedError
-
-
-class _HeapBackend(_QueueBackend):
-    """One global binary heap — the original engine structure."""
-
-    __slots__ = ("heap", "dead")
-    name = "heap"
-
-    def __init__(self) -> None:
-        self.heap: List[_Entry] = []
-        self.dead = 0
-
-    def push(self, entry: _Entry) -> None:
-        heapq.heappush(self.heap, entry)
-
-    def peek_time(self) -> Optional[float]:
-        heap = self.heap
-        while heap:
-            if heap[0][3].cancelled:
-                heapq.heappop(heap)
-                self.dead -= 1
-            else:
-                return heap[0][0]
-        return None
-
-    def pop(self) -> _Entry:
-        return heapq.heappop(self.heap)
-
-    def purge(self) -> None:
-        heap = self.heap
-        heap[:] = [entry for entry in heap if not entry[3].cancelled]
-        heapq.heapify(heap)
-        self.dead = 0
-
-    def entries(self) -> List[_Entry]:
-        return self.heap
-
-    def __len__(self) -> int:
-        return len(self.heap)
-
-
-class _WheelBackend(_QueueBackend):
-    """Timer wheel with an overflow heap for far-future events.
-
-    Three tiers, ordered by due time:
-
-    * the *current* tier — entries already due at or before the wheel
-      cursor: a sorted run (``run``/``run_i``, one ``list.sort`` per slot
-      when the cursor reaches it) merged on the fly with a small ``inflow``
-      heap of entries scheduled *at or behind* the cursor after its slot was
-      poured (zero-delay follow-ups, same-slot delivery latencies);
-    * the wheel itself — ``nslots`` lists, one per ``granularity`` seconds;
-      an append is O(1) and entries are looked at exactly once, when the
-      cursor reaches their slot;
-    * the ``overflow`` heap — anything due beyond the wheel horizon
-      (aperiodic far-future work: fault schedules, long timeouts). Entries
-      pour into the current tier when the cursor reaches their tick.
-
-    Correctness leans on two facts: ``granularity`` is a power of two, so
-    ``time * inv_g`` is exact and slot binning is monotone in time (two
-    events can never swap slots); and every tier orders entries by the full
-    ``(time, priority, seq)`` tuple, so same-instant FIFO survives slot
-    boundaries. The cursor (``cur_tick``) only moves forward, during
-    ``peek_time`` — moving it is pure bookkeeping, so peeking past idle
-    stretches never perturbs execution.
-    """
-
-    __slots__ = (
-        "granularity",
-        "inv_g",
-        "nslots",
-        "mask",
-        "slots",
-        "cur_tick",
-        "run",
-        "run_i",
-        "inflow",
-        "overflow",
-        "wheel_count",
-        "dead",
-    )
-    name = "wheel"
-
-    def __init__(
-        self, granularity: float = WHEEL_GRANULARITY, nslots: int = WHEEL_SLOTS
-    ) -> None:
-        if granularity <= 0:
-            raise ValueError(f"granularity must be positive, got {granularity!r}")
-        if nslots < 2 or nslots & (nslots - 1):
-            raise ValueError(f"nslots must be a power of two >= 2, got {nslots!r}")
-        self.granularity = granularity
-        self.inv_g = 1.0 / granularity
-        self.nslots = nslots
-        self.mask = nslots - 1
-        self.slots: List[List[_Entry]] = [[] for _ in range(nslots)]
-        #: every tick <= cur_tick has been poured into the current tier
-        self.cur_tick = 0
-        self.run: List[_Entry] = []
-        self.run_i = 0
-        self.inflow: List[_Entry] = []
-        self.overflow: List[_Entry] = []
-        #: entries resident in slot lists (live + dead)
-        self.wheel_count = 0
-        self.dead = 0
-
-    def push(self, entry: _Entry) -> None:
-        tick = int(entry[0] * self.inv_g)
-        offset = tick - self.cur_tick
-        if offset <= 0:
-            heapq.heappush(self.inflow, entry)
-        elif offset < self.nslots:
-            self.slots[tick & self.mask].append(entry)
-            self.wheel_count += 1
-        else:
-            heapq.heappush(self.overflow, entry)
-
-    def peek_time(self) -> Optional[float]:
-        heappop = heapq.heappop
-        while True:
-            run = self.run
-            i = self.run_i
-            n = len(run)
-            while i < n and run[i][3].cancelled:
-                i += 1
-                self.dead -= 1
-            self.run_i = i
-            inflow = self.inflow
-            while inflow and inflow[0][3].cancelled:
-                heappop(inflow)
-                self.dead -= 1
-            if i < n:
-                if inflow and inflow[0] < run[i]:
-                    return inflow[0][0]
-                return run[i][0]
-            if n:
-                # run fully consumed: release the fired entries' tuples
-                self.run = []
-                self.run_i = 0
-            if inflow:
-                return inflow[0][0]
-            if self.wheel_count == 0 and not self.overflow:
-                return None
-            self._advance()
-
-    def pop(self) -> _Entry:
-        # only valid right after peek_time() returned non-None: the fronts
-        # of both current-tier structures are live
-        run = self.run
-        i = self.run_i
-        inflow = self.inflow
-        if i < len(run):
-            entry = run[i]
-            if inflow and inflow[0] < entry:
-                return heapq.heappop(inflow)
-            self.run_i = i + 1
-            return entry
-        return heapq.heappop(inflow)
-
-    def _advance(self) -> None:
-        """Move the cursor to the next tick that can hold work and pour it
-        into the current tier. Called only with the current tier empty."""
-        due: List[_Entry] = []
-        if self.wheel_count:
-            self.cur_tick += 1
-            slot = self.slots[self.cur_tick & self.mask]
-            if slot:
-                self.wheel_count -= len(slot)
-                for entry in slot:
-                    if entry[3].cancelled:
-                        self.dead -= 1
-                    else:
-                        due.append(entry)
-                slot.clear()
-        else:
-            # the wheel is empty: jump straight to the overflow's next tick
-            # (peek_time guarantees the overflow is non-empty here)
-            tick = int(self.overflow[0][0] * self.inv_g)
-            if tick > self.cur_tick:
-                self.cur_tick = tick
-        overflow = self.overflow
-        cur = self.cur_tick
-        inv_g = self.inv_g
-        while overflow and int(overflow[0][0] * inv_g) <= cur:
-            entry = heapq.heappop(overflow)
-            if entry[3].cancelled:
-                self.dead -= 1
-            else:
-                due.append(entry)
-        if due:
-            due.sort()
-            self.run = due
-            self.run_i = 0
-
-    def purge(self) -> None:
-        """Slot reclamation: drop every cancelled entry from every tier."""
-        self.run = [e for e in self.run[self.run_i :] if not e[3].cancelled]
-        self.run_i = 0
-        self.inflow = [e for e in self.inflow if not e[3].cancelled]
-        heapq.heapify(self.inflow)
-        self.overflow = [e for e in self.overflow if not e[3].cancelled]
-        heapq.heapify(self.overflow)
-        count = 0
-        for slot in self.slots:
-            if slot:
-                slot[:] = [e for e in slot if not e[3].cancelled]
-                count += len(slot)
-        self.wheel_count = count
-        self.dead = 0
-
-    def entries(self) -> List[_Entry]:
-        flat = self.run[self.run_i :] + self.inflow + self.overflow
-        for slot in self.slots:
-            flat.extend(slot)
-        return flat
-
-    def __len__(self) -> int:
-        return (
-            (len(self.run) - self.run_i)
-            + len(self.inflow)
-            + self.wheel_count
-            + len(self.overflow)
-        )
-
-
-def _make_backend(name: str) -> _QueueBackend:
-    if name == "heap":
-        return _HeapBackend()
-    if name == "wheel":
-        return _WheelBackend()
-    raise ValueError(f"unknown event-queue backend {name!r} (want 'heap' or 'wheel')")
+def _bad_time(what: str, value: float) -> SimulationError:
+    return SimulationError(f"invalid {what} {value!r}: in the past, NaN or infinite")
 
 
 class Simulator:
@@ -452,11 +192,12 @@ class Simulator:
         counters (events dispatched/cancelled, queue depth), so the hot
         loop never touches a metric instrument.
     backend:
-        Event-queue backend: ``"wheel"`` (timer wheel + overflow heap) or
-        ``"heap"`` (single global heap). ``None`` resolves through
+        Event-queue configuration: ``"wheel"`` (the timer wheel) or
+        ``"heap"`` (the same queue with one slot that never advances, so
+        every entry sits in one binary heap). ``None`` resolves through
         :func:`default_backend` (the ``GULFSTREAM_SIM_BACKEND`` environment
-        variable, else the wheel). Both backends replay byte-identical
-        histories; the choice is purely a performance trade.
+        variable, else the wheel). Both replay byte-identical histories;
+        the choice is purely a performance trade.
     shards:
         Accepted for API symmetry with the scenario layer: a single
         ``Simulator`` is always one shard. ``None`` or ``1`` are the only
@@ -481,13 +222,38 @@ class Simulator:
             )
         self.now: float = 0.0
         self.backend = backend if backend is not None else default_backend()
-        self._backend = _make_backend(self.backend)
+        if self.backend == "wheel":
+            self._inv_g, self._nslots = 1.0 / WHEEL_GRANULARITY, WHEEL_SLOTS
+        elif self.backend == "heap":
+            # every time bins to tick 0 == the cursor: all entries are inflow
+            self._inv_g, self._nslots = 0.0, 1
+        else:
+            raise ValueError(
+                f"unknown event-queue backend {self.backend!r} (want 'heap' or 'wheel')"
+            )
+        # the queue, in four tiers ordered by due time: the current tier — a
+        # sorted ``_run`` (consumed up to ``_run_i``) merged with the
+        # ``_inflow`` heap of entries filed at or behind the cursor after
+        # its slot was poured —, the wheel's ``_slots`` (one per tick, an
+        # append each), and the ``_overflow`` heap past the horizon. Every
+        # tick <= ``_cur_tick`` has been poured into the current tier.
+        self._mask = self._nslots - 1
+        self._slots: List[List[_Entry]] = [[] for _ in range(self._nslots)]
+        self._cur_tick = 0
+        self._run: List[_Entry] = []
+        self._run_i = 0
+        self._inflow: List[_Entry] = []
+        self._overflow: List[_Entry] = []
+        #: entries resident in slot lists (live + dead)
+        self._wheel_count = 0
+        #: cancelled entries still resident in the queue (lazy-purge state)
+        self._dead = 0
         self._seq: int = 0
         #: ``seq`` of the event being fired; ``inf`` between runs, when every
         #: event due by ``now`` has fired. ``(now, firing_seq)`` is the key a
         #: :meth:`reserve_seq` slot compares against to tell whether its
         #: event would already have run.
-        self.firing_seq: float = float("inf")
+        self.firing_seq: float = _INF
         #: bumped whenever work is parked for a consumer to catch up on later
         #: (a segment's multicast record): a consumer that kept the value it
         #: last caught up at skips the catch-up while this has not moved
@@ -516,17 +282,21 @@ class Simulator:
 
     @property
     def _queue(self) -> List[_Entry]:
-        """Every queued entry, cancelled ones included (introspection only).
+        """Every queued entry, cancelled ones included, as a fresh list
+        (introspection only; hot paths never touch this)."""
+        flat = self._run[self._run_i :] + self._inflow + self._overflow
+        for slot in self._slots:
+            flat.extend(slot)
+        return flat
 
-        The heap backend exposes its live heap list; the wheel flattens its
-        tiers into a fresh list per access. Hot paths never touch this.
-        """
-        return self._backend.entries()
-
-    @property
-    def _dead(self) -> int:
-        """Cancelled entries still resident in the queue (lazy-purge state)."""
-        return self._backend.dead
+    def _resident(self) -> int:
+        """Entries in the queue, live and dead."""
+        return (
+            len(self._run) - self._run_i
+            + len(self._inflow)
+            + self._wheel_count
+            + len(self._overflow)
+        )
 
     # ------------------------------------------------------------------
     # scheduling
@@ -535,16 +305,26 @@ class Simulator:
         self, delay: float, fn: Callable[..., Any], *args: Any, priority: int = 0
     ) -> Event:
         """Schedule ``fn(*args)`` to run ``delay`` seconds from now."""
-        if delay < 0:
-            raise SimulationError(f"negative delay {delay!r}")
+        if not delay >= 0:  # NaN too
+            raise _bad_time("delay", delay)
         time = self.now + delay
+        try:
+            tick = int(time * self._inv_g)
+        except (OverflowError, ValueError):  # inf
+            raise _bad_time("delay", delay) from None
         seq = self._seq
         self._seq = seq + 1
-        ev = Event(time, priority, seq, fn, args)
-        ev.sim = self
-        self._backend.push((time, priority, seq, ev))
+        ev = Event(time, priority, seq, fn, args, self)
+        offset = tick - self._cur_tick
+        if offset <= 0:
+            heappush(self._inflow, (time, priority, seq, ev))
+        elif offset < self._nslots:
+            self._slots[tick & self._mask].append((time, priority, seq, ev))
+            self._wheel_count += 1
+        else:
+            heappush(self._overflow, (time, priority, seq, ev))
         self._live += 1
-        if self._backend.dead > self._purge_gate:
+        if self._dead > self._purge_gate:
             self._maybe_purge()
         return ev
 
@@ -564,17 +344,26 @@ class Simulator:
     ) -> Event:
         """Schedule ``fn(*args)`` to run at absolute simulated ``time``
         (``seq``: a number from :meth:`reserve_seq`; default a fresh one)."""
-        if time < self.now:
-            raise SimulationError(
-                f"cannot schedule in the past: t={time!r} < now={self.now!r}"
-            )
+        if not time >= self.now:  # NaN too
+            raise _bad_time("time", time)
+        try:
+            tick = int(time * self._inv_g)
+        except (OverflowError, ValueError):  # inf
+            raise _bad_time("time", time) from None
         if seq is None:
-            seq = self.reserve_seq()
-        ev = Event(time, priority, seq, fn, args)
-        ev.sim = self
-        self._backend.push((time, priority, seq, ev))
+            seq = self._seq
+            self._seq = seq + 1
+        ev = Event(time, priority, seq, fn, args, self)
+        offset = tick - self._cur_tick
+        if offset <= 0:
+            heappush(self._inflow, (time, priority, seq, ev))
+        elif offset < self._nslots:
+            self._slots[tick & self._mask].append((time, priority, seq, ev))
+            self._wheel_count += 1
+        else:
+            heappush(self._overflow, (time, priority, seq, ev))
         self._live += 1
-        if self._backend.dead > self._purge_gate:
+        if self._dead > self._purge_gate:
             self._maybe_purge()
         return ev
 
@@ -591,19 +380,35 @@ class Simulator:
             raise SimulationError(
                 f"reschedule() needs a fired, uncancelled event, got {ev!r}"
             )
-        if delay < 0:
-            raise SimulationError(f"negative delay {delay!r}")
+        if not delay >= 0:  # NaN too
+            raise _bad_time("delay", delay)
+        if priority is not None:
+            ev.priority = priority
+        return self._rearm(ev, delay)
+
+    def _rearm(self, ev: Event, delay: float) -> Event:
+        """:meth:`reschedule` for a caller that knows ``ev`` fired, was not
+        cancelled and ``delay`` is not negative (``Timer``'s every tick)."""
         time = self.now + delay
+        try:
+            tick = int(time * self._inv_g)
+        except (OverflowError, ValueError):  # inf
+            raise _bad_time("delay", delay) from None
         seq = self._seq
         self._seq = seq + 1
         ev.time = time
         ev.seq = seq
-        if priority is not None:
-            ev.priority = priority
         ev.fired = False
-        self._backend.push((time, ev.priority, seq, ev))
+        offset = tick - self._cur_tick
+        if offset <= 0:
+            heappush(self._inflow, (time, ev.priority, seq, ev))
+        elif offset < self._nslots:
+            self._slots[tick & self._mask].append((time, ev.priority, seq, ev))
+            self._wheel_count += 1
+        else:
+            heappush(self._overflow, (time, ev.priority, seq, ev))
         self._live += 1
-        if self._backend.dead > self._purge_gate:
+        if self._dead > self._purge_gate:
             self._maybe_purge()
         return ev
 
@@ -635,41 +440,109 @@ class Simulator:
             raise SimulationError("simulator is already running (re-entrant run())")
         self._running = True
         self._stopped = False
-        executed = 0
-        # hot loop: hoist the backend's bound methods; peek_time physically
-        # drops any cancelled entries it steps over, so a live entry is
-        # always at the front when pop runs
-        backend = self._backend
-        peek = backend.peek_time
-        pop = backend.pop
         try:
-            while True:
-                when = peek()
-                if when is None:
-                    break
-                if until is not None and when > until:
-                    break
-                if max_events is not None and executed >= max_events:
-                    raise SimulationError(
-                        f"exceeded max_events={max_events} (runaway protocol?)"
-                    )
-                _, _, self.firing_seq, ev = pop()
-                self.now = when
-                ev.fired = True
-                executed += 1
-                ev.fn(*ev.args)
-                if self._stopped:
-                    break
+            self._consume(
+                _INF if until is None else until, _INF if max_events is None else max_events
+            )
             if until is not None and not self._stopped and self.now < until:
                 self.now = until
         finally:
             self._running = False
             if not self._stopped:
-                self.firing_seq = float("inf")
-            self._live -= executed
-            self.events_executed += executed
+                self.firing_seq = _INF
             self._maybe_purge()
         return self.now
+
+    def _consume(self, until: float, budget: float) -> Optional[float]:
+        """Fire live events due by ``until``, at most ``budget`` of them;
+        return the time of the first live event left queued (``None`` when
+        the queue drained or the run was stopped).
+
+        The loop owns the current tier while it runs: callbacks may file
+        entries (a same-tick one joins ``_inflow``, the list held here),
+        cancel, and compact the queue — which leaves the run list alone.
+        """
+        inflow = self._inflow
+        run = self._run
+        i = self._run_i
+        n = len(run)
+        executed = 0
+        try:
+            while True:
+                if i < n:
+                    entry = run[i]
+                    if inflow and inflow[0] < entry:
+                        entry = heappop(inflow)
+                    else:
+                        i += 1
+                elif inflow:
+                    entry = heappop(inflow)
+                elif self._wheel_count or self._overflow:
+                    run = self._advance()
+                    i = 0
+                    n = len(run)
+                    continue
+                else:
+                    return None
+                ev = entry[3]
+                if ev.cancelled:
+                    self._dead -= 1
+                    continue
+                when = entry[0]
+                if when > until or executed >= budget:
+                    # not this run's: back where it came from
+                    if i and run[i - 1] is entry:
+                        i -= 1
+                    else:
+                        heappush(inflow, entry)
+                    if when > until:
+                        return when
+                    raise SimulationError(f"exceeded max_events={budget} (runaway protocol?)")
+                self._run_i = i
+                self.now = when
+                self.firing_seq = entry[2]
+                ev.fired = True
+                executed += 1
+                ev.fn(*ev.args)
+                if self._stopped:
+                    return None
+        finally:
+            self._run_i = i
+            self._live -= executed
+            self.events_executed += executed
+
+    def _advance(self) -> List[_Entry]:
+        """Move the cursor to the next tick that can hold work and pour it,
+        sorted, into a fresh run, which is returned. Called only with the
+        current tier empty. The slot's list itself becomes the run, dead
+        entries included: the loop drops them as they surface."""
+        due: List[_Entry] = []
+        if self._wheel_count:
+            self._cur_tick += 1
+            index = self._cur_tick & self._mask
+            slot = self._slots[index]
+            if slot:
+                self._wheel_count -= len(slot)
+                self._slots[index] = []
+                due = slot
+        else:
+            # the wheel is empty: jump straight to the overflow's next tick
+            tick = int(self._overflow[0][0] * self._inv_g)
+            if tick > self._cur_tick:
+                self._cur_tick = tick
+        overflow = self._overflow
+        cur = self._cur_tick
+        inv_g = self._inv_g
+        while overflow and int(overflow[0][0] * inv_g) <= cur:
+            entry = heappop(overflow)
+            if entry[3].cancelled:
+                self._dead -= 1
+            else:
+                due.append(entry)
+        due.sort()
+        self._run = due
+        self._run_i = 0
+        return due
 
     def stop(self) -> None:
         """Stop the current :meth:`run` after the in-flight event returns."""
@@ -686,15 +559,30 @@ class Simulator:
         that only re-arms timers (no fresh ``schedule`` calls) cannot bloat
         the queue without bound.
         """
-        backend = self._backend
         gate = PURGE_THRESHOLD
-        if backend.dead > PURGE_THRESHOLD:
-            resident = len(backend)
-            if backend.dead * 2 > resident:
-                backend.purge()
+        if self._dead > PURGE_THRESHOLD:
+            resident = self._resident()
+            if self._dead * 2 > resident:
+                self._purge()
+                gate += self._dead  # what the run still holds
             else:
                 gate = resident // 2
         self._purge_gate = gate
+
+    def _purge(self) -> None:
+        """Drop every cancelled entry from the inflow, the slots and the
+        overflow, in place. The run is left to the loop consuming it (it
+        drops its dead entries as they surface); ``_dead`` counts those."""
+        for heap in (self._inflow, self._overflow):
+            heap[:] = [e for e in heap if not e[3].cancelled]
+            heapify(heap)
+        count = 0
+        for slot in self._slots:
+            if slot:
+                slot[:] = [e for e in slot if not e[3].cancelled]
+                count += len(slot)
+        self._wheel_count = count
+        self._dead = sum(1 for e in self._run[self._run_i :] if e[3].cancelled)
 
     def _collect_metrics(self) -> None:
         """Pull-collector: copy the engine tallies into the registry.
@@ -707,15 +595,18 @@ class Simulator:
         self._m_dispatched.set_total(self.events_executed)
         self._m_cancelled.set_total(self.events_cancelled)
         self._m_depth.set(self._live)
-        self._m_dead.set(self._backend.dead)
+        self._m_dead.set(self._dead)
 
     def pending_count(self) -> int:
         """Number of not-yet-cancelled events still queued. O(1)."""
         return self._live
 
     def next_event_time(self) -> Optional[float]:
-        """Time of the earliest pending event, or ``None`` if idle."""
-        t = self._backend.peek_time()
+        """Time of the earliest pending event, or ``None`` if idle. Not from
+        inside :meth:`run`, whose loop owns the queue's current tier."""
+        if self._running:
+            raise SimulationError("next_event_time() called from inside run()")
+        t = self._consume(-_INF, 0)
         self._maybe_purge()
         return t
 

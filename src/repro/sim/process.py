@@ -97,8 +97,9 @@ class Timer:
         if ev is not None and ev.fired and not ev.cancelled:
             # hot path: re-arm the just-fired event in place instead of
             # allocating a fresh Event per tick (heartbeat workloads run
-            # hundreds of timers for simulated hours)
-            self._event = self.sim.reschedule(ev, delay)
+            # hundreds of timers for simulated hours); the checks
+            # ``reschedule`` makes were just made
+            self._event = self.sim._rearm(ev, delay)
         else:
             self._event = self.sim.schedule(delay, self._fire)
 

@@ -28,6 +28,7 @@ from typing import Any, Dict, List, Tuple
 from repro.net.addressing import IPAddress
 from repro.net.fabric import Fabric
 from repro.net.nic import NIC
+from repro.net.packet import Frame
 from repro.runner.pool import PersistentWorkerPool
 from repro.sim.engine import Simulator
 from repro.sim.process import Timer
@@ -56,7 +57,7 @@ class SubstrateSpec:
 
 def build_substrate(spec: SubstrateSpec) -> Tuple[Simulator, Fabric, List[int], List[Timer]]:
     """Build the segments in ``spec.segment_ids`` with the bench's exact
-    per-adapter timer shape (ring heartbeats via ``send_many`` + segment
+    per-adapter timer shape (ring heartbeats via ``send_frames`` + segment
     beacons via ``multicast``)."""
     sim = Simulator(seed=spec.seed, trace=Trace(store=False), backend=spec.backend)
     fabric = Fabric(sim)  # PerfectLink: fixed latency, the batching shape
@@ -83,8 +84,8 @@ def build_substrate(spec: SubstrateSpec) -> Tuple[Simulator, Fabric, List[int], 
             right = members[(j + 1) % m]
             phase = (j % spec.phases) / spec.phases
             timers.append(Timer(
-                sim, spec.hb_interval, nic.send_many,
-                [left.ip, right.ip], "hb", 64,
+                sim, spec.hb_interval, nic.send_frames,
+                (Frame(nic.ip, left.ip, "hb", 64), Frame(nic.ip, right.ip, "hb", 64)),
                 initial_delay=phase * spec.hb_interval,
             ))
             timers.append(Timer(

@@ -1,5 +1,6 @@
 """RingHeartbeat engine unit tests, driven against a stub protocol."""
 
+import operator
 from typing import Any
 
 import pytest
@@ -11,6 +12,7 @@ from repro.gulfstream.heartbeat import RingHeartbeat
 from repro.gulfstream.messages import Heartbeat, MemberInfo
 from repro.gulfstream.params import GSParams
 from repro.net.addressing import IPAddress
+from repro.net.packet import Frame
 from repro.sim.engine import Simulator
 
 
@@ -25,6 +27,8 @@ class StubProto:
         self.params = params or GSParams(hb_interval=1.0, hb_miss_threshold=2,
                                          orphan_timeout=5.0)
         self.sent: list[tuple[IPAddress, Any]] = []
+        #: what each tick handed to ``send_frames``
+        self.ticks: list[tuple] = []
 
         class _Nic:
             name = f"stub/{ip}"
@@ -35,9 +39,9 @@ class StubProto:
         self.sent.append((dst, payload))
         return True
 
-    def send_many(self, dsts, payload, size=None):
-        for dst in dsts:
-            self.sent.append((dst, payload))
+    def send_frames(self, frames):
+        self.ticks.append(frames)
+        self.sent.extend((frame.dst, frame.payload) for frame in frames)
         return True
 
     def trace(self, *a, **k):
@@ -182,6 +186,21 @@ def test_message_is_built_once_per_engine_and_reused_every_round():
     assert len(payloads) >= 8
     assert all(m is payloads[0] for m in payloads)
     assert payloads[0] == Heartbeat(sender=proto.ip, epoch=view.epoch)
+
+
+def test_tick_sends_the_same_prebuilt_frames_every_round():
+    """A tick builds no frame: it hands ``send_frames`` the engine's frames,
+    one per target in ``_send_targets`` order, the same objects every
+    round."""
+    sim, proto, view, eng, *_ = make_engine(4, hb_jitter_frac=0.0)
+    sim.run(until=5.5)
+    assert len(proto.ticks) >= 4
+    first = proto.ticks[0]
+    assert all(len(tick) == len(first) and all(map(operator.is_, tick, first))
+               for tick in proto.ticks)
+    msg = Heartbeat(sender=proto.ip, epoch=view.epoch)
+    size = proto.params.size_heartbeat
+    assert list(first) == [Frame(proto.ip, dst, msg, size) for dst in eng._send_targets]
 
 
 def test_engine_uses_the_stream_its_owner_hands_it():

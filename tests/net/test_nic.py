@@ -1,10 +1,11 @@
-"""Adapter failure modes and the loopback self-test."""
+"""Adapter failure modes, the loopback self-test, and the batched send."""
 
 import pytest
 
 from repro.net.addressing import IPAddress
 from repro.net.fabric import Fabric
 from repro.net.nic import NIC, NicState
+from repro.net.packet import Frame
 from repro.sim.engine import Simulator
 
 
@@ -121,3 +122,50 @@ def test_name_and_repr(pair):
     _, a, _, _ = pair
     assert a.name == "a/eth0"
     assert "10.0.0.1" in repr(a)
+
+
+def _sender_in(case):
+    """A sender ``a`` and two receivers on one segment, ``a`` put in
+    ``case``: a NIC state, an unattached port, or a failed switch."""
+    sim = Simulator()
+    fab = Fabric(sim)
+    a, b, c = (NIC(IPAddress(f"10.0.0.{i}"), name, 0) for i, name in ((1, "a"), (2, "b"), (3, "c")))
+    for nic in (a, b, c):
+        fab.attach(nic, "sw-a" if nic is a else "sw-b", 1)
+    if isinstance(case, NicState):
+        if case is NicState.DISABLED:
+            a.disable()
+        elif case is not NicState.OK:
+            a.fail(case)
+    elif case == "unattached":
+        a.port.vlan = None
+    else:
+        fab.switches["sw-a"].fail()
+    return sim, fab, a, (b, c)
+
+
+@pytest.mark.parametrize("case", [*NicState, "unattached", "switch"],
+                         ids=lambda c: getattr(c, "value", c))
+def test_send_frames_is_one_send_per_frame(case):
+    """``send_frames`` leaves what one ``send`` per frame leaves: the
+    sender's counters, the trace counters, the segment's statistics and
+    the receivers' inboxes."""
+    outcomes = []
+    for batched in (False, True):
+        sim, fab, a, receivers = _sender_in(case)
+        inbox = []
+        for nic in receivers:
+            nic.handler = inbox.append
+        frames = [Frame(a.ip, nic.ip, "hb", 64) for nic in receivers]
+        if batched:
+            ok = a.send_frames(frames)
+        else:
+            ok = all([a.send(f.dst, f.payload, f.size) for f in frames])
+        sim.run()
+        seg = fab.segments[1]
+        outcomes.append((
+            ok, a.sent, a.send_drops, dict(sim.trace.counters), inbox,
+            seg.frames_sent, seg.frames_delivered, seg.bytes_sent, dict(seg.drop_causes),
+        ))
+    assert outcomes[0] == outcomes[1]
+    assert outcomes[1][0] is (case in (NicState.OK, NicState.FAIL_RECV))

@@ -1,12 +1,17 @@
-"""Timer-wheel backend: tier mechanics plus heap-equivalence by construction.
+"""The event queue: tier mechanics plus heap-equivalence by construction.
 
-`test_engine.py` holds both backends to the engine contract; this module
-covers what is specific to the wheel — slot binning, the overflow tier,
-cursor jumps over idle stretches, slot reclamation — and then drives both
-backends through randomized schedule/cancel/re-arm programs asserting the
-execution histories are *identical*, which is the property the golden-trace
+`test_engine.py` holds both configurations to the engine contract; this
+module covers what is specific to the slotted wheel — slot binning, the
+overflow tier, cursor jumps over idle stretches, slot reclamation — checks
+that ``backend="heap"`` really is one binary heap, and then drives the
+slotted wheel, the one-slot heap and a plain-``heapq`` reference queue
+through randomized schedule/cancel/re-arm programs asserting the execution
+histories are *identical*, which is the property the golden-trace
 equivalence suite pins at farm scale.
 """
+
+import heapq
+import math
 
 import pytest
 from hypothesis import given, settings
@@ -16,8 +21,9 @@ from repro.sim.engine import (
     PURGE_THRESHOLD,
     WHEEL_GRANULARITY,
     WHEEL_SLOTS,
+    Event,
+    SimulationError,
     Simulator,
-    _WheelBackend,
     default_backend,
 )
 
@@ -54,11 +60,47 @@ def test_unknown_backend_rejected():
         Simulator(backend="btree")
 
 
-def test_wheel_backend_parameter_validation():
-    with pytest.raises(ValueError):
-        _WheelBackend(granularity=0.0)
-    with pytest.raises(ValueError):
-        _WheelBackend(nslots=100)  # not a power of two
+def test_heap_backend_is_one_heap():
+    """``backend="heap"`` is the queue with one slot that never advances:
+    every entry, however far out, is filed into the one inflow heap, and
+    the cursor never moves."""
+    sim = Simulator(backend="heap")
+    fired = []
+    for delay in (HORIZON * 3 + 0.1, 0.5, 0.0, HORIZON + 0.25, WHEEL_GRANULARITY):
+        sim.schedule(delay, fired.append, delay)
+    assert len(sim._inflow) == 5
+    assert len(sim._slots) == 1 and not sim._slots[0]
+    assert sim._wheel_count == 0 and not sim._overflow
+
+    def advance():
+        raise AssertionError("the one-slot queue advanced its cursor")
+
+    sim._advance = advance
+    sim.run()
+    assert fired == sorted(fired) and len(fired) == 5
+    assert sim._cur_tick == 0 and not sim._run
+
+
+def test_non_finite_times_are_rejected_on_both_backends():
+    """NaN and infinite delays and times raise ``SimulationError`` and queue
+    nothing. (The heap once took a NaN delay and fired it first, with
+    ``now = nan``; the wheel failed with a bare ``ValueError``.)"""
+    for backend in ("wheel", "heap"):
+        sim = Simulator(backend=backend)
+        fired = []
+        periodic = sim.schedule(0.5, fired.append, "periodic")
+        sim.run(until=1.0)
+        for bad in (math.nan, math.inf, -math.inf):
+            with pytest.raises(SimulationError):
+                sim.schedule(bad, fired.append, "schedule")
+            with pytest.raises(SimulationError):
+                sim.schedule_at(bad, fired.append, "schedule_at")
+            with pytest.raises(SimulationError):
+                sim.reschedule(periodic, bad)
+        assert sim.pending_count() == 0 and not sim._queue
+        sim.schedule(1.0, fired.append, "g")
+        sim.run()
+        assert fired == ["periodic", "g"] and sim.now == 2.0, backend
 
 
 # ----------------------------------------------------------------------
@@ -72,7 +114,7 @@ def test_overflow_tier_interleaves_with_wheel_slots():
     sim.schedule(HORIZON * 3 + 0.1, fired.append, "far")
     sim.schedule(0.5, fired.append, "near")
     sim.schedule(HORIZON + 0.25, fired.append, "mid")
-    assert len(sim._backend.overflow) == 2
+    assert len(sim._overflow) == 2
     sim.run()
     assert fired == ["near", "mid", "far"]
 
@@ -84,10 +126,9 @@ def test_cursor_jumps_over_idle_gaps():
     fired = []
     sim.schedule(10_000.0, fired.append, "lone")
     assert sim.next_event_time() == 10_000.0
-    backend = sim._backend
     # the peek poured the overflow entry; the cursor jumped straight to its
     # tick rather than advancing 640k slots one by one
-    assert backend.cur_tick == int(10_000.0 / WHEEL_GRANULARITY)
+    assert sim._cur_tick == int(10_000.0 / WHEEL_GRANULARITY)
     sim.run()
     assert fired == ["lone"] and sim.now == 10_000.0
 
@@ -123,18 +164,17 @@ def test_inflow_handles_scheduling_behind_the_poured_slot():
 
 
 def test_slot_reclamation_purges_all_tiers():
-    """purge() drops cancelled entries from the run, slots, and overflow."""
+    """_purge() drops cancelled entries from the inflow, slots, and overflow."""
     sim = Simulator(backend="wheel")
-    backend = sim._backend
     near = [sim.schedule(1.0 + i * 0.1, lambda: None) for i in range(40)]
     far = [sim.schedule(HORIZON + 10.0 + i, lambda: None) for i in range(40)]
     inflow = [sim.schedule(0.0, lambda: None) for i in range(40)]
     for ev in near + far + inflow:
         ev.cancel()
-    assert backend.dead == 120
-    backend.purge()
-    assert backend.dead == 0 and len(backend) == 0
-    assert backend.wheel_count == 0 and not backend.overflow
+    assert sim._dead == 120
+    sim._purge()
+    assert sim._dead == 0 and sim._resident() == 0
+    assert sim._wheel_count == 0 and not sim._overflow and not sim._inflow
     keeper = sim.schedule(2.0, lambda: None)
     sim.run()
     assert keeper.fired and sim.now == 2.0
@@ -144,7 +184,7 @@ def test_growing_paths_skip_the_purge_check_while_it_cannot_fire():
     """Dead entries above the threshold but under half the queue cannot be
     compacted. Until enough more die, ``schedule``/``schedule_at``/
     ``reschedule`` must not even call ``_maybe_purge`` (and through it the
-    wheel's Python ``__len__``) — and once they have died, the next of
+    queue's ``_resident`` count) — and once they have died, the next of
     them still compacts."""
     sim = Simulator(backend="wheel")
     timers = [sim.schedule(0.1, lambda: None) for _ in range(200)]
@@ -178,15 +218,47 @@ def test_wheel_len_and_queue_property_count_every_tier():
     sim.schedule(0.0, lambda: None)          # inflow
     sim.schedule(1.0, lambda: None)          # slot
     sim.schedule(HORIZON * 2, lambda: None)  # overflow
-    assert len(sim._backend) == 3
+    assert sim._resident() == 3
     assert len(sim._queue) == 3
     sim.run(until=1.5)
     assert len(sim._queue) == 1
 
 
 # ----------------------------------------------------------------------
-# differential: heap and wheel replay identical histories
+# differential: the slotted wheel, the one-slot heap and a plain heapq
+# reference replay identical histories
 # ----------------------------------------------------------------------
+class _Ref:
+    """The reference queue: one plain ``heapq`` of ``(time, priority, seq,
+    event)``, popped until empty, cancelled events skipped."""
+
+    def __init__(self):
+        self.now, self.events_executed, self._seq, self._heap = 0.0, 0, 0, []
+
+    def schedule(self, delay, fn, *args, priority=0):
+        # the engine's Event is a plain record here: no simulator owns it
+        return self.reschedule(Event(0.0, priority, 0, fn, args), delay)
+
+    def reschedule(self, ev, delay):
+        heapq.heappush(self._heap, (self.now + delay, ev.priority, self._seq, ev))
+        self._seq += 1
+        return ev
+
+    def run(self):
+        while self._heap:
+            time, _, _, ev = heapq.heappop(self._heap)
+            if not ev.cancelled:
+                self.now = time
+                self.events_executed += 1
+                ev.fn(*ev.args)
+
+
+_QUEUES = {
+    "wheel": lambda: Simulator(backend="wheel"),
+    "heap": lambda: Simulator(backend="heap"),
+    "heapq": _Ref,
+}
+
 # delays chosen to collide on exact instants and straddle slot and horizon
 # boundaries (0, sub-slot, slot-edge, horizon-edge, beyond-horizon)
 _POOL = [
@@ -211,8 +283,8 @@ _op = st.tuples(
 )
 
 
-def _replay(backend, program):
-    sim = Simulator(backend=backend)
+def _replay(queue, program):
+    sim = _QUEUES[queue]()
     log = []
 
     def fire(tag, respawn):
@@ -233,7 +305,9 @@ def _replay(backend, program):
 @settings(max_examples=60, deadline=None)
 @given(st.lists(_op, min_size=1, max_size=50))
 def test_differential_same_history_on_both_backends(program):
-    assert _replay("heap", program) == _replay("wheel", program)
+    reference = _replay("heapq", program)
+    assert _replay("heap", program) == reference
+    assert _replay("wheel", program) == reference
 
 
 @settings(max_examples=30, deadline=None)
@@ -243,11 +317,12 @@ def test_differential_same_history_on_both_backends(program):
 )
 def test_differential_periodic_rearm_same_history(periods, rounds):
     """reschedule()-driven periodic timers replay identically: re-armed
-    events take fresh sequence numbers on both backends, so same-instant
-    FIFO among recycled and fresh events matches."""
+    events take fresh sequence numbers on both backends (as a re-push does
+    in the reference), so same-instant FIFO among recycled and fresh events
+    matches."""
 
-    def replay(backend):
-        sim = Simulator(backend=backend)
+    def replay(queue):
+        sim = _QUEUES[queue]()
         log = []
         remaining = {}
 
@@ -264,4 +339,6 @@ def test_differential_periodic_rearm_same_history(periods, rounds):
         sim.run()
         return log, sim.events_executed
 
-    assert replay("heap") == replay("wheel")
+    reference = replay("heapq")
+    assert replay("heap") == reference
+    assert replay("wheel") == reference
