@@ -32,9 +32,10 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Any, Dict, Iterable, List, Tuple
+from typing import Any, Dict, Iterable, List, Optional, Tuple
 
 from repro.farm.domain import DISPATCH_VLAN
+from repro.gulfstream.amg import AMGView
 from repro.net.addressing import IPAddress
 
 __all__ = [
@@ -52,7 +53,9 @@ SERVICE_TIME = 0.005
 # ----------------------------------------------------------------------
 # wire messages (application layer)
 # ----------------------------------------------------------------------
-@dataclass(frozen=True)
+# Values, immutable by convention like :class:`~repro.net.packet.Frame`:
+# slotted, and equal, hashed and printed over their fields.
+@dataclass(slots=True, unsafe_hash=True)
 class Request:
     """Dispatcher → front end."""
 
@@ -60,7 +63,7 @@ class Request:
     client: IPAddress
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Work:
     """Front end → back end.
 
@@ -75,7 +78,7 @@ class Work:
     front_end: IPAddress
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class WorkDone:
     """Back end → front end (echoes the request's ``client`` key)."""
 
@@ -84,7 +87,7 @@ class WorkDone:
     worker: IPAddress
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Response:
     """Front end → dispatcher."""
 
@@ -137,6 +140,9 @@ class FrontEndApp:
         self.work_timeout = work_timeout
         self.domain = domain
         self._rr = 0
+        #: the AMG view the worker list was built from, and that list
+        self._view: Optional[AMGView] = None
+        self._worker_ips: List[IPAddress] = []
         #: (client, req_id) -> True while the work is outstanding; the key
         #: includes the client because req ids are only per-dispatcher unique
         self._pending: Dict[Tuple[IPAddress, int], bool] = {}
@@ -152,9 +158,12 @@ class FrontEndApp:
         daemon = self.host.daemon
         # keyed by nic.index and rebuilt when the daemon restarts: resolve per call
         proto = daemon.protocols.get(self.internal_nic.index) if daemon is not None else None
-        if proto is None or proto.view is None:
-            return []
-        return [m.ip for m in proto.view.members if m.ip != self.internal_nic.ip]
+        view = proto.view if proto is not None else None
+        if view is not self._view:  # views are immutable: rebuilt once per view
+            self._view = view
+            own = self.internal_nic.ip
+            self._worker_ips = [] if view is None else [m.ip for m in view.members if m.ip != own]
+        return self._worker_ips
 
     # -- request path -------------------------------------------------------
     def _on_dispatch_frame(self, frame) -> None:

@@ -34,6 +34,7 @@ from typing import Any, Deque, Dict, FrozenSet, Optional, Set, Tuple, TYPE_CHECK
 from repro.net.addressing import IPAddress
 from repro.gulfstream.amg import AMGView, choose_leader
 from repro.gulfstream.heartbeat import RingHeartbeat, hb_counters
+from repro.gulfstream.hierarchy import AggregatedReport
 from repro.gulfstream.messages import (
     Beacon,
     Commit,
@@ -47,6 +48,7 @@ from repro.gulfstream.messages import (
     PrepareAck,
     Probe,
     ProbeAck,
+    ReportAck,
     SelfFault,
     SubgroupPoll,
     SubgroupPollAck,
@@ -82,14 +84,41 @@ class _Verification:
     window_event: Any = None
 
 
-#: payload type -> the :class:`AdapterProtocol` method ``on_frame`` hands it to
-_HANDLERS: Dict[type, str] = {
-    Heartbeat: "_on_heartbeat", Beacon: "_on_beacon", Prepare: "_on_prepare",
-    PrepareAck: "_on_prepare_ack", Commit: "_on_commit", Suspect: "_on_suspect_msg",
-    SuspectAck: "_on_suspect_ack", SelfFault: "_on_self_fault", Probe: "_on_probe",
-    ProbeAck: "_on_probe_ack", MergeRequest: "_on_merge_request",
-    MergeInfo: "_on_merge_info", GroupHint: "_on_group_hint",
+#: payload type -> ``(handler, whole_frame)``: the name of the
+#: :class:`AdapterProtocol` method ``on_frame`` calls, with the payload or,
+#: where the handler needs the sender's address, with the whole frame
+_KINDS: Dict[type, Tuple[str, bool]] = {
+    Heartbeat: ("_on_heartbeat", False),
+    Beacon: ("_on_beacon", False),
+    Prepare: ("_on_prepare", False),
+    PrepareAck: ("_on_prepare_ack", False),
+    Commit: ("_on_commit", False),
+    Suspect: ("_on_suspect_msg", False),
+    SuspectAck: ("_on_suspect_ack", False),
+    SelfFault: ("_on_self_fault", False),
+    Probe: ("_on_probe", False),
+    ProbeAck: ("_on_probe_ack", False),
+    MergeRequest: ("_on_merge_request", False),
+    MergeInfo: ("_on_merge_info", False),
+    GroupHint: ("_on_group_hint", False),
+    SubgroupPoll: ("_on_subgroup_poll", False),
+    SubgroupPollAck: ("_on_subgroup_poll_ack", False),
+    MembershipReport: ("_on_report_frame", True),
+    ReportAck: ("_on_report_ack", False),
+    AggregatedReport: ("_on_batch", False),
 }
+
+#: every payload type ``on_frame`` has seen -> its route (``None``:
+#: application traffic), resolved once per type by :func:`_route`
+_ROUTES: Dict[type, Optional[Tuple[str, bool]]] = dict(_KINDS)
+
+
+def _route(kind: type) -> Optional[Tuple[str, bool]]:
+    """The route of the nearest protocol class in ``kind``'s MRO — a
+    subclass is its base's kind — or ``None`` if it has none."""
+    route = next((_KINDS[cls] for cls in kind.__mro__ if cls in _KINDS), None)
+    _ROUTES[kind] = route
+    return route
 
 
 class AdapterProtocol:
@@ -1141,27 +1170,35 @@ class AdapterProtocol:
         """Entry point for a frame whose OS handling delay has elapsed."""
         if self._state is AdapterState.STOPPED:
             return
-        p = frame.payload
-        for cls in type(p).__mro__:  # the type itself first; a subclass is its base's kind
-            name = _HANDLERS.get(cls)
-            if name is not None:
-                getattr(self, name)(p)
-                return
-        if isinstance(p, SubgroupPoll):
-            if isinstance(self.hb, SubgroupHeartbeat):
-                self.hb.on_poll(p)
-        elif isinstance(p, SubgroupPollAck):
-            if isinstance(self.hb, SubgroupHeartbeat):
-                self.hb.on_poll_ack(p)
-        elif isinstance(p, MembershipReport):
-            self.daemon.on_report_frame(self, p, src=frame.src)
-        elif type(p).__name__ == "ReportAck":
-            self.daemon.on_report_ack(p)
-        elif type(p).__name__ == "AggregatedReport":
-            self.daemon.on_batch_frame(self, p)
-        else:
+        kind = type(frame.payload)
+        try:
+            route = _ROUTES[kind]
+        except KeyError:
+            route = _route(kind)
+        if route is None:
             # not protocol traffic: hand to the application layer, if any
             self.daemon.on_app_frame(self, frame)
+            return
+        name, whole_frame = route
+        getattr(self, name)(frame if whole_frame else frame.payload)
+
+    # -- kinds handled by the subgroup engine or the daemon ----------------
+    def _on_subgroup_poll(self, msg: SubgroupPoll) -> None:
+        if isinstance(self.hb, SubgroupHeartbeat):
+            self.hb.on_poll(msg)
+
+    def _on_subgroup_poll_ack(self, msg: SubgroupPollAck) -> None:
+        if isinstance(self.hb, SubgroupHeartbeat):
+            self.hb.on_poll_ack(msg)
+
+    def _on_report_frame(self, frame) -> None:
+        self.daemon.on_report_frame(self, frame.payload, src=frame.src)
+
+    def _on_report_ack(self, ack: ReportAck) -> None:
+        self.daemon.on_report_ack(ack)
+
+    def _on_batch(self, batch: AggregatedReport) -> None:
+        self.daemon.on_batch_frame(self, batch)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         v = f", view={self.view}" if self.view else ""

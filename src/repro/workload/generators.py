@@ -11,11 +11,12 @@ come from the sim's named-RNG registry, in standalone statistical tests from
 
 * :class:`TruncatedZipf` — rank popularity ``P(r) ∝ r^-alpha`` over a finite
   catalogue (customers, domains), drawn by inverse-CDF lookup on a
-  precomputed cumulative table with buffered uniforms.
+  precomputed cumulative table.
 * :class:`RequestStream` — a non-homogeneous Poisson process thinned against
   its peak rate (Lewis–Shedler), modulated by a per-domain rate profile
   (e.g. :class:`~repro.workload.profiles.DiurnalProfile`), with truncated-Zipf
-  domain and user popularity.
+  domain and user popularity; computed a draw buffer at a time, yielded an
+  event at a time.
 * :func:`constant_rate` — the degenerate stream: one domain, fixed spacing.
 """
 
@@ -23,7 +24,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterator, List, Mapping, Optional, Sequence
+from typing import Callable, Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -58,21 +59,20 @@ def default_streams(seed: int) -> Dict[str, np.random.Generator]:
 
 
 class _UniformBuffer:
-    """Buffered U[0,1) draws: bulk generation, scalar consumption."""
+    """Buffered U[0,1) draws: bulk generation, consumed a buffer at a time."""
 
     def __init__(self, rng: np.random.Generator, size: int = _BUFFER) -> None:
         self._rng = rng
         self._size = size
         self._buf = rng.random(size)
-        self._i = 0
+        self._spent = False
 
-    def next(self) -> float:
-        if self._i >= self._size:
+    def block(self) -> np.ndarray:
+        """The next ``size`` draws: the first buffer, then a fresh one per call."""
+        if self._spent:
             self._buf = self._rng.random(self._size)
-            self._i = 0
-        value = self._buf[self._i]
-        self._i += 1
-        return float(value)
+        self._spent = True
+        return self._buf
 
 
 class TruncatedZipf:
@@ -84,8 +84,7 @@ class TruncatedZipf:
     million users costs one 8 MB array once and ~O(log n) per draw.
     """
 
-    def __init__(self, n: int, alpha: float = 0.9,
-                 rng: Optional[np.random.Generator] = None) -> None:
+    def __init__(self, n: int, alpha: float = 0.9) -> None:
         if n < 1:
             raise ValueError(f"need at least one rank, got n={n}")
         if alpha < 0:
@@ -93,30 +92,29 @@ class TruncatedZipf:
         self.n = int(n)
         self.alpha = float(alpha)
         weights = np.arange(1, self.n + 1, dtype=np.float64) ** -self.alpha
-        self._pmf = weights / weights.sum()
+        weights /= weights.sum()  # in place: a million-rank table peaks at two arrays
+        self._pmf = weights
         self._cdf = np.cumsum(self._pmf)
         self._cdf[-1] = 1.0  # guard against accumulated rounding
-        self._uniforms = _UniformBuffer(rng) if rng is not None else None
 
     def pmf(self, rank: int) -> float:
         """Probability of ``rank`` (1-based)."""
         return float(self._pmf[rank - 1])
 
-    def draw(self) -> int:
-        """One Zipf-distributed rank in ``1..n`` (needs a bound ``rng``)."""
-        if self._uniforms is None:
-            raise ValueError("TruncatedZipf was built without an rng")
-        return int(np.searchsorted(self._cdf, self._uniforms.next(),
-                                   side="right")) + 1
+    def ranks(self, uniforms: np.ndarray) -> np.ndarray:
+        """The rank each of ``uniforms`` maps to (inverse CDF, ``1..n``)."""
+        return self._cdf.searchsorted(uniforms, side="right") + 1
 
     def draws(self, size: int, rng: np.random.Generator) -> np.ndarray:
         """``size`` ranks drawn in one vectorized call (for batch tests)."""
-        return np.searchsorted(self._cdf, rng.random(size), side="right") + 1
+        return self.ranks(rng.random(size))
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class RequestEvent:
-    """One simulated user request: when, which customer domain, which user."""
+    """One simulated user request: when, which customer domain, which user.
+
+    A value, immutable by convention (hashed over its fields)."""
 
     time: float
     domain: str
@@ -146,8 +144,11 @@ class RequestStream:
     ``rngs`` maps each of :data:`STREAM_NAMES` to an independent
     :class:`numpy.random.Generator`; by default they derive from ``seed``
     via :func:`default_streams`. Iteration is fully deterministic given the
-    generators' states, and nothing is precomputed per event — the stream
-    can run for millions of requests in constant memory.
+    generators' states. Candidates are drawn and thinned a block at a time
+    with array operations, bit for bit what one candidate at a time would
+    give (docs/PROTOCOL.md §10), and events are yielded one at a time — the
+    stream can run for millions of requests in constant memory. The profile
+    is still called once per domain and candidate, with a Python float.
     """
 
     def __init__(
@@ -181,55 +182,97 @@ class RequestStream:
             raise ValueError(f"rngs is missing streams {missing}")
         self._arrival_rng = rngs["arrivals"]
         self._domain_uniforms = _UniformBuffer(rngs["domains"])
-        self._users = TruncatedZipf(n_users, user_alpha, rng=rngs["users"])
+        self._user_uniforms = _UniformBuffer(rngs["users"])
+        self._users = TruncatedZipf(n_users, user_alpha)
+        #: ranks of the current block of user uniforms, handed out from ``_user_pos``
+        self._user_ranks = np.empty(0, dtype=np.int64)
+        self._user_pos = 0
         domain_zipf = TruncatedZipf(len(self.domains), domain_alpha)
         self._weights = [domain_zipf.pmf(r) for r in range(1, len(self.domains) + 1)]
-        self._exp_buf = np.empty(0)
-        self._exp_i = 0
 
     # ------------------------------------------------------------------
-    def _next_exponential(self) -> float:
-        """Unit-mean exponential, buffered like the uniforms."""
-        if self._exp_i >= len(self._exp_buf):
-            self._exp_buf = self._arrival_rng.exponential(1.0, _BUFFER)
-            self._exp_i = 0
-        value = self._exp_buf[self._exp_i]
-        self._exp_i += 1
-        return float(value)
+    def _thin(
+        self, times: np.ndarray, uniforms: np.ndarray, peak: float
+    ) -> Tuple[List[float], List[int], Optional[str]]:
+        """Candidate arrivals at ``times``, thinned by ``uniforms`` and
+        assigned a domain.
 
-    def _intensities(self, t: float) -> List[float]:
-        """Unnormalized per-domain arrival intensities at ``t``."""
-        return [
-            w * max(0.0, self.profile(d, t))
-            for d, w in zip(self.domains, self._weights)
-        ]
+        Returns the accepted times and domain indices, in order, and the
+        error the stream ends with if a candidate exceeds the declared
+        peak (the events before it are still accepted). Every step is the
+        scalar generator's IEEE operation in its order, elementwise.
+        """
+        base = self.base_rate
+        at = times.tolist()
+        lam = []
+        for d, w in zip(self.domains, self._weights):
+            value = np.fromiter(map(self.profile, itertools.repeat(d), at), np.float64, len(at))
+            lam.append(w * np.where(value > 0.0, value, 0.0))  # max(0.0, v), NaN -> 0.0
+        total = 0.0  # summed left to right, as CPython 3.11's sum() does
+        for part in lam:
+            total = total + part
+        offered = base * total
+        u = uniforms * peak
+        error = None
+        over = np.flatnonzero(offered > peak + 1e-9)
+        if len(over):
+            k = int(over[0])
+            error = (
+                f"profile exceeds the declared peak_factor at t={float(times[k]):.3f} "
+                f"(rate {float(offered[k]):.3f} > peak {peak:.3f})"
+            )
+            times, u, offered, lam = times[:k], u[:k], offered[:k], [part[:k] for part in lam]
+        # the same uniform picks the domain, conditioned on acceptance: the
+        # first domain whose running share exceeds it, else the last
+        shares = []
+        acc = 0.0
+        for part in lam[:-1]:
+            acc = acc + base * part
+            shares.append(acc)
+        pick = np.full(len(times), len(lam) - 1)
+        for j in range(len(shares) - 1, -1, -1):
+            pick = np.where(u < shares[j], j, pick)
+        accept = ~(u >= offered)
+        return times[accept].tolist(), pick[accept].tolist(), error
+
+    def _take_users(self, count: int) -> List[int]:
+        """The next ``count`` (at most 4096) Zipf user ranks: one
+        ``searchsorted`` per block of uniforms, drawn when the last runs out."""
+        pos = self._user_pos
+        taken = self._user_ranks[pos:pos + count].tolist()
+        pos += len(taken)
+        if len(taken) < count:
+            self._user_ranks = self._users.ranks(self._user_uniforms.block())
+            pos = count - len(taken)
+            taken += self._user_ranks[:pos].tolist()
+        self._user_pos = pos
+        return taken
 
     # ------------------------------------------------------------------
     def __iter__(self) -> Iterator[RequestEvent]:
+        """Arrivals a buffer of 4096 candidates at a time — one buffer per
+        refill of the exponential and domain draws — thinned in one pass
+        and yielded one event at a time."""
         peak = self.base_rate * self.peak_factor
+        names = self.domains
         t = 0.0
         while True:
-            t += self._next_exponential() / peak
-            if self.duration is not None and t >= self.duration:
+            times = self._arrival_rng.exponential(1.0, _BUFFER)
+            times /= peak
+            times[0] += t
+            np.cumsum(times, out=times)  # a sequential add: the scalar ``t += e / peak``
+            n = _BUFFER
+            if self.duration is not None:
+                n = int(np.count_nonzero(times < self.duration))  # times never decrease
+                if n == 0:
+                    return
+            t = float(times[-1])
+            uniforms = self._domain_uniforms.block()
+            accepted, picks, error = self._thin(times[:n], uniforms[:n], peak)
+            users = self._take_users(len(accepted))
+            for time, k, user in zip(accepted, picks, users):
+                yield RequestEvent(time, names[k], user)
+            if error is not None:
+                raise ValueError(error)
+            if n < _BUFFER:
                 return
-            lam = self._intensities(t)
-            total = sum(lam)
-            # thinning: accept with prob rate(t)/peak_rate; the same
-            # uniform then picks the domain, conditioned on acceptance
-            u = self._domain_uniforms.next() * peak
-            offered = self.base_rate * total
-            if offered > peak + 1e-9:
-                raise ValueError(
-                    f"profile exceeds the declared peak_factor at t={t:.3f} "
-                    f"(rate {offered:.3f} > peak {peak:.3f})"
-                )
-            if u >= offered:
-                continue
-            acc = 0.0
-            domain = self.domains[-1]
-            for d, l in zip(self.domains, lam):
-                acc += self.base_rate * l
-                if u < acc:
-                    domain = d
-                    break
-            yield RequestEvent(time=t, domain=domain, user=self._users.draw())

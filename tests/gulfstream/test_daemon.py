@@ -87,3 +87,26 @@ def test_reports_lost_when_gsc_briefly_absent_are_traced():
         MembershipReport(leader=IPAddress("10.0.0.1"), group_key="x@1", epoch=1, kind="full"),
     )
     assert farm.sim.trace.count("gs.report.lost") == 1
+
+
+def test_application_payload_reaches_the_app_handler_whatever_its_class_name():
+    """Protocol kinds are told apart by type, not by class name: an
+    application's own ``ReportAck`` or ``AggregatedReport`` is application
+    traffic and goes to the adapter's application handler."""
+
+    class ReportAck:
+        seq = 1
+
+    class AggregatedReport:
+        reports = ()
+
+    farm = make_flat_farm(2, seed=9, params=HB)
+    run_stable(farm)
+    sender, receiver = (farm.hosts[n].adapters[1] for n in ("node-0", "node-1"))
+    got = []
+    receiver.app_handler = got.append
+    payloads = [ReportAck(), AggregatedReport()]
+    for payload in payloads:
+        sender.send(receiver.ip, payload)
+    farm.sim.run(until=farm.sim.now + 1.0)
+    assert [frame.payload for frame in got] == payloads

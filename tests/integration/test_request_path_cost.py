@@ -1,0 +1,92 @@
+"""What an arrival and a request cost, pinned with counts (docs/PROTOCOL.md §10).
+
+One QUICK traffic case at ``shards=1`` runs under cProfile. Counts repeat
+exactly for a seed and do not care how loaded the host is. The pins fail on
+older code: the request stream made several Python calls per candidate
+arrival and ran one ``searchsorted`` per accepted arrival, and a front end
+rebuilt its worker list from the AMG view on every request.
+"""
+
+import cProfile
+import math
+import pstats
+
+import pytest
+
+from repro.farm.requests import FrontEndApp
+from repro.gulfstream.adapter_proto import AdapterProtocol
+from repro.workload.traffic import run_traffic_case
+
+from tests.workload.test_traffic import QUICK
+
+
+def _is_front_end_internal(nic):
+    handler = getattr(nic, "app_handler", None)
+    return getattr(handler, "__func__", None) is FrontEndApp._on_internal_frame
+
+
+@pytest.fixture(scope="module")
+def run():
+    """The profiled case, plus every worker list a front end handed out and
+    every view installed on a front end's domain-internal adapter."""
+    lists, views = [], []
+    workers, install = FrontEndApp._workers, AdapterProtocol._install_view
+
+    def counting_workers(self):
+        result = workers(self)
+        lists.append(result)  # kept alive: distinct objects are distinct builds
+        return result
+
+    def counting_install(self, view, reason):
+        install(self, view, reason)
+        if self.view is view and _is_front_end_internal(self.nic):
+            views.append(view)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(FrontEndApp, "_workers", counting_workers)
+        mp.setattr(AdapterProtocol, "_install_view", counting_install)
+        profiler = cProfile.Profile()
+        profiler.enable()
+        row = run_traffic_case(case=0, seed=7, shards=1, **QUICK)
+        profiler.disable()
+    assert row["requests"]["issued"] > 500
+    return row, pstats.Stats(profiler).stats, lists, views
+
+
+def _calls(stats, name, module):
+    return sum(
+        ncalls for (filename, _line, fn), (_cc, ncalls, *_rest) in stats.items()
+        if fn == name and filename.endswith(module)
+    )
+
+
+def test_stream_makes_no_python_call_per_candidate(run):
+    """The stream's own code costs one generator resume per request plus a
+    few calls per 4096-candidate block, not a buffered draw, an intensity
+    list and a rank lookup per candidate."""
+    row, stats, _lists, _views = run
+    issued = row["requests"]["issued"]
+    calls = sum(
+        ncalls for (filename, _line, _fn), (_cc, ncalls, *_rest) in stats.items()
+        if filename.endswith("workload/generators.py")
+    )
+    # 50 covers building the stream and the handful of calls each block
+    # makes (the QUICK case draws two blocks); the scalar stream made ~9
+    # calls per request
+    assert calls <= issued + 50, (calls, issued)
+
+
+def test_user_ranks_cost_one_searchsorted_per_draw_block(run):
+    row, stats, _lists, _views = run
+    searches = sum(
+        entry[1] for (_file, _line, fn), entry in stats.items()
+        if fn == "<method 'searchsorted' of 'numpy.ndarray' objects>"
+    )
+    assert searches <= math.ceil(row["requests"]["issued"] / 4096) + 1
+
+
+def test_front_end_builds_its_worker_list_once_per_view(run):
+    _row, _stats, lists, views = run
+    assert len(lists) > 500 and views
+    builds = len({id(workers) for workers in lists})
+    assert builds <= len(views) + 1, (builds, len(views))

@@ -12,6 +12,7 @@ are exact reruns, not flaky statistics.
 from __future__ import annotations
 
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -20,11 +21,13 @@ from hypothesis import strategies as st
 from scipy import stats
 
 from repro.workload.generators import (
+    RequestEvent,
     RequestStream,
     TruncatedZipf,
     default_streams,
 )
-from repro.workload.profiles import DiurnalProfile
+from repro.workload.profiles import DiurnalProfile, DomainLoadModel
+from repro.workload.traffic import _resolve_profile
 
 
 def take(stream, n):
@@ -66,9 +69,16 @@ def test_zipf_rank_frequency_slope_matches_alpha():
     assert rvalue**2 > 0.99
 
 
+def _scalar_rank(zipf, u):
+    """One Zipf rank for one uniform: the scalar inverse-CDF lookup."""
+    return int(np.searchsorted(zipf._cdf, u, side="right")) + 1
+
+
 def test_zipf_scalar_draw_agrees_with_vectorized_distribution():
-    z = TruncatedZipf(20, alpha=0.9, rng=np.random.default_rng(5))
-    scalar = np.array([z.draw() for _ in range(50_000)])
+    z = TruncatedZipf(20, alpha=0.9)
+    uniforms = np.random.default_rng(5).random(50_000)
+    scalar = np.array([_scalar_rank(z, float(u)) for u in uniforms])
+    assert np.array_equal(scalar, z.ranks(uniforms))
     expected = np.array([z.pmf(r) for r in range(1, 21)])
     observed = np.bincount(scalar, minlength=21)[1:] / len(scalar)
     assert np.abs(observed - expected).max() < 0.01
@@ -79,8 +89,6 @@ def test_zipf_validation():
         TruncatedZipf(0)
     with pytest.raises(ValueError):
         TruncatedZipf(10, alpha=-0.1)
-    with pytest.raises(ValueError):
-        TruncatedZipf(10).draw()  # no rng bound
 
 
 # ----------------------------------------------------------------------
@@ -229,3 +237,177 @@ def test_default_streams_are_independent_per_purpose():
     # and stable: the same seed rebuilds the same three bit streams
     again = {n: r.random(8).tolist() for n, r in default_streams(42).items()}
     assert draws == again
+
+
+# ----------------------------------------------------------------------
+# exactness: the block-evaluated stream ≡ the scalar reference
+# ----------------------------------------------------------------------
+def _reference_stream(domains, base_rate, *, rngs, duration=None, n_users=1_000_000,
+                      user_alpha=0.9, domain_alpha=0.8, profile=None, peak_factor=None):
+    """The one-candidate-at-a-time generator, as the stream was first written.
+
+    Every candidate draws one exponential and (unless it ends the stream)
+    one domain uniform from 4096-draw buffers, calls the profile once per
+    domain, and every accepted event draws one user rank by a scalar
+    ``searchsorted``. The only edit is ``total``: an explicit left-to-right
+    loop, which is what ``sum`` does on CPython 3.11 and what the block
+    generator does on every version (3.12's ``sum`` compensates).
+    """
+    profile = profile if profile is not None else (lambda d, t: 1.0)
+    peak = base_rate * (1.0 if peak_factor is None else peak_factor)
+    zipf = TruncatedZipf(len(domains), domain_alpha)
+    weights = [zipf.pmf(r) for r in range(1, len(domains) + 1)]
+    users = TruncatedZipf(n_users, user_alpha)
+
+    def buffered(draw):
+        buf, i = draw(), 0
+        while True:
+            if i >= len(buf):
+                buf, i = draw(), 0
+            yield float(buf[i])
+            i += 1
+
+    exps = buffered(lambda: rngs["arrivals"].exponential(1.0, 4096))
+    domain_rng = rngs["domains"]
+    first = domain_rng.random(4096)  # drawn when the stream is built
+    uniforms = buffered(lambda: domain_rng.random(4096))
+    uniforms = itertools.chain((float(x) for x in first), uniforms)
+    user_rng = rngs["users"]
+    first_users = user_rng.random(4096)  # drawn when the stream is built
+    user_uniforms = itertools.chain((float(x) for x in first_users),
+                                    buffered(lambda: user_rng.random(4096)))
+
+    def events():
+        t = 0.0
+        while True:
+            t += next(exps) / peak
+            if duration is not None and t >= duration:
+                return
+            lam = [w * max(0.0, profile(d, t)) for d, w in zip(domains, weights)]
+            total = 0.0
+            for value in lam:
+                total += value
+            u = next(uniforms) * peak
+            offered = base_rate * total
+            if offered > peak + 1e-9:
+                raise ValueError(
+                    f"profile exceeds the declared peak_factor at t={t:.3f} "
+                    f"(rate {offered:.3f} > peak {peak:.3f})"
+                )
+            if u >= offered:
+                continue
+            acc = 0.0
+            domain = domains[-1]
+            for d, value in zip(domains, lam):
+                acc += base_rate * value
+                if u < acc:
+                    domain = d
+                    break
+            yield RequestEvent(time=t, domain=domain,
+                               user=_scalar_rank(users, next(user_uniforms)))
+
+    return events()
+
+
+def _record(events, limit=None):
+    """``(time as float.hex, domain, user)`` per event, then the error
+    message the stream ended with (``None`` for a clean end)."""
+    out = []
+    try:
+        for ev in itertools.islice(events, limit):
+            assert type(ev.time) is float and type(ev.user) is int
+            out.append((ev.time.hex(), ev.domain, ev.user))
+    except ValueError as exc:
+        return out, str(exc)
+    return out, None
+
+
+def _assert_block_matches_reference(domains, base_rate, seed=0, limit=None, **kwargs):
+    block = _record(iter(RequestStream(domains, base_rate, rngs=default_streams(seed),
+                                       **kwargs)), limit)
+    reference = _record(_reference_stream(domains, base_rate, rngs=default_streams(seed),
+                                          **kwargs), limit)
+    assert block == reference
+    return block
+
+
+E2E_NAMES = ["alpha", "bravo", "charlie", "delta"]
+
+
+@pytest.mark.parametrize("shape", ["diurnal", "flat", "flash"])
+def test_block_stream_is_the_scalar_stream_for_every_traffic_shape(shape):
+    """The e2e ``traffic`` case's stream (the staggered diurnal one, and
+    its flat and flash siblings), event for event and bit for bit."""
+    profile, peak_factor = _resolve_profile(shape, E2E_NAMES, 60.0)
+    events, error = _assert_block_matches_reference(
+        E2E_NAMES, 600.0, seed=1, duration=60.0, n_users=1_000_000,
+        profile=profile, peak_factor=peak_factor,
+    )
+    assert error is None and len(events) > 2 * 4096
+
+
+def test_block_stream_is_the_scalar_stream_for_a_load_model():
+    model = DomainLoadModel(["a", "b", "c"], base=40.0, amplitude=35.0, period=30.0,
+                            spikes={"b": (12.0, 6.0, 60.0)})
+    events, error = _assert_block_matches_reference(
+        model.domains, 30.0, seed=2, duration=90.0,
+        profile=model.as_profile(), peak_factor=model.peak_factor,
+    )
+    assert error is None and events
+
+
+def test_block_stream_is_the_scalar_stream_for_negative_and_nan_profiles():
+    """The clamp sends a negative value and NaN to zero, as ``max(0.0, v)`` did."""
+    def profile(domain, t):
+        k = int(t * 7.0)
+        if k % 5 == 0:
+            return math.nan
+        return math.sin(t + len(domain)) if k % 3 else -0.0
+
+    events, error = _assert_block_matches_reference(
+        ["a", "bb", "ccc"], 80.0, seed=3, duration=120.0, profile=profile,
+    )
+    assert error is None and events
+
+
+def test_block_stream_is_the_scalar_stream_for_the_default_profile():
+    events, error = _assert_block_matches_reference(
+        ["a", "b", "c"], 50.0, seed=4, duration=200.0, n_users=5000,
+    )
+    assert error is None and len(events) > 4096
+
+
+def test_unbounded_block_stream_reads_through_block_boundaries():
+    """``duration=None``: > 3 candidate blocks and > 3 user blocks."""
+    prof = DiurnalProfile(period=50.0, trough=0.5, domains=["x", "y"], stagger=True)
+    events, error = _assert_block_matches_reference(
+        ["x", "y"], 200.0, seed=5, limit=3 * 4096 + 1500, profile=prof,
+    )
+    assert error is None and len(events) == 3 * 4096 + 1500
+
+
+@pytest.mark.parametrize("crossing", [30.0, 50.0])
+def test_peak_violation_raises_at_the_same_candidate(crossing):
+    """Same events before the raise (in the first block and in a later
+    one), then the same message."""
+    events, error = _assert_block_matches_reference(
+        ["a", "b"], 100.0, seed=6, duration=80.0,
+        profile=lambda d, t: 2.0 if t > crossing else 0.5,
+    )
+    assert error is not None and "peak_factor" in error
+    assert events and float.fromhex(events[-1][0]) <= crossing
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    n_domains=st.integers(min_value=1, max_value=5),
+    rate=st.sampled_from([7.0, 45.0, 130.0]),
+)
+def test_block_stream_is_the_scalar_stream_over_seeds(seed, n_domains, rate):
+    names = [f"d{k}" for k in range(n_domains)]
+    prof = DiurnalProfile(period=17.0, trough=0.1, domains=names, stagger=True)
+    _assert_block_matches_reference(
+        names, rate, seed=seed, duration=5000.0 / rate, n_users=999,
+        profile=prof, peak_factor=prof.peak,
+    )
