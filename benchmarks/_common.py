@@ -5,33 +5,19 @@ plain-text table: printed to stdout (visible with ``pytest -s``) and written
 to ``benchmarks/results/<name>.txt`` so EXPERIMENTS.md can reference stable
 artifacts. The pytest-benchmark fixture wraps each full experiment once
 (``pedantic(rounds=1)``) — the interesting output is the table, the timing
-is just a bonus.
-
-Engineering benchmarks additionally persist *machine-readable* results via
-:func:`emit_bench_json`: ``BENCH_<name>.json`` at the repo root holds a
-``history`` list with one point per recorded run (events/sec, peak heap
-size, wall-clock, ...), so every future PR appends to a perf trajectory and
-regressions are diffable in review rather than anecdotal.
+is just a bonus. A written table holds only simulated quantities, so it
+comes out byte-identical on every run; wall-clock numbers are printed, never
+written. Timing is measured by the full-stack benchmark in ``benchmarks/e2e/``.
 """
 
 from __future__ import annotations
 
-import datetime
-import json
 import os
 import pathlib
-import subprocess
-from typing import Any, Dict
 
 from repro.analysis.sweeps import run_grid  # noqa: F401 — the benches' grid entry point
 
 RESULTS = pathlib.Path(__file__).parent / "results"
-
-#: repo root — BENCH_*.json trajectory files are checked in alongside the code
-BENCH_ROOT = pathlib.Path(__file__).parent.parent
-
-#: schema version of the BENCH_*.json trajectory files
-BENCH_SCHEMA = 1
 
 
 def emit(name: str, text: str) -> None:
@@ -59,69 +45,3 @@ def bench_jobs(default: int = 1) -> int:
         return int(os.environ.get("BENCH_JOBS", default))
     except ValueError:
         return default
-
-
-def _git_rev() -> str:
-    """Short commit id for trajectory points; 'unknown' outside a checkout."""
-    try:
-        out = subprocess.run(
-            ["git", "rev-parse", "--short", "HEAD"],
-            cwd=BENCH_ROOT, capture_output=True, text=True, timeout=5, check=True,
-        )
-        return out.stdout.strip() or "unknown"
-    except (OSError, subprocess.SubprocessError):
-        # OSError: no git binary; CalledProcessError/TimeoutExpired: not a
-        # checkout, a hosed one, or a hung git — all mean "no rev to report"
-        return "unknown"
-
-
-#: bookkeeping keys stamped onto every trajectory point (not metrics)
-_POINT_META = {"date", "rev"}
-
-
-def emit_bench_json(name: str, metrics: Dict[str, Any]) -> pathlib.Path:
-    """Append one point to the ``BENCH_<name>.json`` perf trajectory.
-
-    The file keeps every recorded run under ``history`` (newest last) plus a
-    ``latest`` convenience copy, so a reviewer can diff the head-of-trunk
-    numbers without parsing the whole list. Returns the file path.
-
-    Two classes of silent corruption are refused with :class:`ValueError`
-    rather than papered over: a ``schema`` mismatch (an old run against a
-    newer checkout must not wipe the recorded history), and metric-key
-    drift (a ``latest`` point whose keys differ from the last history
-    point's would break trajectory comparisons — rename deliberately by
-    migrating the file, not accidentally).
-    """
-    path = BENCH_ROOT / f"BENCH_{name}.json"
-    if path.exists():
-        doc = json.loads(path.read_text())
-        if doc.get("schema") != BENCH_SCHEMA:
-            raise ValueError(
-                f"{path.name}: schema {doc.get('schema')!r} != expected "
-                f"{BENCH_SCHEMA}; migrate the file instead of overwriting it"
-            )
-        history = doc.get("history", [])
-        if history:
-            old_keys = set(history[-1]) - _POINT_META
-            new_keys = set(metrics) - _POINT_META
-            if old_keys != new_keys:
-                gone = sorted(old_keys - new_keys)
-                added = sorted(new_keys - old_keys)
-                raise ValueError(
-                    f"{path.name}: metric keys drifted from the last history "
-                    f"point (missing: {gone or 'none'}, new: {added or 'none'}); "
-                    "migrate the trajectory file if the rename is deliberate"
-                )
-    else:
-        doc = {"schema": BENCH_SCHEMA, "bench": name, "history": []}
-    point = {
-        "date": datetime.date.today().isoformat(),
-        "rev": _git_rev(),
-        **metrics,
-    }
-    doc["history"].append(point)
-    doc["latest"] = point
-    path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
-    print(f"[bench] trajectory point appended to {path.name}")
-    return path

@@ -1,9 +1,9 @@
 """SWEEPS — the parallel experiment fabric, measured.
 
-Engineering benchmark (like ``bench_engine.py``): not a paper figure but
-the machinery every figure runs on. A Figure-5-sized grid (|T_beacon| x
-|nodes| = 15 points, 2 replicates = 30 independent simulations) is run
-three ways through :func:`repro.runner.run_sweep`:
+Engineering experiment: not a paper figure but the machinery every figure
+runs on. A Figure-5-sized grid (|T_beacon| x |nodes| = 15 points, 2
+replicates = 30 independent simulations) is run three ways through
+:func:`repro.runner.run_sweep`:
 
 1. **serial** — ``jobs=1``, no cache (the pre-fabric behavior);
 2. **parallel cold** — ``jobs=4`` over a spawn worker pool, populating a
@@ -21,8 +21,9 @@ measures ~1x no matter how good the dispatcher is), the bench also runs a
 sleep-based **overlap probe** — sleeps overlap perfectly, so this isolates
 the fabric's actual concurrency from the host's core budget.
 
-Appends serial/parallel/warm wall-clock, speedups, cache hit rate, and
-the host core count to ``BENCH_sweeps.json`` at the repo root.
+Every number in the table is a wall-clock time, a ratio of two, or a
+count, so the table is printed and not written under ``benchmarks/results/``:
+a tracked copy would change on every run.
 """
 
 import os
@@ -33,7 +34,7 @@ from repro.analysis import format_table, measure_stability
 from repro.metrics import MetricsRegistry
 from repro.runner import ResultCache, run_sweep, sleep_task
 
-from _common import emit, emit_bench_json, once
+from _common import once
 
 BEACON_TIMES = (5.0, 10.0, 20.0)
 NODE_COUNTS = (2, 10, 25, 40, 55)
@@ -153,8 +154,7 @@ def test_sweep_fabric(benchmark):
             "speedup is core-bound; overlap_speedup isolates dispatch concurrency"
         ),
     )
-    emit("sweeps", table)
-    emit_bench_json("sweeps", m)
+    print(f"\n{table}\n")
 
     # grid sanity: the sweep really reproduced Figure 5's shape
     assert len(rows) == m["grid_points"]

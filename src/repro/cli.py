@@ -21,11 +21,13 @@ per point (tables gain ``*_sd`` confidence columns), and ``--cache``
 replays unchanged points from the on-disk result cache. Results are
 byte-identical for every ``--jobs`` value.
 
-Every subcommand also accepts ``--metrics-out PATH``: farm commands export
-the simulator's :mod:`repro.metrics` registry (sampled every 5 simulated
-seconds), sweep commands export the fabric's accounting registry. The
-format follows the suffix (``.jsonl`` / ``.csv`` / ``.prom``); the
-``metrics`` subcommand prints one export or diffs two::
+Each subcommand accepts exactly the options it reads; one it would ignore
+is a usage error (exit 2). Every command except ``chaos`` and ``metrics``
+takes ``--metrics-out PATH``: farm commands export the simulator's
+:mod:`repro.metrics` registry (sampled every 5 simulated seconds), sweep
+commands export the fabric's accounting registry. The format follows the
+suffix (``.jsonl`` / ``.csv`` / ``.prom``); the ``metrics`` subcommand
+prints one export or diffs two::
 
     gulfstream-sim fig5 --nodes 4 --metrics-out m.jsonl
     gulfstream-sim metrics m.jsonl
@@ -89,7 +91,7 @@ def _sweep_registry(args):
     sample-index clock; :func:`repro.runner.run_sweep` records a sample
     when each sweep finishes.
     """
-    if not getattr(args, "metrics_out", None):
+    if not args.metrics_out:
         return None
     from repro.metrics import MetricsRegistry
 
@@ -103,7 +105,7 @@ def _attach_sampler(args, farm) -> None:
     events are inert but still count into ``events_executed``, so it must
     stay out of runs that golden-trace determinism tests fingerprint.
     """
-    if getattr(args, "metrics_out", None):
+    if args.metrics_out:
         from repro.metrics import PeriodicSampler
 
         PeriodicSampler(farm.sim, interval=5.0)
@@ -111,7 +113,7 @@ def _attach_sampler(args, farm) -> None:
 
 def _export_metrics(args, registry) -> None:
     """Write ``registry`` to ``--metrics-out`` (no-op when flag unset)."""
-    if registry is None or not getattr(args, "metrics_out", None):
+    if registry is None or not args.metrics_out:
         return
     from repro.metrics import write_metrics
 
@@ -508,79 +510,95 @@ def cmd_metrics(args) -> int:
 # ----------------------------------------------------------------------
 # parser
 # ----------------------------------------------------------------------
-def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=0, help="master RNG seed")
-    common.add_argument(
-        "--jobs", type=int, default=1,
-        help="worker processes for sweep commands (1 = in-process; "
-             "0 = one per CPU); results are identical for any value")
-    common.add_argument(
-        "--replicates", type=int, default=1,
+#: the options several subcommands share; each subcommand takes exactly the
+#: ones its ``cmd_*`` reads (an option it would ignore is a usage error)
+_SHARED_OPTIONS = {
+    "--seed": dict(type=int, default=0, help="master RNG seed"),
+    "--jobs": dict(
+        type=int, default=1,
+        help="worker processes (1 = in-process; 0 = one per CPU); results "
+             "are identical for any value"),
+    "--replicates": dict(
+        type=int, default=1,
         help="independently-seeded runs per sweep point — averaged with "
              "*_sd confidence columns for numeric sweeps; for 'workload' "
              "each replicate is a whole extra SLO row folded into the "
-             "report")
-    common.add_argument(
-        "--cache", action="store_true",
+             "report"),
+    "--cache": dict(
+        action="store_true",
         help="replay unchanged sweep points from the on-disk result cache "
-             "($GULFSTREAM_CACHE_DIR, default ~/.cache/gulfstream-sim)")
-    common.add_argument(
-        "--metrics-out", metavar="PATH", default=None,
+             "($GULFSTREAM_CACHE_DIR, default ~/.cache/gulfstream-sim)"),
+    "--metrics-out": dict(
+        metavar="PATH", default=None,
         help="export the run's metrics registry; format follows the suffix "
-             "(.jsonl time-series, .csv flat, .prom Prometheus text)")
-    common.add_argument(
-        "--shards", type=_shards_value, default=None, metavar="N",
+             "(.jsonl time-series, .csv flat, .prom Prometheus text)"),
+    "--shards": dict(
+        type=_shards_value, default=None, metavar="N",
         help="shard the simulation across N worker processes at VLAN-island "
              "granularity ('auto' = one per island; 1 = the classic run, one "
              "simulator in this process). Results are byte-identical for "
              "every value >= 2; each cut crossing then also costs the "
              "channel's lookahead, so they differ from 1 in timing; see "
-             "docs/PROTOCOL.md §9. Currently supported by 'discover' "
-             "(without --replicates) and 'workload' (without --jobs)")
+             "docs/PROTOCOL.md §9"),
+}
+
+#: the shared options of a sweep-shaped command
+_SWEEP = ("--seed", "--jobs", "--replicates", "--cache", "--metrics-out")
+#: the shared options of a command that runs one farm
+_FARM = ("--seed", "--metrics-out")
+
+
+def _add_subcommand(sub, name: str, options, **kwargs) -> argparse.ArgumentParser:
+    """A subparser carrying the named :data:`_SHARED_OPTIONS`."""
+    p = sub.add_parser(name, **kwargs)
+    for option in options:
+        p.add_argument(option, **_SHARED_OPTIONS[option])
+    return p
+
+
+def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="gulfstream-sim",
         description="GulfStream (CLUSTER 2001) reproduction — scenario runner",
-        parents=[common],
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("discover", help="run one topology discovery", parents=[common])
+    p = _add_subcommand(sub, "discover", _SWEEP + ("--shards",),
+                        help="run one topology discovery")
     p.add_argument("--nodes", type=int, default=12)
     p.add_argument("--adapters", type=int, default=3, help="adapters per node")
     p.add_argument("--beacon", type=float, default=5.0, help="T_beacon seconds")
     p.add_argument("--timeout", type=float, default=300.0)
     p.set_defaults(fn=cmd_discover)
 
-    p = sub.add_parser("fig5", help="regenerate a Figure 5 sweep", parents=[common])
+    p = _add_subcommand(sub, "fig5", _SWEEP, help="regenerate a Figure 5 sweep")
     p.add_argument("--nodes", type=_csv_ints, default=[2, 10, 25, 55])
     p.add_argument("--beacon-times", type=_csv_floats, default=[5.0, 10.0, 20.0])
     p.set_defaults(fn=cmd_fig5)
 
-    p = sub.add_parser("storm", help="random churn, then convergence report", parents=[common])
+    p = _add_subcommand(sub, "storm", _FARM, help="random churn, then convergence report")
     p.add_argument("--nodes", type=int, default=10)
     p.add_argument("--duration", type=float, default=120.0)
     p.add_argument("--mtbf", type=float, default=60.0)
     p.add_argument("--mttr", type=float, default=10.0)
     p.set_defaults(fn=cmd_storm)
 
-    p = sub.add_parser("move", help="narrate a §3.1 domain move", parents=[common])
+    p = _add_subcommand(sub, "move", _FARM, help="narrate a §3.1 domain move")
     p.add_argument("--domain-size", type=int, default=3)
     p.set_defaults(fn=cmd_move)
 
-    p = sub.add_parser("detectors", help="failure-detector comparison", parents=[common])
+    p = _add_subcommand(sub, "detectors", _SWEEP, help="failure-detector comparison")
     p.add_argument("--members", type=int, default=32)
     p.set_defaults(fn=cmd_detectors)
 
-    p = sub.add_parser("serve", help="request workload with an optional event", parents=[common])
+    p = _add_subcommand(sub, "serve", _FARM, help="request workload with an optional event")
     p.add_argument("--rate", type=float, default=100.0)
     p.add_argument("--event", choices=["none", "crash", "move"], default="crash")
     p.set_defaults(fn=cmd_serve)
 
-    p = sub.add_parser(
-        "chaos",
+    p = _add_subcommand(
+        sub, "chaos", ("--seed", "--jobs", "--cache"),
         help="randomized fault campaign with online invariant checking",
-        parents=[common],
     )
     p.add_argument("--farm", default="oceano55",
                    help="farm name: oceanoN or testbedN (e.g. oceano55)")
@@ -595,10 +613,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="write the machine-readable violations report (JSON)")
     p.set_defaults(fn=cmd_chaos)
 
-    p = sub.add_parser(
-        "workload",
+    p = _add_subcommand(
+        sub, "workload", _SWEEP + ("--shards",),
         help="streamed user-request workload driving live autoscaler moves",
-        parents=[common],
     )
     p.add_argument("--cases", type=int, default=3,
                    help="independently-seeded workload cases (seeded from --seed)")
@@ -624,8 +641,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="write the machine-readable SLO report (JSON)")
     p.set_defaults(fn=cmd_workload)
 
-    p = sub.add_parser("metrics", help="print one metrics export, or diff two",
-                       parents=[common])
+    p = _add_subcommand(sub, "metrics", (), help="print one metrics export, or diff two")
     p.add_argument("exports", nargs="+", metavar="EXPORT",
                    help="one export path to print, or two to diff (old new)")
     p.add_argument("--tolerance", type=float, default=0.0,
@@ -636,12 +652,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
-    if args.shards is not None and args.fn not in (cmd_discover, cmd_workload):
-        print(f"--shards is not supported by '{args.command}' "
-              "(sharded execution currently drives 'discover' and "
-              "'workload'; the other commands run one simulator)",
-              file=sys.stderr)
-        return 2
     try:
         return args.fn(args)
     except BrokenPipeError:  # e.g. `gulfstream-sim metrics x.jsonl | head`

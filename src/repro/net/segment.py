@@ -97,8 +97,6 @@ class Segment:
         # delivery batching: deliveries landing at the same simulated instant
         # share one aggregate flush event instead of one event each, so a
         # fixed-latency multicast to N members costs one queue entry, not N.
-        # Benchmarks flip this off to measure the per-receiver-event cost.
-        self.batch_delivery = True
         self._pending: Dict[float, List[Tuple[Any, Frame]]] = {}
         # one record per multicast: ``(when, seq base, payload, snapshot,
         # sender)``; the log holds the newest records, the last one
@@ -254,17 +252,13 @@ class Segment:
     def _deliver_later(self, latency: float, nic: "NIC", frame: Frame) -> None:
         """Enqueue one receiver's delivery ``latency`` seconds from now.
 
-        With batching on, deliveries landing at the same absolute instant
-        coalesce into one flush event (latency is strictly positive, so a
-        flush can never race the sends still filling its batch). Within a
-        batch, receivers are delivered in send order — the same order the
-        per-receiver events would have fired in, since equal-time events are
-        FIFO by schedule sequence.
+        Deliveries landing at the same absolute instant coalesce into one
+        flush event (latency is strictly positive, so a flush can never race
+        the sends still filling its batch). Within a batch, receivers are
+        delivered in send order — the same order per-receiver events would
+        fire in, since equal-time events are FIFO by schedule sequence.
         """
         sim = self.fabric.sim
-        if not self.batch_delivery:
-            sim.schedule(latency, nic.deliver, frame)
-            return
         when = sim.now + latency
         batch = self._pending.get(when)
         if batch is None:
@@ -404,10 +398,7 @@ class Segment:
         healthy = self._islands is None and not fabric.routers and fabric.failed_switches == 0
         if frame.is_multicast:
             latency = self.quality.fixed_latency
-            if (
-                healthy and latency is not None and self.batch_delivery
-                and getattr(frame.payload, "lazy_multicast", False)
-            ):
+            if healthy and latency is not None and getattr(frame.payload, "lazy_multicast", False):
                 return self._enqueue_record(sim, now, latency, sender, frame)
             targets = [n for n in self.members.values() if n is not sender]
         else:
@@ -416,7 +407,7 @@ class Segment:
                 trace_emit(now, "net.drop.noroute", sender.name, dst=str(frame.dst))
                 return True  # on the wire, nobody home
             latency = self.quality.fixed_latency
-            if healthy and latency is not None and self.batch_delivery:
+            if healthy and latency is not None:
                 # nothing to sample: join (or open) the arrival instant's batch
                 self.frames_delivered += 1
                 when = now + latency
@@ -520,7 +511,7 @@ class Segment:
         if not eligible:
             return True
         fixed = self.quality.fixed_latency
-        if fixed is not None and self.batch_delivery:
+        if fixed is not None:
             # loss-free fixed-latency link: every receiver shares one
             # delivery instant, so the whole frame enqueues as one batch
             # extension — no sampling and no per-receiver calls at all

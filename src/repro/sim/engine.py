@@ -198,12 +198,10 @@ class Simulator:
         :func:`default_backend` (the ``GULFSTREAM_SIM_BACKEND`` environment
         variable, else the wheel). Both replay byte-identical histories;
         the choice is purely a performance trade.
-    shards:
-        Accepted for API symmetry with the scenario layer: a single
-        ``Simulator`` is always one shard. ``None`` or ``1`` are the only
-        valid values — sharded execution partitions a run across *several*
-        simulators and lives in :mod:`repro.sim.shard` (see
-        ``Scenario(shards=...)`` / ``run_sharded``).
+
+    A ``Simulator`` is one shard: sharded execution partitions a run across
+    several simulators and lives in :mod:`repro.sim.shard` (see
+    ``Scenario(shards=...)`` / ``run_sharded``).
     """
 
     def __init__(
@@ -212,14 +210,7 @@ class Simulator:
         trace: Optional[Trace] = None,
         metrics: Optional[MetricsRegistry] = None,
         backend: Optional[str] = None,
-        shards: Optional[int] = None,
     ) -> None:
-        if shards not in (None, 1):
-            raise SimulationError(
-                f"Simulator(shards={shards!r}): a Simulator is always a single shard; "
-                "use Scenario(shards=...) or repro.sim.shard.run_sharded for "
-                "multi-shard execution"
-            )
         self.now: float = 0.0
         self.backend = backend if backend is not None else default_backend()
         if self.backend == "wheel":

@@ -13,9 +13,7 @@ the determinism argument.
   :class:`~repro.farm.builder.FarmBuilder` consults;
 * :mod:`~repro.sim.shard.runner` — :func:`run_sharded`, the epoch-loop
   coordinator (imported lazily: it depends on the farm layer, which in
-  turn imports this package's context module at build time);
-* :mod:`~repro.sim.shard.bench` — the spawn-importable sharded variant
-  of the bench_scale substrate workload.
+  turn imports this package's context module at build time).
 """
 
 from repro.sim.shard.channel import CutMessage, ShardGateway, merge_inbox

@@ -14,7 +14,7 @@ def make_segment(n=4, quality=None, seed=0):
     fab = Fabric(sim, default_quality=quality)
     nics = []
     for i in range(n):
-        nic = NIC(IPAddress(f"10.0.0.{i + 1}"), f"n{i}", 0)
+        nic = NIC(IPAddress(0x0A000001 + i), f"n{i}", 0)  # 10.0.0.1, 10.0.0.2, ...
         fab.attach(nic, "sw", 1)
         nics.append(nic)
     return sim, fab, nics
@@ -33,6 +33,33 @@ def test_multicast_reaches_all_but_sender():
     sim.run()
     assert [len(b) for b in boxes] == [0, 1, 1, 1]
     assert boxes[1][0].payload == "hello"
+
+
+@pytest.mark.parametrize("n", [4, 256])
+def test_one_engine_event_per_arrival_instant(n):
+    """On a fixed-latency segment every delivery landing at one instant
+    shares one flush event, whatever the fan-out: a round of N multicasts
+    and N unicasts costs one event at N = 4 and at N = 256."""
+    sim, fab, nics = make_segment(n)
+    seg = fab.segments[1]
+    assert seg.quality.fixed_latency is not None
+    received = [0]
+
+    def on_frame(frame):
+        received[0] += 1
+
+    def send_round():
+        for i, nic in enumerate(nics):
+            nic.multicast("beacon")
+            nic.send(nics[(i + 1) % n].ip, "hb")
+
+    for nic in nics:
+        nic.handler = on_frame
+    send_round()  # arrives at one instant
+    sim.schedule(1.0, send_round)  # and again at a second one
+    sim.run()
+    assert sim.events_executed == 1 + 2  # the scheduled round + one flush per instant
+    assert seg.frames_delivered == received[0] == 2 * (n * (n - 1) + n)
 
 
 def test_unicast_reaches_only_target():

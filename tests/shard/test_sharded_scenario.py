@@ -8,7 +8,7 @@ from repro.farm.builder import build_zoned_farm
 from repro.farm.scenario import Scenario
 from repro.node.osmodel import OSParams
 from repro.runner.pool import WorkerError
-from repro.sim.engine import SimulationError, Simulator
+from repro.sim.engine import Simulator
 from repro.sim.shard import (
     LOOKAHEAD_FLOOR,
     ShardedScenarioResult,
@@ -40,11 +40,9 @@ def test_validate_shards_rejects_everything_else(bad):
 
 
 def test_simulator_rejects_multi_shard_construction():
-    """A lone Simulator cannot shard itself; the error points at the API
-    that can. ``shards=1`` and ``None`` stay valid (degenerate cases)."""
-    assert Simulator(shards=None).now == 0.0
-    assert Simulator(shards=1).now == 0.0
-    with pytest.raises(SimulationError, match="run_sharded"):
+    """A lone Simulator cannot shard itself and takes no ``shards`` option;
+    sharding is ``Scenario(shards=...)`` / ``run_sharded``."""
+    with pytest.raises(TypeError, match="shards"):
         Simulator(shards=4)
 
 

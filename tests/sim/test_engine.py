@@ -179,6 +179,9 @@ def test_events_executed_counter():
         sim.schedule(float(i + 1), lambda: None)
     sim.run()
     assert sim.events_executed == 5
+    # the metrics plane reads the same count through its pull-collector
+    sim.metrics.collect()
+    assert sim.metrics.counter("sim.events.dispatched").value == 5
 
 
 @settings(max_examples=50, deadline=None)

@@ -239,6 +239,21 @@ def test_discover_shards_with_replicates_says_what_works(capsys):
     assert "GULFSTREAM" not in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["--seed", "5", "move"],  # a top-level option the subcommand would reset
+    ["chaos", "--replicates", "2"],
+    ["storm", "--jobs", "2"],
+    ["serve", "--cache"],
+    ["chaos", "--metrics-out", "x.jsonl"],
+    ["fig5", "--shards", "2"],
+])
+def test_an_option_the_command_would_ignore_is_a_usage_error(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "usage: gulfstream-sim" in capsys.readouterr().err
+
+
 def test_unknown_command_exits():
     with pytest.raises(SystemExit):
         main(["not-a-command"])
