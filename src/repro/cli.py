@@ -650,8 +650,26 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _check_option_order(parser: argparse.ArgumentParser, argv: List[str]) -> None:
+    """A shared option before the command would read to argparse as a bad
+    command (``invalid choice: '5'``): name the option and where it goes."""
+    option = argv[0].split("=", 1)[0] if argv else ""
+    if option not in _SHARED_OPTIONS:
+        return
+    commands = next(a.choices for a in parser._actions if a.dest == "command")
+    command = next((a for a in argv if a in commands), None)
+    example = (
+        f"gulfstream-sim {command} {' '.join(a for a in argv if a != command)}"
+        if command is not None else f"gulfstream-sim COMMAND {option} ..."
+    )
+    parser.error(f"{option} goes after the command: {example}")
+
+
 def main(argv: Optional[List[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    _check_option_order(parser, argv)
+    args = parser.parse_args(argv)
     try:
         return args.fn(args)
     except BrokenPipeError:  # e.g. `gulfstream-sim metrics x.jsonl | head`

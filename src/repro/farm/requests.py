@@ -31,6 +31,7 @@ as the real topology (and GulfStream's view of it) degrades.
 from __future__ import annotations
 
 import itertools
+from collections import deque
 from dataclasses import dataclass
 from typing import Any, Dict, Iterable, List, Optional, Tuple
 
@@ -111,7 +112,7 @@ class BackEndApp:
     def _on_frame(self, frame) -> None:
         msg = frame.payload
         if isinstance(msg, Work):
-            self.sim.schedule(SERVICE_TIME, self._finish, msg)
+            self.sim.post(SERVICE_TIME, self._finish, msg)
 
     def _finish(self, msg: Work) -> None:
         if self.host.crashed:
@@ -129,6 +130,11 @@ class FrontEndApp:
     Worker selection uses the internal adapter's current GulfStream AMG
     view — the live membership is the service directory, which is the
     architectural point of running GulfStream underneath.
+
+    A forwarded Work item is given up on ``work_timeout`` after dispatch.
+    That costs no event: the dispatch keeps the seq its timeout event
+    would have had, and every access to the pending table first drops the
+    keys whose timeouts would have fired by then (docs/PROTOCOL.md §10).
     """
 
     def __init__(self, host, dispatch_nic, internal_nic,
@@ -146,6 +152,9 @@ class FrontEndApp:
         #: (client, req_id) -> True while the work is outstanding; the key
         #: includes the client because req ids are only per-dispatcher unique
         self._pending: Dict[Tuple[IPAddress, int], bool] = {}
+        #: (deadline, seq, key) per dispatch, in key order: the timeouts
+        #: not applied yet
+        self._expiries: deque = deque()
         self.forwarded = 0
         self.served_locally = 0
         # per-domain arrival counter: the Autoscaler's island-local load signal
@@ -184,19 +193,22 @@ class FrontEndApp:
         self._rr += 1
         self.forwarded += 1
         key = (msg.client, msg.req_id)
+        self._expire()
         self._pending[key] = True
         self.internal_nic.send(worker, Work(req_id=msg.req_id, client=msg.client,
                                             front_end=self.internal_nic.ip), size=128)
-        self.sim.schedule(self.work_timeout, self._work_timeout, key)
+        sim = self.sim
+        self._expiries.append((sim.now + self.work_timeout, sim.reserve_seq(), key))
 
     def _on_internal_frame(self, frame) -> None:
         msg = frame.payload
         if isinstance(msg, Work):
             # front ends are servers too: serve directly
-            self.sim.schedule(SERVICE_TIME, self._serve_peer, msg)
+            self.sim.post(SERVICE_TIME, self._serve_peer, msg)
             return
         if not isinstance(msg, WorkDone):
             return
+        self._expire()
         if self._pending.pop((msg.client, msg.req_id), None) is None:
             return
         self.dispatch_nic.send(
@@ -212,9 +224,18 @@ class FrontEndApp:
                 size=128,
             )
 
-    def _work_timeout(self, key: Tuple[IPAddress, int]) -> None:
-        # drop it: the dispatcher's own timeout handles client-side retry
-        self._pending.pop(key, None)
+    def _expire(self) -> None:
+        """Drop every Work item whose timeout event would have fired before
+        the one running now: ``(deadline, seq)`` against ``(now,
+        firing_seq)``, the order the engine fires events in. The
+        dispatcher's own timeout handles client-side retry."""
+        expiries = self._expiries
+        if expiries:
+            sim = self.sim
+            horizon = (sim.now, sim.firing_seq)
+            pending = self._pending
+            while expiries and expiries[0] < horizon:  # seq is unique: key never compared
+                pending.pop(expiries.popleft()[2], None)
 
 
 # ----------------------------------------------------------------------
@@ -232,6 +253,13 @@ class TrafficSource:
     never materializes in memory no matter how many requests the stream
     holds. Requests round-robin over their domain's front ends with
     retry-on-timeout failover to that domain's next front end.
+
+    Timeouts are as lean: each send keeps the seq its timeout event would
+    have had and queues ``(deadline, seq, req_id)``. The deadlines are in
+    key order (one constant timeout), so only the oldest entry whose
+    request is still out needs an event; a response just leaves its entry
+    behind, and the head event arms the next live one when it fires
+    (docs/PROTOCOL.md §10).
 
     Counts land in ``traffic.requests/completed/failed/retried{domain}``
     and the ``traffic.latency_s`` histogram; at any instant
@@ -265,8 +293,12 @@ class TrafficSource:
         # per-source ids: a module-global counter would leak state between
         # runs sharing a process (sweep workers, repeated scenarios)
         self._req_ids = itertools.count(1)
-        #: req_id -> (issued_at, domain, retries_left, timeout event)
+        #: req_id -> (issued_at, domain, retries_left, seq of its timeout)
         self._inflight: Dict[int, tuple] = {}
+        #: (deadline, seq, req_id) per send, in key order; the head's event
+        #: is filed while ``_armed``
+        self._deadlines: deque = deque()
+        self._armed = False
         reg = self.sim.metrics
         self._m_req = {d: reg.counter("traffic.requests", domain=d) for d in self.front_ends}
         self._m_done = {d: reg.counter("traffic.completed", domain=d) for d in self.front_ends}
@@ -298,21 +330,46 @@ class TrafficSource:
         fes = self.front_ends[domain]
         target = fes[self._rr[domain] % len(fes)]
         self._rr[domain] += 1
-        ev = self.sim.schedule(self.timeout, self._on_timeout, req_id)
-        self._inflight[req_id] = (issued_at, domain, retries_left, ev)
+        sim = self.sim
+        seq = sim.reserve_seq()
+        self._inflight[req_id] = (issued_at, domain, retries_left, seq)
+        self._deadlines.append((sim.now + self.timeout, seq, req_id))
+        if not self._armed:  # the queue held no live entry
+            self._arm()
         self.nic.send(target, Request(req_id=req_id, client=self.nic.ip), size=256)
 
+    def _arm(self) -> None:
+        """File the timeout event of the oldest send whose request is still
+        out under it, at the key that send reserved; drop the entries
+        before it."""
+        deadlines, inflight = self._deadlines, self._inflight
+        while deadlines:
+            deadline, seq, req_id = deadlines[0]
+            entry = inflight.get(req_id)
+            if entry is not None and entry[3] == seq:
+                self.sim.schedule_at(deadline, self._on_timeout, req_id, seq=seq)
+                self._armed = True
+                return
+            deadlines.popleft()
+        self._armed = False
+
     def _on_timeout(self, req_id: int) -> None:
-        entry = self._inflight.pop(req_id, None)
-        if entry is None:
-            return
-        issued_at, domain, retries_left, _ = entry
-        if retries_left > 0:
-            self._m_retry[domain].inc()
-            self._inflight[req_id] = (issued_at, domain, retries_left - 1, None)
-            self._send(req_id, domain)
-        else:
-            self._m_fail[domain].inc()
+        """The head entry's deadline: its request times out if still out
+        under that send, then the next live entry gets the event."""
+        self._armed = False
+        seq = self._deadlines.popleft()[1]
+        entry = self._inflight.get(req_id)
+        if entry is not None and entry[3] == seq:
+            del self._inflight[req_id]
+            issued_at, domain, retries_left, _ = entry
+            if retries_left > 0:
+                self._m_retry[domain].inc()
+                self._inflight[req_id] = (issued_at, domain, retries_left - 1, None)
+                self._send(req_id, domain)
+            else:
+                self._m_fail[domain].inc()
+        if not self._armed:
+            self._arm()
 
     def _on_frame(self, frame: Any) -> None:
         msg = frame.payload
@@ -321,9 +378,7 @@ class TrafficSource:
         entry = self._inflight.pop(msg.req_id, None)
         if entry is None:
             return  # late duplicate after the final timeout
-        issued_at, domain, _, ev = entry
-        if ev is not None:
-            ev.cancel()
+        issued_at, domain = entry[0], entry[1]
         self._m_done[domain].inc()
         self._m_latency.observe(self.sim.now - issued_at)
 

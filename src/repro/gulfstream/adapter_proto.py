@@ -1086,11 +1086,13 @@ class AdapterProtocol:
         """
         msg = frame.payload
         sim = self.sim
-        if type(msg) is Heartbeat:
-            sim.schedule(self.os.charge(), self._on_heartbeat, msg)  # what on_frame would reach
+        kind = type(msg)
+        if kind is Heartbeat:
+            sim.post(self.os.charge(), self._on_heartbeat, msg)  # what on_frame would reach
             return
         if self._state is AdapterState.LEADER or not isinstance(msg, Beacon):
-            sim.schedule(self.os.charge(), self.on_frame, frame)
+            route = _ROUTES[kind] if kind in _ROUTES else _route(kind)
+            sim.post(self.os.charge(), self.on_frame if route else self._on_app_frame, frame)
             return
         backlog = self._backlog
         if backlog and backlog[0][0] < sim.now:
@@ -1176,11 +1178,25 @@ class AdapterProtocol:
         except KeyError:
             route = _route(kind)
         if route is None:
-            # not protocol traffic: hand to the application layer, if any
-            self.daemon.on_app_frame(self, frame)
+            self._on_app_frame(frame)
             return
         name, whole_frame = route
         getattr(self, name)(frame if whole_frame else frame.payload)
+
+    def _on_app_frame(self, frame) -> None:
+        """:meth:`on_frame` for a payload type without a route: not protocol
+        traffic, so the adapter's application handler takes it (§1: the
+        farm hosts real request traffic on the same adapters). :meth:`receive`
+        posts application frames here directly."""
+        if self._state is AdapterState.STOPPED:
+            return
+        handler = self.nic.app_handler
+        if handler is not None:
+            handler(frame)
+        else:
+            sim = self.sim
+            sim.trace.emit(sim.now, "gs.unknown_message", self.daemon.host.name,
+                           kind=type(frame.payload).__name__)
 
     # -- kinds handled by the subgroup engine or the daemon ----------------
     def _on_subgroup_poll(self, msg: SubgroupPoll) -> None:

@@ -260,16 +260,6 @@ class GulfStreamDaemon:
         self.report_frames_in += 1
         self.deliver_batch(batch)
 
-    def on_app_frame(self, proto: AdapterProtocol, frame) -> None:
-        """Non-protocol traffic on a monitored adapter: application demux."""
-        if proto.nic.app_handler is not None:
-            proto.nic.app_handler(frame)
-        else:
-            self.sim.trace.emit(
-                self.sim.now, "gs.unknown_message", self.host.name,
-                kind=type(frame.payload).__name__,
-            )
-
     def deliver_batch(self, batch: AggregatedReport) -> None:
         """Unpack an aggregated batch into GulfStream Central."""
         if self.central is not None and self.central.active:

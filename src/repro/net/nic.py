@@ -201,11 +201,15 @@ class NIC:
         Returns True if the frame made it onto the wire (delivery may still
         fail downstream); False if this adapter could not transmit.
         """
-        return self.send_frames((Frame(self.ip, dst, payload, size),))
+        segment = self._wire(1)
+        return segment is not None and segment.transmit(self, Frame(self.ip, dst, payload, size))
 
     def multicast(self, payload: Any, size: int = 64) -> bool:
         """Multicast to every adapter on this adapter's current segment."""
-        return self.send_frames((Frame(self.ip, MULTICAST, payload, size),))
+        segment = self._wire(1)
+        return segment is not None and segment.transmit(
+            self, Frame(self.ip, MULTICAST, payload, size)
+        )
 
     def send_frames(self, frames: Sequence[Frame]) -> bool:
         """Put ``frames`` (built by the caller, ``src`` this adapter) on the
@@ -217,33 +221,40 @@ class NIC:
         frame (a ring heartbeat tick sends its prebuilt frames through
         here). True if the frames made it onto the wire.
         """
+        segment = self._wire(len(frames))
+        if segment is None:
+            return False
+        ok = True
+        for frame in frames:
+            ok = segment.transmit(self, frame) and ok
+        return ok
+
+    def _wire(self, count: int) -> Optional["Segment"]:
+        """The segment ``count`` frames from this adapter go onto now, or
+        None when they cannot leave (each counted and traced as a drop)."""
         fabric, port = self.fabric, self.port
         if fabric is None or port is None:
             raise RuntimeError(f"{self.name} is not attached to a fabric")
         state = self.state
         if state is not _OK and state is not _FAIL_RECV:  # cannot send
-            self.send_drops += len(frames)
-            for _ in frames:
+            self.send_drops += count
+            for _ in range(count):
                 fabric.sim.trace.emit(
                     fabric.sim.now, "net.drop.sender", self.name, state=state.value
                 )
-            return False
-        self.sent += len(frames)
+            return None
+        self.sent += count
         if port.vlan is None:
-            for _ in frames:
+            for _ in range(count):
                 fabric.sim.trace.emit(fabric.sim.now, "net.drop.unattached", self.name)
-            return False
+            return None
         if port.switch.failed:
-            for _ in frames:
+            for _ in range(count):
                 fabric.sim.trace.emit(
                     fabric.sim.now, "net.drop.switch", self.name, switch=port.switch.name
                 )
-            return False
-        segment = fabric.segments[port.vlan]
-        ok = True
-        for frame in frames:
-            ok = segment.transmit(self, frame) and ok
-        return ok
+            return None
+        return fabric.segments[port.vlan]
 
     def deliver(self, frame: Frame) -> None:
         """Called by the fabric when a frame arrives (post-latency)."""

@@ -263,7 +263,7 @@ class Segment:
         batch = self._pending.get(when)
         if batch is None:
             self._pending[when] = [(nic, frame)]
-            sim.schedule(latency, self._flush, when)
+            sim.post(latency, self._flush, when)
         else:
             batch.append((nic, frame))
 
@@ -290,7 +290,7 @@ class Segment:
         batch = self._pending.get(when)
         if batch is None:
             self._pending[when] = [entry]
-            sim.schedule(latency, self._flush, when)
+            sim.post(latency, self._flush, when)
         else:
             batch.append(entry)
         return True
@@ -414,7 +414,7 @@ class Segment:
                 batch = self._pending.get(when)
                 if batch is None:
                     self._pending[when] = [(target, frame)]
-                    sim.schedule(latency, self._flush, when)
+                    sim.post(latency, self._flush, when)
                 else:
                     batch.append((target, frame))
                 return True
@@ -520,7 +520,7 @@ class Segment:
             batch = self._pending.get(when)
             if batch is None:
                 self._pending[when] = [(nic, frame) for nic in eligible]
-                sim.schedule(fixed, self._flush, when)
+                sim.post(fixed, self._flush, when)
             else:
                 batch.extend((nic, frame) for nic in eligible)
             return True

@@ -14,8 +14,9 @@ each so the benchmark harness can sweep them.
 The queue is a timer wheel (see docs/PROTOCOL.md, "The timer-wheel event
 queue"), and the simulator runs it itself: ``schedule``, ``schedule_at`` and
 ``reschedule`` file each ``(time, priority, seq, event)`` tuple straight into
-its tier, and :meth:`Simulator.run` consumes the current tier in its own
-loop. Near-term events go into O(1) slots (one per
+its tier (``post`` files a handle-less ``(time, 0, seq, None, fn, args)`` one
+for work nobody will cancel), and :meth:`Simulator.run` consumes the current
+tier in its own loop. Near-term events go into O(1) slots (one per
 :data:`WHEEL_GRANULARITY` seconds, :data:`WHEEL_SLOTS` of them), each slot is
 sorted once when the cursor reaches it, events at or behind the cursor wait
 in a small *inflow* heap merged with that sorted run, and far-future events
@@ -79,9 +80,10 @@ WHEEL_GRANULARITY = 1.0 / 64.0
 #: of simulated time; anything scheduled further out takes the overflow heap.
 WHEEL_SLOTS = 4096
 
-#: a queued event: (time, priority, seq, event) — seq is unique, so tuple
-#: comparison is total and never falls through to Event.__lt__
-_Entry = Tuple[float, int, int, "Event"]
+#: a queued event: (time, priority, seq, event), or (time, 0, seq, None, fn,
+#: args) for one filed by :meth:`Simulator.post` — seq is unique, so tuple
+#: comparison is total and never reaches the event or the callback
+_Entry = Tuple[Any, ...]
 
 _INF = float("inf")
 
@@ -319,6 +321,38 @@ class Simulator:
             self._maybe_purge()
         return ev
 
+    def post(self, delay: float, fn: Callable[..., Any], *args: Any) -> None:
+        """Run ``fn(*args)`` ``delay`` seconds from now, like :meth:`schedule`
+        at priority 0, for a caller that will never cancel it.
+
+        Nothing is returned and no :class:`Event` is made: the queue holds
+        the bare entry ``(time, 0, seq, None, fn, args)``, which takes its
+        seq — so its same-instant FIFO place — exactly as ``schedule`` would
+        have. It counts in :meth:`pending_count`, ``max_events`` and
+        ``events_executed`` like any event, and cannot be cancelled or
+        rescheduled.
+        """
+        if not delay >= 0:  # NaN too
+            raise _bad_time("delay", delay)
+        time = self.now + delay
+        try:
+            tick = int(time * self._inv_g)
+        except (OverflowError, ValueError):  # inf
+            raise _bad_time("delay", delay) from None
+        seq = self._seq
+        self._seq = seq + 1
+        offset = tick - self._cur_tick
+        if offset <= 0:
+            heappush(self._inflow, (time, 0, seq, None, fn, args))
+        elif offset < self._nslots:
+            self._slots[tick & self._mask].append((time, 0, seq, None, fn, args))
+            self._wheel_count += 1
+        else:
+            heappush(self._overflow, (time, 0, seq, None, fn, args))
+        self._live += 1
+        if self._dead > self._purge_gate:
+            self._maybe_purge()
+
     def reserve_seq(self, n: int = 1) -> int:
         """Claim the next ``n`` sequence numbers without queueing an event
         and return the first: ``schedule_at(time, ..., seq=k)`` later yields
@@ -476,7 +510,7 @@ class Simulator:
                 else:
                     return None
                 ev = entry[3]
-                if ev.cancelled:
+                if ev is not None and ev.cancelled:
                     self._dead -= 1
                     continue
                 when = entry[0]
@@ -492,9 +526,12 @@ class Simulator:
                 self._run_i = i
                 self.now = when
                 self.firing_seq = entry[2]
-                ev.fired = True
                 executed += 1
-                ev.fn(*ev.args)
+                if ev is None:  # posted: nobody holds a handle to flag
+                    entry[4](*entry[5])
+                else:
+                    ev.fired = True
+                    ev.fn(*ev.args)
                 if self._stopped:
                     return None
         finally:
@@ -526,7 +563,8 @@ class Simulator:
         inv_g = self._inv_g
         while overflow and int(overflow[0][0] * inv_g) <= cur:
             entry = heappop(overflow)
-            if entry[3].cancelled:
+            ev = entry[3]
+            if ev is not None and ev.cancelled:
                 self._dead -= 1
             else:
                 due.append(entry)
@@ -563,17 +601,20 @@ class Simulator:
     def _purge(self) -> None:
         """Drop every cancelled entry from the inflow, the slots and the
         overflow, in place. The run is left to the loop consuming it (it
-        drops its dead entries as they surface); ``_dead`` counts those."""
+        drops its dead entries as they surface); ``_dead`` counts those.
+        A posted entry (no event) is never dead."""
         for heap in (self._inflow, self._overflow):
-            heap[:] = [e for e in heap if not e[3].cancelled]
+            heap[:] = [e for e in heap if e[3] is None or not e[3].cancelled]
             heapify(heap)
         count = 0
         for slot in self._slots:
             if slot:
-                slot[:] = [e for e in slot if not e[3].cancelled]
+                slot[:] = [e for e in slot if e[3] is None or not e[3].cancelled]
                 count += len(slot)
         self._wheel_count = count
-        self._dead = sum(1 for e in self._run[self._run_i :] if e[3].cancelled)
+        self._dead = sum(
+            1 for e in self._run[self._run_i :] if e[3] is not None and e[3].cancelled
+        )
 
     def _collect_metrics(self) -> None:
         """Pull-collector: copy the engine tallies into the registry.

@@ -64,9 +64,12 @@ def test_classic_run_never_touches_the_cut_channel(profile):
 
 def test_on_frame_finds_its_handler_by_type(profile):
     """A table probe, not an ``isinstance`` ladder: every payload type,
-    application kinds included, is routed by one lookup of its type."""
+    application kinds included, is routed by one lookup of its type.
+    Application frames are routed when they are received and handled by
+    ``_on_app_frame``, so the routed frames are the calls of both."""
     on_frame = _calls(profile, "on_frame", "gulfstream/adapter_proto.py")
-    assert on_frame > 1000
+    routed = on_frame + _calls(profile, "_on_app_frame", "gulfstream/adapter_proto.py")
+    assert routed > 1000
     tests = _calls_from(
         profile, "<built-in method builtins.isinstance>", "on_frame", "gulfstream/adapter_proto.py"
     )

@@ -254,6 +254,22 @@ def test_an_option_the_command_would_ignore_is_a_usage_error(argv, capsys):
     assert "usage: gulfstream-sim" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv, fix", [
+    (["--seed", "5", "move"], "gulfstream-sim move --seed 5"),
+    (["--seed=5", "move", "--domain-size", "4"],
+     "gulfstream-sim move --seed=5 --domain-size 4"),
+    (["--jobs", "2"], "gulfstream-sim COMMAND --jobs"),
+])
+def test_a_shared_option_before_the_command_is_named(argv, fix, capsys):
+    """Not argparse's ``invalid choice: '5'``: the option, and where it goes."""
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "usage: gulfstream-sim" in err and "invalid choice" not in err
+    assert f"{argv[0].split('=')[0]} goes after the command: {fix}" in err
+
+
 def test_unknown_command_exits():
     with pytest.raises(SystemExit):
         main(["not-a-command"])
