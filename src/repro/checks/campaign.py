@@ -393,7 +393,7 @@ class _ChaosInjector:
 
 
 #: public name for subclassing (the traffic plane restricts the target
-#: sets to keep chaos inside one shard island — see repro.workload.traffic)
+#: sets to the VLANs its monitor watches — see repro.workload.traffic)
 ChaosInjector = _ChaosInjector
 
 

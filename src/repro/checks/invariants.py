@@ -216,11 +216,7 @@ class InvariantMonitor:
         self.farm = farm
         self.sim = farm.sim
         #: when set, invariants are only asserted for adapters on these
-        #: VLANs. A sharded run needs this: a monitor living on one island
-        #: can see ground truth and daemons only for its own island, so it
-        #: must not claim anything about VLANs (admin, dispatch) whose
-        #: membership spans the cut — those look permanently degraded from
-        #: any single island's vantage point.
+        #: VLANs (the traffic plane passes its domains and the free pool).
         self.vlan_scope = frozenset(vlan_scope) if vlan_scope is not None else None
         self.windows = (
             windows

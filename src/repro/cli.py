@@ -48,16 +48,6 @@ from repro.workload.profiles import WORKLOAD_PROFILES
 __all__ = ["main", "build_parser"]
 
 
-def _shards_value(text: str):
-    """``--shards`` argument: ``auto`` or a positive worker count."""
-    from repro.sim.shard import validate_shards
-
-    try:
-        return validate_shards(int(text) if text.strip().lstrip("+-").isdigit() else text)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from None
-
-
 def _csv_ints(text: str) -> List[int]:
     return [int(x) for x in text.split(",") if x]
 
@@ -176,38 +166,6 @@ def _detector_point(scheme: str, members: int, seed: int) -> dict:
 # subcommands
 # ----------------------------------------------------------------------
 def cmd_discover(args) -> int:
-    if args.shards is not None and args.replicates > 1:
-        print("--shards shards one simulation; it cannot be combined with "
-              "--replicates: drop --replicates to shard a single run, or drop "
-              "--shards and fan the replicates out with --jobs", file=sys.stderr)
-        return 2
-    if args.shards is not None:
-        from repro.farm import build_testbed
-        from repro.sim.shard import run_sharded
-
-        params = GSParams(beacon_duration=args.beacon)
-        result = run_sharded(
-            build_testbed,
-            dict(n_nodes=args.nodes, seed=args.seed, params=params,
-                 adapters_per_node=args.adapters),
-            duration=args.timeout,
-            stability_timeout=args.timeout,
-            shards=args.shards,
-            stop_when_stable=True,
-            trace_store=False,
-        )
-        _export_metrics(args, result.metrics)
-        if result.stable_time is None:
-            print(f"discovery did not stabilize within {args.timeout}s", file=sys.stderr)
-            return 1
-        configured = (params.beacon_duration + params.amg_stable_wait
-                      + params.gsc_stable_wait)
-        print(f"stable in {result.stable_time:.2f}s (configured {configured:.0f}s, "
-              f"delta {result.stable_time - configured:.2f}s)")
-        print(f"sharded: {result.n_islands} island(s) on {result.shards} worker(s), "
-              f"lookahead {result.lookahead * 1000:.1f}ms, "
-              f"{result.cross_messages} cross-shard messages")
-        return 0
     if args.replicates > 1:
         registry = _sweep_registry(args)
         rows = run_grid(
@@ -428,11 +386,6 @@ def cmd_workload(args) -> int:
         print(f"unknown mix {args.mix!r}; "
               f"choose from none, {', '.join(sorted(MIXES))}", file=sys.stderr)
         return 2
-    if args.jobs != 1 and args.shards is not None and args.shards != 1:
-        print("--jobs parallelizes cases and --shards parallelizes islands "
-              "inside one case; combining them would nest process pools — "
-              "pick one", file=sys.stderr)
-        return 2
     registry = _sweep_registry(args)
     rows = run_traffic_campaign(
         cases=args.cases,
@@ -450,7 +403,6 @@ def cmd_workload(args) -> int:
         n_users=args.users,
         mix=mix,
         profile=args.profile,
-        shards=args.shards if args.shards is not None else 1,
     )
     report = build_traffic_report(rows, base_seed=args.seed, mix=mix)
     if args.report:
@@ -532,14 +484,6 @@ _SHARED_OPTIONS = {
         metavar="PATH", default=None,
         help="export the run's metrics registry; format follows the suffix "
              "(.jsonl time-series, .csv flat, .prom Prometheus text)"),
-    "--shards": dict(
-        type=_shards_value, default=None, metavar="N",
-        help="shard the simulation across N worker processes at VLAN-island "
-             "granularity ('auto' = one per island; 1 = the classic run, one "
-             "simulator in this process). Results are byte-identical for "
-             "every value >= 2; each cut crossing then also costs the "
-             "channel's lookahead, so they differ from 1 in timing; see "
-             "docs/PROTOCOL.md §9"),
 }
 
 #: the shared options of a sweep-shaped command
@@ -563,8 +507,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = _add_subcommand(sub, "discover", _SWEEP + ("--shards",),
-                        help="run one topology discovery")
+    p = _add_subcommand(sub, "discover", _SWEEP, help="run one topology discovery")
     p.add_argument("--nodes", type=int, default=12)
     p.add_argument("--adapters", type=int, default=3, help="adapters per node")
     p.add_argument("--beacon", type=float, default=5.0, help="T_beacon seconds")
@@ -614,7 +557,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_chaos)
 
     p = _add_subcommand(
-        sub, "workload", _SWEEP + ("--shards",),
+        sub, "workload", _SWEEP,
         help="streamed user-request workload driving live autoscaler moves",
     )
     p.add_argument("--cases", type=int, default=3,

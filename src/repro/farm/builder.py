@@ -27,7 +27,6 @@ from repro.farm.domain import (
     FarmSpec,
 )
 from repro.sim.engine import Simulator
-from repro.sim.shard.context import NodeRecord, current as shard_build_context
 
 __all__ = ["Farm", "FarmBuilder", "build_farm", "build_testbed", "FREE_POOL_VLAN"]
 
@@ -60,9 +59,6 @@ class Farm:
         #: names of spare-pool nodes
         self.spare_nodes: List[str] = []
         self.admin_vlan = ADMIN_VLAN
-        #: full-farm node declarations in build order (every node, whether
-        #: or not this process owns it) — the input to island partitioning
-        self.node_records: tuple = ()
 
     # ------------------------------------------------------------------
     def start(self) -> None:
@@ -153,12 +149,6 @@ class FarmBuilder:
         self._switch_rr = 0
         self._n_switches = 1
         self._zones: Optional[ZoneConfig] = None
-        # sharded builds: when a ShardBuildContext is active, the factory
-        # runs unchanged but only context-owned nodes are materialized;
-        # IP/switch allocation still advances for every declaration so the
-        # addressing is identical to the unsharded build
-        self._shard_ctx = shard_build_context()
-        self.node_records: List[NodeRecord] = []
 
     # ------------------------------------------------------------------
     def switches(self, n: int) -> "FarmBuilder":
@@ -190,30 +180,12 @@ class FarmBuilder:
         vlans: List[int],
         admin_eligible: bool = False,
         switch: Optional[str] = None,
-    ) -> Optional[Host]:
-        """One node with one adapter per listed VLAN (first = admin).
-
-        Returns ``None`` (without building the host) when a shard build
-        context is active and the node belongs to another island; the
-        declaration is still recorded and consumes the same IP addresses
-        and switch slot either way.
-        """
+    ) -> Host:
+        """One node with one adapter per listed VLAN (first = admin)."""
         sw = switch if switch is not None else self._next_switch()
-        ips = tuple(self._alloc_ip(vlan) for vlan in vlans)
-        self.node_records.append(
-            NodeRecord(
-                name=name,
-                vlans=tuple(vlans),
-                ips=ips,
-                switch=sw,
-                admin_eligible=admin_eligible,
-            )
-        )
-        if self._shard_ctx is not None and not self._shard_ctx.owns(name):
-            return None
         host = Host(self.sim, name, os_params=self.os_params, admin_eligible=admin_eligible)
-        for vlan, ip in zip(vlans, ips):
-            host.add_adapter(ip, self.fabric, sw, vlan)
+        for vlan in vlans:
+            host.add_adapter(self._alloc_ip(vlan), self.fabric, sw, vlan)
         self._farm.hosts[name] = host
         return host
 
@@ -221,15 +193,8 @@ class FarmBuilder:
     def finish(self) -> Farm:
         """Create daemons (and the config DB snapshot) and return the farm."""
         farm = self._farm
-        farm.node_records = tuple(self.node_records)
         if self.with_configdb:
-            if self._shard_ctx is not None:
-                # the island's fabric only holds owned adapters; the config
-                # DB must describe the whole farm, so rebuild it from the
-                # full-farm connection rows captured by the coordinator
-                farm.configdb = ConfigDatabase.from_rows(self._shard_ctx.configdb_rows)
-            else:
-                farm.configdb = ConfigDatabase.from_fabric(self.fabric)
+            farm.configdb = ConfigDatabase.from_fabric(self.fabric)
         for name, host in farm.hosts.items():
             farm.daemons[name] = GulfStreamDaemon(
                 host, self.fabric, self.params, bus=self.bus,
@@ -276,12 +241,9 @@ def build_zoned_farm(
         for vlan in zone_vlans:
             zones.vlan_zone[vlan] = zone_name
         for i in range(nodes_per_zone):
-            b.add_node(f"z{z}-n{i}", [ADMIN_VLAN] + zone_vlans)
+            host = b.add_node(f"z{z}-n{i}", [ADMIN_VLAN] + zone_vlans)
             if i == 0:
-                # read the recorded allocation (first adapter = admin), not
-                # the Host: under a shard build context the node may belong
-                # to another island and add_node then returns None
-                zones.aggregator_ips[zone_name] = b.node_records[-1].ips[0]
+                zones.aggregator_ips[zone_name] = host.adapters[0].ip
     if use_zones:
         b.with_zones(zones)
     return b.finish()

@@ -135,6 +135,9 @@ class FrontEndApp:
     That costs no event: the dispatch keeps the seq its timeout event
     would have had, and every access to the pending table first drops the
     keys whose timeouts would have fired by then (docs/PROTOCOL.md §10).
+    A timeout belongs to its dispatch: when a retry re-dispatches a key
+    here before the first dispatch's timeout is due, that timeout leaves
+    the retry's entry alone.
     """
 
     def __init__(self, host, dispatch_nic, internal_nic,
@@ -149,15 +152,16 @@ class FrontEndApp:
         #: the AMG view the worker list was built from, and that list
         self._view: Optional[AMGView] = None
         self._worker_ips: List[IPAddress] = []
-        #: (client, req_id) -> True while the work is outstanding; the key
-        #: includes the client because req ids are only per-dispatcher unique
-        self._pending: Dict[Tuple[IPAddress, int], bool] = {}
+        #: (client, req_id) -> seq of the latest dispatch's timeout while the
+        #: work is outstanding; the key includes the client because req ids
+        #: are only per-dispatcher unique
+        self._pending: Dict[Tuple[IPAddress, int], int] = {}
         #: (deadline, seq, key) per dispatch, in key order: the timeouts
         #: not applied yet
         self._expiries: deque = deque()
         self.forwarded = 0
         self.served_locally = 0
-        # per-domain arrival counter: the Autoscaler's island-local load signal
+        # per-domain arrival counter: the Autoscaler's load signal
         self._m_arrivals = host.sim.metrics.counter("traffic.fe.requests", domain=domain)
         dispatch_nic.app_handler = self._on_dispatch_frame
         internal_nic.app_handler = self._on_internal_frame
@@ -194,11 +198,12 @@ class FrontEndApp:
         self.forwarded += 1
         key = (msg.client, msg.req_id)
         self._expire()
-        self._pending[key] = True
         self.internal_nic.send(worker, Work(req_id=msg.req_id, client=msg.client,
                                             front_end=self.internal_nic.ip), size=128)
         sim = self.sim
-        self._expiries.append((sim.now + self.work_timeout, sim.reserve_seq(), key))
+        seq = sim.reserve_seq()
+        self._pending[key] = seq
+        self._expiries.append((sim.now + self.work_timeout, seq, key))
 
     def _on_internal_frame(self, frame) -> None:
         msg = frame.payload
@@ -228,14 +233,17 @@ class FrontEndApp:
         """Drop every Work item whose timeout event would have fired before
         the one running now: ``(deadline, seq)`` against ``(now,
         firing_seq)``, the order the engine fires events in. The
-        dispatcher's own timeout handles client-side retry."""
+        dispatcher's own timeout handles client-side retry. A timeout whose
+        key was dispatched again since leaves the later dispatch pending."""
         expiries = self._expiries
         if expiries:
             sim = self.sim
             horizon = (sim.now, sim.firing_seq)
             pending = self._pending
             while expiries and expiries[0] < horizon:  # seq is unique: key never compared
-                pending.pop(expiries.popleft()[2], None)
+                _deadline, seq, key = expiries.popleft()
+                if pending.get(key) == seq:
+                    del pending[key]
 
 
 # ----------------------------------------------------------------------
@@ -395,33 +403,23 @@ def deploy_service(farm, request_timeout: float) -> Dict[str, List[IPAddress]]:
     adapter. Spares get the back-end application too — Océano changes a
     moved node's "personality (... operating system, applications and
     data)" before the VLAN move, so a spare arriving in a domain must
-    already serve. Under a shard build context only the hosts this island
-    owns are dressed; the other island dresses the rest.
+    already serve.
 
-    Returns each domain's front-end addresses on the dispatcher VLAN, read
-    from the node records so that the island holding the issuer knows them
-    without owning the front ends.
+    Returns each domain's front-end addresses on the dispatcher VLAN.
     """
-    records = {rec.name: rec for rec in farm.node_records}
     front_ends: Dict[str, List[IPAddress]] = {}
     for domain, internal in farm.domain_vlans.items():
         front_ends[domain] = []
         for node in farm.domain_nodes[domain]:
-            rec = records[node]
-            is_front_end = DISPATCH_VLAN in rec.vlans
-            if is_front_end:
-                front_ends[domain].append(rec.ips[rec.vlans.index(DISPATCH_VLAN)])
-            host = farm.hosts.get(node)
-            if host is None:
-                continue
-            nics = dict(zip(rec.vlans, host.adapters))
-            if is_front_end:
+            host = farm.hosts[node]
+            nics = {nic.port.vlan: nic for nic in host.adapters}
+            if DISPATCH_VLAN in nics:
+                front_ends[domain].append(nics[DISPATCH_VLAN].ip)
                 FrontEndApp(host, nics[DISPATCH_VLAN], nics[internal],
                             work_timeout=request_timeout / 2, domain=domain)
             else:
                 BackEndApp(host, nics[internal])
     for node in farm.spare_nodes:
-        host = farm.hosts.get(node)
-        if host is not None:
-            BackEndApp(host, host.adapters[1])
+        host = farm.hosts[node]
+        BackEndApp(host, host.adapters[1])
     return front_ends

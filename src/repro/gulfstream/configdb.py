@@ -102,21 +102,9 @@ class ConfigDatabase:
         behind (from the management side's point of view), populating the
         rows' ``router`` column for §3 router correlation.
         """
-        return cls.from_rows(fabric.connections(), router_map)
-
-    @classmethod
-    def from_rows(
-        cls,
-        rows: Iterable[Dict],
-        router_map: Optional[Dict[str, str]] = None,
-    ) -> "ConfigDatabase":
-        """Build the expected topology from connection-row dicts (the shape
-        ``Fabric.connections()`` yields). Sharded runs use this to give every
-        island the *whole farm's* expected topology even though the island's
-        own fabric only holds the adapters it owns."""
         db = cls()
         router_map = router_map or {}
-        for row in rows:
+        for row in fabric.connections():
             db.add(
                 ExpectedAdapter(
                     ip=row["ip"],

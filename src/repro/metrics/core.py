@@ -339,17 +339,16 @@ class MetricsRegistry:
         return snap
 
     # ------------------------------------------------------------------
-    # picklable transport (sharded workers ship dumps, not registries)
+    # plain-data snapshot
     # ------------------------------------------------------------------
     def dump(self) -> List[Dict[str, Any]]:
         """Collect, then export every instrument as a plain-data record.
 
-        The record list is picklable and registry-free — it is what a
-        sharded worker sends back over the pipe (instruments hold closures
-        via collectors, so registries themselves cannot travel). Order is
-        the registry's iteration order (sorted by key), so the dump is
-        deterministic. Rebuild with :meth:`from_dump`; combine replicate
-        or shard dumps with :meth:`merge_dumps`.
+        The record list is picklable and registry-free (instruments hold
+        closures via collectors, and a live registry holds its simulator's
+        clock): ``from_dump(dump())`` is a snapshot that keeps no farm
+        alive. Order is the registry's iteration order (sorted by key), so
+        the dump is deterministic. Rebuild with :meth:`from_dump`.
         """
         self.collect()
         out: List[Dict[str, Any]] = []
@@ -393,59 +392,6 @@ class MetricsRegistry:
             else:
                 raise ValueError(f"unknown metric kind {kind!r} in dump")
         return reg
-
-    @staticmethod
-    def merge_dumps(dumps: Sequence[Sequence[Dict[str, Any]]]) -> "MetricsRegistry":
-        """Rebuild every dump and combine them via :meth:`merged` (counters
-        and histogram buckets add, gauges average). The sharded coordinator
-        uses this, so merged outputs are shard-count-invariant: the dumps
-        are keyed data, not positional, and :meth:`merged` folds them the
-        same way regardless of how the instruments were distributed."""
-        return MetricsRegistry.merged([MetricsRegistry.from_dump(d) for d in dumps])
-
-    # ------------------------------------------------------------------
-    # merging (replicate registries from independent runs)
-    # ------------------------------------------------------------------
-    @staticmethod
-    def merged(registries: Sequence["MetricsRegistry"]) -> "MetricsRegistry":
-        """Combine replicate registries into one.
-
-        Counters and histogram buckets add; gauges average (the mean of
-        each replicate's last-observed level). The merged registry has no
-        clock, no collectors, and no samples — it is a summary artifact.
-        """
-        if not registries:
-            raise ValueError("merged() needs at least one registry")
-        out = MetricsRegistry()
-        gauge_values: Dict[str, List[float]] = {}
-        for reg in registries:
-            reg.collect()
-            for metric in reg:
-                if isinstance(metric, Counter):
-                    target = out.counter(metric.name, **dict(metric.labels))
-                    target.inc(metric.value)
-                elif isinstance(metric, Gauge):
-                    out.gauge(metric.name, **dict(metric.labels))
-                    gauge_values.setdefault(metric.key, []).append(metric.value)
-                elif isinstance(metric, Histogram):
-                    target_h = out.histogram(
-                        metric.name, buckets=metric.bounds, **dict(metric.labels)
-                    )
-                    if target_h.bounds != metric.bounds:
-                        raise ValueError(
-                            f"histogram {metric.key} bucket bounds differ across registries"
-                        )
-                    for i, c in enumerate(metric.bucket_counts):
-                        target_h.bucket_counts[i] += c
-                    target_h.count += metric.count
-                    target_h.sum += metric.sum
-                    target_h.min = min(target_h.min, metric.min)
-                    target_h.max = max(target_h.max, metric.max)
-        for key, values in gauge_values.items():
-            gauge = out._metrics[key]
-            assert isinstance(gauge, Gauge)
-            gauge.set(sum(values) / len(values))
-        return out
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"MetricsRegistry(metrics={len(self._metrics)}, samples={len(self.samples)})"

@@ -27,7 +27,6 @@ from repro.net.packet import Frame
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.net.fabric import Fabric
     from repro.net.nic import NIC
-    from repro.sim.shard.channel import ShardGateway
 
 __all__ = ["Segment"]
 
@@ -71,16 +70,6 @@ class Segment:
         self.vlan = vlan
         self.quality = quality if quality is not None else PerfectLink()
         self.members: Dict[IPAddress, "NIC"] = {}
-        #: sharded runs only: members of this VLAN owned by *other* islands,
-        #: mapped to their island id. Frames addressed across the cut are
-        #: handed to :attr:`gateway` instead of (unicast) or in addition to
-        #: (multicast) local delivery. Empty when unsharded.
-        self.remote_members: Dict[IPAddress, int] = {}
-        #: the distinct islands of :attr:`remote_members`, ascending — where a
-        #: multicast is copied to; set with it, by whoever wires the cut
-        self.remote_islands: Tuple[int, ...] = ()
-        #: this island's outbound cut channel (sharded runs only)
-        self.gateway: Optional["ShardGateway"] = None
         #: extra offered load (msgs/sec) injected by the scenario, modelling
         #: application traffic sharing the segment
         self.ambient_load = 0.0
@@ -205,10 +194,6 @@ class Segment:
                 mapping[IPAddress(ip)] = island
         rest = len(groups)
         for ip in self.members:
-            mapping.setdefault(ip, rest)
-        # sharded: unnamed remote members fall into the same implicit rest
-        # island, so cross-cut eligibility matches the unsharded semantics
-        for ip in self.remote_members:
             mapping.setdefault(ip, rest)
         self._islands = mapping
         self.fabric.sim.trace.emit(
@@ -387,8 +372,6 @@ class Segment:
             )
         else:
             trace.counters["net.send"] += 1  # counted; nobody would read the record
-        if self.remote_members and self._forward_cut(sender, frame):
-            return True  # unicast fully handled by the destination island
         # phase 1: topology eligibility (islands, dead switches, dead trunk
         # routers) — receivers that fail here never reach the loss model.
         # The healthy-farm fast path: nothing partitioned, no routers, no
@@ -426,8 +409,8 @@ class Segment:
         return self._sample_and_enqueue(sim, now, trace_emit, frame, eligible)
 
     def _eligible_targets(self, src_ip, src_switch, targets, now, trace_emit) -> list:
-        """Topology-eligibility walk shared by local sends and cut arrivals:
-        island membership, dead receiver switches, dead trunk routers."""
+        """Topology-eligibility walk: island membership, dead receiver
+        switches, dead trunk routers."""
         eligible = []
         for nic in targets:
             if not self._same_island(src_ip, nic.ip):
@@ -452,58 +435,6 @@ class Segment:
                 continue
             eligible.append(nic)
         return eligible
-
-    # ------------------------------------------------------------------
-    # cross-shard cut (sharded runs only)
-    # ------------------------------------------------------------------
-    def _forward_cut(self, sender: "NIC", frame: Frame) -> bool:
-        """Hand cross-cut traffic to the island's gateway.
-
-        Returns True when the frame was *fully* handled remotely (unicast
-        addressed to a member owned by another island). Multicast queues
-        one copy per remote island and returns False so the local fan-out
-        continues as usual.
-        """
-        assert self.gateway is not None
-        src_switch = sender.port.switch.name if sender.port is not None else None
-        if frame.is_multicast:
-            self.gateway.send_multi(self.vlan, frame, src_switch, self.remote_islands)
-            return False
-        dst_island = self.remote_members.get(frame.dst)  # type: ignore[arg-type]
-        if dst_island is None:
-            return False
-        self.gateway.send(self.vlan, frame, src_switch, dst_island)
-        return True
-
-    def deliver_from_cut(self, frame: Frame, src_switch: Optional[str]) -> None:
-        """Arrival side of the cross-shard channel.
-
-        Runs the normal receiver pipeline — topology eligibility, loss
-        sampling, delivery enqueue — for a frame whose sender lives on
-        another island. The cut transit already consumed the lookahead;
-        loss and latency are sampled *here*, from this island's own
-        per-VLAN stream, so outcomes are independent of worker layout.
-        """
-        sim = self.fabric.sim
-        now = sim.now
-        trace_emit = sim.trace.emit
-        # cut traffic contributes to this copy's offered load exactly like a
-        # local send would (frames_sent itself was counted at the origin)
-        self._note_send()
-        if frame.is_multicast:
-            targets = list(self.members.values())
-        else:
-            target = self.members.get(frame.dst)  # type: ignore[arg-type]
-            if target is None:
-                trace_emit(now, "net.drop.noroute", f"cut:{frame.src}", dst=str(frame.dst))
-                return
-            targets = [target]
-        fabric = self.fabric
-        if self._islands is None and not fabric.routers and fabric.failed_switches == 0:
-            self._sample_and_enqueue(sim, now, trace_emit, frame, targets)
-            return
-        eligible = self._eligible_targets(frame.src, src_switch, targets, now, trace_emit)
-        self._sample_and_enqueue(sim, now, trace_emit, frame, eligible)
 
     def _sample_and_enqueue(self, sim, now, trace_emit, frame, eligible) -> bool:
         """Phase 2: loss-model sampling and delivery enqueue for the

@@ -12,8 +12,8 @@ runs. This package turns that fan-out into a first-class subsystem:
   :class:`ParallelRunner`, which hands chunks of sweep tasks to
   whichever worker answers first, with per-task timeouts and graceful
   in-process fallback when ``jobs=1``, a task does not pickle or a
-  worker dies; and :class:`PersistentWorkerPool`, which steps shard
-  islands in lockstep.
+  worker dies, on top of :class:`PersistentWorkerPool`, N long-lived
+  workers each holding one state.
 * :mod:`repro.runner.cache` — :class:`ResultCache`, a content-addressed
   on-disk result store keyed by the task's parameters plus a fingerprint
   of the simulator's source, so re-running an unchanged sweep is a cache

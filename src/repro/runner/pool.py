@@ -1,4 +1,4 @@
-"""The one worker process, and the two ways the repository drives it.
+"""The one worker process, and the pool that sweeps drive it through.
 
 A worker is a ``spawn``ed child (no fork-inherited state, identical
 behavior on every platform) that builds one state, ``init_fn(init_arg)``,
@@ -7,17 +7,16 @@ answers ``("ok", result)``, ``("error", traceback_text, exception)`` or,
 when that reply does not pickle, ``("unpicklable", text)``; ``("stop",)``
 answers with the worker's peak RSS and exits.
 
-:class:`PersistentWorkerPool` holds N workers whose state is expensive to
-build (a shard island's whole sub-farm) and steps them in lockstep
-thousands of times. Everything crosses the pipe as its pickle, so a
-worker never shares an object with its caller. Errors surface as
-:class:`WorkerError` naming the worker (``.worker`` is its index) and
-carrying the remote traceback text; the pool is torn down so no sibling
-is left stepping against a dead peer.
+:class:`PersistentWorkerPool` holds N long-lived workers, each with its
+own state. Everything crosses the pipe as its pickle, so a worker never
+shares an object with its caller. Errors surface as :class:`WorkerError`
+naming the worker (``.worker`` is its index) and carrying the remote
+traceback text; the pool is torn down so no sibling is left running.
 
 :class:`ParallelRunner` fans a list of keyword-argument dicts out to one
-callable: ``min(jobs, n_chunks)`` workers whose state is the callable,
-each running one contiguous chunk of tasks per call.
+callable: a :class:`PersistentWorkerPool` of ``min(jobs, n_chunks)``
+workers whose state is the callable, each running one contiguous chunk of
+tasks per call.
 
 * **Chunked dispatch.** Tasks are grouped into contiguous chunks so
   per-task IPC overhead amortizes over short tasks while long tasks
@@ -54,7 +53,7 @@ __all__ = ["ParallelRunner", "PersistentWorkerPool", "TaskTimeout", "WorkerError
 START_METHOD = "spawn"
 
 #: parent-side guard (seconds) against a wedged pool worker, read at call
-#: time; generous because one epoch's work is normally milliseconds
+#: time; generous because one call is normally a chunk of sweep tasks
 CALL_TIMEOUT = 600.0
 
 #: marks a slot whose task has not produced a result yet
@@ -199,16 +198,6 @@ class PersistentWorkerPool:
             raise WorkerError("pool is closed")
         self._send(i, method, payload)
         return self._recv(i)
-
-    def call_all(self, method: str, payloads: Sequence[Any]) -> List[Any]:
-        """Invoke ``method`` on every worker concurrently; results in order."""
-        if len(payloads) != self.n_workers:
-            raise ValueError(f"need {self.n_workers} payloads, got {len(payloads)}")
-        if self._closed:
-            raise WorkerError("pool is closed")
-        for i, payload in enumerate(payloads):
-            self._send(i, method, payload)
-        return [self._recv(i) for i in range(self.n_workers)]
 
     # ------------------------------------------------------------------
     def stop(self) -> List[Optional[dict]]:

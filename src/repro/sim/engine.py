@@ -201,9 +201,8 @@ class Simulator:
         variable, else the wheel). Both replay byte-identical histories;
         the choice is purely a performance trade.
 
-    A ``Simulator`` is one shard: sharded execution partitions a run across
-    several simulators and lives in :mod:`repro.sim.shard` (see
-    ``Scenario(shards=...)`` / ``run_sharded``).
+    A run is one ``Simulator``: every scenario, however large the farm,
+    steps one queue in this process.
     """
 
     def __init__(

@@ -15,9 +15,9 @@ describes. A synthetic curve — ``DomainLoadModel(...).load``, the §1
 flash-crowd experiment — is just another signal fed to the same policy.
 
 Determinism: ticks fire at fixed simulated times, decisions read only
-island-local registry counters and farm bookkeeping, and every move goes
-through :class:`~repro.gulfstream.reconfig.ReconfigurationManager` — so a
-sharded replay of the same island sees the identical move sequence.
+registry counters and farm bookkeeping, and every move goes through
+:class:`~repro.gulfstream.reconfig.ReconfigurationManager` — so a replay
+of the same seed sees the identical move sequence.
 """
 
 from __future__ import annotations

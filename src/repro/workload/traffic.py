@@ -15,21 +15,18 @@ accomplished with minimal service interruption"):
   per-domain arrivals and moving spare servers between the free pool and
   the domains through GSC/SNMP reconfig, live, while requests flow.
 * An :class:`~repro.checks.invariants.InvariantMonitor` (VLAN-scoped to
-  the data island) plus an optional chaos mix on top, so the headline
-  capacity number is *moves per hour sustained without invariant
+  the domains and the free pool) plus an optional chaos mix on top, so the
+  headline capacity number is *moves per hour sustained without invariant
   violation* and the availability/latency SLOs are measured during churn.
 
-Sharding: ``shards=1`` (the default) is the classic one-simulator run.
-From two workers up, ``cut_vlans=(ADMIN, DISPATCH)`` splits the farm into
-a dispatcher island (the traffic source) and one data island (every
-domain, the spares, and ``site-0`` — fused through each domain's ``be-0``
-bridge adapter on the free-pool VLAN, which keeps reconfiguration
-intra-island per PROTOCOL §9), and each request crossing the cut also
-pays the channel's lookahead.
+A case is one farm on one simulator, run by
+:func:`~repro.farm.scenario.run_classic`.
 """
 
 from __future__ import annotations
 
+import gc
+from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Sequence, Union
 
 from repro.checks.campaign import CHAOS_PARAMS, MIXES, ChaosInjector, write_report
@@ -41,9 +38,11 @@ from repro.checks.invariants import (
 from repro.farm.builder import ADMIN_VLAN, FREE_POOL_VLAN, Farm, FarmBuilder
 from repro.farm.domain import DISPATCH_VLAN, DOMAIN_VLAN_BASE
 from repro.farm.requests import TrafficSource, deploy_service
+from repro.farm.scenario import run_classic
+from repro.metrics.core import MetricsRegistry
 from repro.node.osmodel import OSParams
 from repro.runner import run_sweep
-from repro.sim.shard.runner import run_sharded
+from repro.sim.trace import Trace, TraceRecord
 from repro.workload.autoscaler import Autoscaler
 from repro.workload.generators import STREAM_NAMES, RequestStream
 from repro.workload.profiles import WORKLOAD_PROFILES, DiurnalProfile, SpikeSchedule
@@ -141,13 +140,14 @@ def _resolve_profile(kind: str, names: List[str], duration: float):
 # scoped chaos
 # ----------------------------------------------------------------------
 class _TrafficChaos(ChaosInjector):
-    """A chaos injector confined to the data island's domain VLANs.
+    """A chaos injector confined to the domains' servers and VLANs.
 
-    The general campaign injector may target any host, VLAN, or adapter;
-    under sharding that would let faults straddle the cut (or crash the
-    only GSC-eligible node). This subclass restricts every target set to
-    the domain servers, spares, and domain-internal VLANs, so all chaos
-    stays inside the island the monitor can actually observe.
+    The general campaign injector may target any host, VLAN, or adapter.
+    Here the monitor is VLAN-scoped to the domains and the free pool, and
+    ``site-0`` is the only GSC-eligible node, so this subclass restricts
+    every target set to the domain servers, spares, and domain-internal
+    VLANs: every fault lands where the monitor watches, and none takes
+    GulfStream Central down with it.
     """
 
     def __init__(self, farm: Farm, mix: str, hosts: Sequence[str], vlans: Sequence[int]) -> None:
@@ -169,12 +169,13 @@ class _TrafficChaos(ChaosInjector):
 
 
 # ----------------------------------------------------------------------
-# the farm factory (module-level and picklable: shard workers re-run it)
+# the farm
 # ----------------------------------------------------------------------
 def _finalize_checks(monitor: InvariantMonitor, farm: Farm) -> None:
-    """Quiescence checks, folded into metrics/trace so shard merges see
-    them: counts as ``checks.count{invariant=}`` counters, every violation
-    as one ``traffic.violation`` record carrying the full detail."""
+    """Quiescence checks, folded into metrics/trace so the case's snapshot
+    holds them: counts as ``checks.count{invariant=}`` counters, every
+    violation as one ``traffic.violation`` record carrying the full
+    detail."""
     monitor.finalize()
     reg = farm.sim.metrics
     for name, count in monitor.checks.items():
@@ -207,14 +208,13 @@ def build_traffic_farm(
 ) -> Farm:
     """An Océano farm with the whole traffic plane scheduled onto it.
 
-    Layout: the dispatcher node ``dispatch-0`` (admin + dispatch VLANs,
-    its own shard island), ``site-0`` (the only GSC-eligible node,
-    parked on the free pool), and per domain ``front_ends`` front ends,
-    ``back_ends`` back ends — the first back end doubling as the
-    free-pool *bridge* — plus ``spares`` movable spares. Everything the
-    case does (stream start/stop, autoscaler ticks, chaos faults, monitor
-    start/finalize) is scheduled here at fixed simulated times, so the
-    factory fully determines the run and shard workers can replay it.
+    Layout: the dispatcher node ``dispatch-0`` (admin + dispatch VLANs),
+    ``site-0`` (the only GSC-eligible node, parked on the free pool), and
+    per domain ``front_ends`` front ends, ``back_ends`` back ends — the
+    first back end doubling as the free-pool *bridge* — plus ``spares``
+    movable spares. Everything the case does (stream start/stop,
+    autoscaler ticks, chaos faults, monitor start/finalize) is scheduled
+    here at fixed simulated times, so the build fully determines the run.
     """
     if mix is not None and mix not in MIXES:
         raise ValueError(f"unknown mix {mix!r}: choose from {sorted(MIXES)}")
@@ -240,8 +240,7 @@ def build_traffic_farm(
             nodes.append(node)
         for i in range(back_ends):
             node = f"{name}-be-{i}"
-            # be-0 bridges the domain onto the free pool, fusing every
-            # domain + spares + site-0 into one shard island
+            # be-0 bridges the domain onto the free pool
             vlans = [ADMIN_VLAN, internal] + ([FREE_POOL_VLAN] if i == 0 else [])
             b.add_node(node, vlans)
             nodes.append(node)
@@ -255,46 +254,93 @@ def build_traffic_farm(
     traffic_end = TRAFFIC_START + duration
     fe_ips = deploy_service(farm, REQUEST_TIMEOUT)
 
-    # -- the source (dispatcher island) --------------------------------
-    disp = farm.hosts.get("dispatch-0")
-    if disp is not None:
-        rate_profile, peak_factor = _resolve_profile(profile, names, duration)
-        rngs = {n: sim.rng.stream(f"workload/{n}") for n in STREAM_NAMES}
-        stream = RequestStream(
-            names,
-            base_rate=rate,
-            duration=duration,
-            n_users=n_users,
-            profile=rate_profile,
-            peak_factor=peak_factor,
-            rngs=rngs,
-        )
-        TrafficSource(disp, fe_ips, stream, start_at=TRAFFIC_START, timeout=REQUEST_TIMEOUT)
+    # -- the source ----------------------------------------------------
+    rate_profile, peak_factor = _resolve_profile(profile, names, duration)
+    rngs = {n: sim.rng.stream(f"workload/{n}") for n in STREAM_NAMES}
+    stream = RequestStream(
+        names,
+        base_rate=rate,
+        duration=duration,
+        n_users=n_users,
+        profile=rate_profile,
+        peak_factor=peak_factor,
+        rngs=rngs,
+    )
+    TrafficSource(
+        farm.hosts["dispatch-0"], fe_ips, stream, start_at=TRAFFIC_START, timeout=REQUEST_TIMEOUT
+    )
 
-    # -- control plane (data island: gated on owning site-0) -----------
-    if "site-0" in farm.hosts:
-        windows = CheckWindows.from_params(farm.params, OSParams.fast())
-        scope = set(farm.domain_vlans.values()) | {FREE_POOL_VLAN}
-        monitor = InvariantMonitor(farm, windows=windows, vlan_scope=scope)
-        sim.schedule_at(TRAFFIC_START, monitor.start)
-        Autoscaler(farm, names, start_at=TRAFFIC_START, stop_at=traffic_end).start()
-        if mix is not None:
-            chaos = _TrafficChaos(
-                farm, mix,
-                hosts=[n for nodes in farm.domain_nodes.values() for n in nodes]
-                + list(farm.spare_nodes),
-                vlans=sorted(farm.domain_vlans.values()),
-            )
-            chaos.plan(start=TRAFFIC_START, duration=duration)
-            for kind, count in sorted(chaos.counts.items()):
-                sim.metrics.counter("chaos.faults", kind=kind).set_total(count)
-        sim.schedule_at(traffic_end + _settle(mix), _finalize_checks, monitor, farm)
+    # -- control plane ---------------------------------------------------
+    windows = CheckWindows.from_params(farm.params, OSParams.fast())
+    scope = set(farm.domain_vlans.values()) | {FREE_POOL_VLAN}
+    monitor = InvariantMonitor(farm, windows=windows, vlan_scope=scope)
+    sim.schedule_at(TRAFFIC_START, monitor.start)
+    Autoscaler(farm, names, start_at=TRAFFIC_START, stop_at=traffic_end).start()
+    if mix is not None:
+        chaos = _TrafficChaos(
+            farm, mix,
+            hosts=[n for nodes in farm.domain_nodes.values() for n in nodes]
+            + list(farm.spare_nodes),
+            vlans=sorted(farm.domain_vlans.values()),
+        )
+        chaos.plan(start=TRAFFIC_START, duration=duration)
+        for kind, count in sorted(chaos.counts.items()):
+            sim.metrics.counter("chaos.faults", kind=kind).set_total(count)
+    sim.schedule_at(traffic_end + _settle(mix), _finalize_checks, monitor, farm)
     return farm
 
 
 # ----------------------------------------------------------------------
 # one case → one row
 # ----------------------------------------------------------------------
+@dataclass
+class TrafficRun:
+    """What a traffic case's run leaves behind once its farm is freed."""
+
+    stable_time: Optional[float]
+    #: ``sim.now`` when the run ended
+    duration: float
+    #: the trace's per-category counts
+    counters: Dict[str, int]
+    #: the simulator's registry, rebuilt from its dump
+    metrics: MetricsRegistry
+    #: the run's ``traffic.violation`` records
+    violations: List[TraceRecord]
+    #: always 0 (one simulator, nothing crosses between simulators)
+    cross_messages: int = 0
+
+
+def run_sharded(farm_kwargs: Dict[str, Any], duration: float) -> TrafficRun:
+    """Build the traffic farm ``build_traffic_farm(**farm_kwargs)``, run it
+    to ``duration`` with :func:`~repro.farm.scenario.run_classic`, and
+    snapshot what the row needs.
+
+    The name is a seam for ``benchmarks/e2e``: its ``traffic`` workload
+    replaces ``repro.workload.traffic.run_sharded`` with a wrapper that
+    captures this result (``duration``, ``metrics``, ``counters``,
+    ``cross_messages``), so :func:`run_traffic_case` calls it through the
+    module global. The name and ``cross_messages`` go with ROADMAP item
+    5's ``[benchmark]`` PR. The result holds no reference to the farm:
+    the farm is one web of reference cycles (sim <-> hosts), freed here
+    rather than left for whatever the caller allocates next.
+    """
+    farm = build_traffic_farm(trace=Trace(categories=TRAFFIC_TRACE_CATEGORIES), **farm_kwargs)
+    result, _ = run_classic(
+        farm, None, None, duration=duration, ambient_load={}, stability_timeout=TRAFFIC_START
+    )
+    sim = farm.sim
+    run = TrafficRun(
+        stable_time=result.stable_time,
+        duration=result.duration,
+        counters=result.counters,
+        metrics=MetricsRegistry.from_dump(sim.metrics.dump()),
+        violations=sim.trace.select("traffic.violation"),
+    )
+    del farm, sim, result
+    gc.collect()
+    return run
+
+
 def run_traffic_case(
     case: int = 0,
     rep: int = 0,
@@ -308,16 +354,17 @@ def run_traffic_case(
     n_users: int = 100_000,
     mix: Optional[str] = None,
     profile: str = "diurnal",
-    shards: Union[int, str] = 1,
+    shards: int = 1,
 ) -> Dict:
-    """Run one traffic case through the shard runner (``shards=1``: the
-    classic run) and fold it into a plain-JSON row.
+    """Run one traffic case and fold it into a plain-JSON row.
 
     ``case`` and ``rep`` only differentiate the derived task seed when
     fanned out by :func:`run_traffic_campaign` (``rep`` is the replicate
-    index of the same case); the shard count never appears in the row, so
-    rows are byte-identical at any layout of two or more workers.
+    index of the same case). ``shards`` must be 1: ``benchmarks/e2e``
+    passes it, and it goes with ROADMAP item 5's ``[benchmark]`` PR.
     """
+    if shards != 1:
+        raise ValueError(f"a traffic case runs on one simulator: shards must be 1, got {shards!r}")
     kwargs = dict(
         domains=domains,
         front_ends=front_ends,
@@ -330,17 +377,8 @@ def run_traffic_case(
         profile=profile,
         seed=seed,
     )
-    res = run_sharded(
-        build_traffic_farm,
-        kwargs,
-        duration=traffic_horizon(duration, mix),
-        stability_timeout=TRAFFIC_START,
-        shards=shards,
-        cut_vlans=(ADMIN_VLAN, DISPATCH_VLAN),
-        trace_categories=TRAFFIC_TRACE_CATEGORIES,
-    )
+    res = run_sharded(kwargs, traffic_horizon(duration, mix))
     reg = res.metrics
-    assert reg is not None
     names = _domain_names(domains)
     per_domain: Dict[str, Dict[str, Union[int, float]]] = {}
     totals = {"issued": 0, "completed": 0, "failed": 0, "retried": 0}
@@ -383,8 +421,7 @@ def run_traffic_case(
             "subject": rec.source,
             "detail": rec.data["detail"],
         }
-        for rec in res.trace_records
-        if rec.category == "traffic.violation"
+        for rec in res.violations
     ]
     checks = {
         name: int(reg.counter("checks.count", invariant=name).value)
@@ -421,8 +458,9 @@ def run_traffic_case(
         "waived": int(reg.counter("checks.waived").value),
         "violations": violations,
         "faults": faults,
-        "n_islands": res.n_islands,
-        "cross_messages": res.cross_messages,
+        # constant; benchmarks/e2e hashes the whole row (ROADMAP item 5)
+        "n_islands": 1,
+        "cross_messages": 0,
     }
 
 
@@ -448,8 +486,7 @@ def run_traffic_campaign(
     :func:`build_traffic_report` folds them like extra cases.
 
     Rows are byte-identical for any ``jobs`` value (deterministic
-    per-task seed derivation, grid-order results) and for any per-case
-    ``shards`` value of two or more (the shard-equivalence contract).
+    per-task seed derivation, grid-order results).
     """
     if replicates < 1:
         raise ValueError(f"replicates must be >= 1, got {replicates}")

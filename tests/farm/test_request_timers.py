@@ -9,7 +9,9 @@ enough that requests retry, WorkDones arrive after their timeout, a retry
 re-dispatches the same key to the same front end while the first
 dispatch's timeout is still pending, and the dispatcher crashes and comes
 back. Counters, SLO rows and the issuer's actions, each stamped with
-``(now, firing_seq)``, must be equal.
+``(now, firing_seq)``, must be equal. In both, a Work timeout belongs to
+its dispatch: when a retry has re-dispatched the key, the first
+dispatch's timeout leaves the retry's entry alone.
 """
 
 import pytest
@@ -94,7 +96,7 @@ class EventPerDispatchFrontEnd(FrontEndApp):
         self.dispatches = {}  # key -> how many times it was dispatched here
         self.redispatched = 0  # a key dispatched again while still pending
         self.late_work_done = 0  # a WorkDone whose key had timed out
-        self.stale_timeouts = 0  # a timeout that dropped a later dispatch
+        self.superseded_timeouts = 0  # a timeout that found a later dispatch
 
     def _on_dispatch_frame(self, frame):
         msg = frame.payload
@@ -135,8 +137,12 @@ class EventPerDispatchFrontEnd(FrontEndApp):
         )
 
     def _work_timeout(self, key, n):
-        if self._pending.pop(key, None) is not None and self.dispatches[key] > n:
-            self.stale_timeouts += 1
+        if key not in self._pending:
+            return
+        if self.dispatches[key] > n:
+            self.superseded_timeouts += 1  # the key is a later dispatch's now
+            return
+        del self._pending[key]
 
 
 # ----------------------------------------------------------------------
@@ -245,15 +251,15 @@ def _compare(seed, timeout, work_factor, retries=2, rate=200.0):
 # ----------------------------------------------------------------------
 def test_every_timeout_case_occurs_and_matches_the_oracle():
     """A Work timeout longer than the issuer's: a retry re-dispatches a key
-    whose first timeout is still pending, which then drops the second
-    dispatch — exactly what the lazy form has to reproduce."""
+    whose first timeout is still pending, and that timeout must then leave
+    the second dispatch pending."""
     old, apps = _compare(seed=3, timeout=0.008, work_factor=1.5)
     counters = old["counters"]
     assert counters["retried"] > 50 and counters["failed"] > 20
     assert counters["completed"] > 100
     assert sum(app.redispatched for app in apps) > 0
     assert sum(app.late_work_done for app in apps) > 0
-    assert sum(app.stale_timeouts for app in apps) > 0
+    assert sum(app.superseded_timeouts for app in apps) > 0
     assert any(entry[2] == "fail" for entry in old["log"])
 
 
@@ -308,6 +314,42 @@ def _same_instant_script(front_end_cls):
     sim.schedule_at(at, dispatch_then_answer, 2)  # keyed after s2: timed out
     sim.run(until=at + 0.5)
     return answered, at
+
+
+def _redispatch_script(front_end_cls):
+    """Drive one front end by hand with the Work timeout (12 ms) longer than
+    the issuer's (8 ms): a request at ``T``, its retry at ``T + 8 ms``, and
+    one WorkDone at ``T + 15 ms`` — after the first dispatch's timeout,
+    before the retry's. Work goes nowhere, so that WorkDone is the only
+    one. Returns the req ids answered, with their times."""
+    farm = _one_front_end_farm(seed=2)
+    _fe_ips, apps = _deploy(farm, front_end_cls, timeout=0.008, work_timeout=0.012)
+    farm.start()
+    assert farm.run_until_stable(timeout=120.0) is not None
+    sim, app = farm.sim, apps[0]
+    answered = []
+    app.dispatch_nic.send = lambda dst, msg, size: answered.append((sim.now, msg.req_id))
+    app.internal_nic.send = lambda dst, msg, size: None
+    client, worker, fe = IPAddress("10.200.0.1"), IPAddress("10.200.0.2"), app.internal_nic.ip
+
+    def request():
+        app._on_dispatch_frame(Frame(client, app.dispatch_nic.ip, Request(1, client)))
+
+    def work_done():
+        app._on_internal_frame(Frame(worker, fe, WorkDone(1, client, worker)))
+
+    at = sim.now + 1.0
+    sim.schedule_at(at, request)
+    sim.schedule_at(at + 0.008, request)
+    sim.schedule_at(at + 0.015, work_done)
+    sim.run(until=at + 0.5)
+    return answered, at
+
+
+def test_a_retry_outlives_the_first_dispatchs_work_timeout():
+    answered, at = _redispatch_script(FrontEndApp)
+    assert answered == [(at + 0.015, 1)]
+    assert _redispatch_script(EventPerDispatchFrontEnd) == (answered, at)
 
 
 def test_a_work_timeout_due_now_is_ordered_by_its_seq():

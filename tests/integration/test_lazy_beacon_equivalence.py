@@ -29,6 +29,7 @@ from repro.checks import InvariantMonitor
 from repro.checks.campaign import CHAOS_PARAMS, ChaosInjector, oceano_spec
 from repro.checks.invariants import CheckWindows
 from repro.farm.builder import build_farm, build_zoned_farm
+from repro.farm.scenario import Scenario
 from repro.gulfstream.adapter_proto import AdapterProtocol, AdapterState
 from repro.gulfstream.amg import AMGView
 from repro.gulfstream.daemon import GulfStreamDaemon
@@ -36,21 +37,16 @@ from repro.gulfstream.messages import Beacon, MemberInfo
 from repro.net.addressing import IPAddress
 from repro.net.fabric import Fabric
 from repro.net.loss import LinkQuality
+from repro.net.nic import NicState
 from repro.net.packet import Frame
 from repro.net.segment import Segment
+from repro.node.faults import FaultPlan
 from repro.node.host import Host
 from repro.node.osmodel import OSParams
 from repro.sim.engine import Simulator
-from repro.sim.shard import run_sharded
 
 from tests.conftest import FAST, make_flat_farm, run_stable
 from tests.integration.test_golden_trace import PARAMS as GOLDEN_PARAMS, SPEC as GOLDEN_SPEC
-from tests.integration.test_shard_equivalence import (
-    ZONED,
-    _action,
-    _compile,
-    _fingerprint as _shard_fingerprint,
-)
 
 OS = {"ideal": OSParams.ideal(), "fast": OSParams.fast(), "default": OSParams()}
 LINKS = {"lossless": None, "lossy": LinkQuality(loss_probability=0.02)}
@@ -176,48 +172,85 @@ def test_chaos_mixes_by_os_model_and_link(monkeypatch, mix, os_name, link):
     )
 
 
-def _zoned(os_name):
-    return dict(ZONED, os_params=OS[os_name])
+# ----------------------------------------------------------------------
+# whole fault programs on the ZONED farm (two zones, two management nodes)
+# ----------------------------------------------------------------------
+#: 2 zones x 3 nodes, three data VLANs per zone
+ZONED = dict(
+    n_zones=2, nodes_per_zone=3, seed=77, params=FAST, os_params=OSParams.fast()
+)
+ZONE0_VLAN = 20
+ZONE1_VLAN = 23  # vlans_per_zone defaults to 3
+
+_NODES = [f"z{z}-n{i}" for z in range(2) for i in range(3)]
+
+_action = st.one_of(
+    st.tuples(st.just("crash"), st.sampled_from(_NODES)),
+    st.tuples(st.just("crash_restart"), st.sampled_from(_NODES)),
+    st.tuples(
+        st.just("flap"),
+        st.sampled_from(_NODES),
+        st.sampled_from([NicState.FAIL_FULL, NicState.FAIL_SEND, NicState.FAIL_RECV]),
+    ),
+    st.tuples(st.just("split"), st.sampled_from([ZONE0_VLAN, ZONE1_VLAN])),
+    st.tuples(st.just("switch"), st.just("switch-0")),
+)
 
 
-def build_eager_zoned_farm(trace=None, **kwargs):
-    """``build_zoned_farm`` in a process switched to the eager oracle. A
-    spawned shard worker imports the lazy layers afresh, so the factory
-    it runs is what swaps the oracle in (in the parent, the test's own
-    monkeypatch has already done so, and undoes it afterwards)."""
-    _use_eager_oracle(setattr)
-    return build_zoned_farm(trace=trace, **kwargs)
+def _vlan_groups(farm, vlan, split_at):
+    """Partition groups (adapter IP strings) for every member of ``vlan``,
+    in build order."""
+    members = [
+        str(nic.ip)
+        for host in farm.hosts.values()
+        for nic in host.adapters
+        if nic.port.vlan == vlan
+    ]
+    return [members[:split_at], members[split_at:]]
 
 
-def _zoned_print(os_name, plan, shards=1, duration=21.0, factory=build_zoned_farm):
-    res = run_sharded(factory, _zoned(os_name), plan=plan, duration=duration, shards=shards)
-    out = _shard_fingerprint(res)
-    out["metrics"] = {k: v for k, v in out["metrics"].items() if k not in _ENGINE_METRICS}
-    return out
+def _compile(program):
+    """Deterministically schedule a drawn program over (12.5s, 16.5s)."""
+    plan = FaultPlan()
+    farm = build_zoned_farm(**ZONED)
+    for i, action in enumerate(program):
+        t = 12.5 + i * 0.8
+        kind = action[0]
+        if kind == "crash":
+            plan.crash_node(t, action[1])
+        elif kind == "crash_restart":
+            plan.crash_node(t, action[1]).restart_node(t + 1.7, action[1])
+        elif kind == "flap":
+            ip = str(farm.hosts[action[1]].adapters[0].ip)
+            plan.fail_adapter(t, ip, mode=action[2]).repair_adapter(t + 1.3, ip)
+        elif kind == "split":
+            vlan = action[1]
+            plan.partition(t, vlan, _vlan_groups(farm, vlan, split_at=1)).heal(t + 1.9, vlan)
+        else:
+            plan.fail_switch(t, action[1]).repair_switch(t + 1.1, action[1])
+    return plan
+
+
+def _zoned_run(plan, duration=21.0, **overrides):
+    """The ZONED farm through ``Scenario(farm).run()``: ``(farm, result)``."""
+    farm = build_zoned_farm(**{**ZONED, **overrides})
+    return farm, Scenario(farm, plan=plan, duration=duration).run()
+
+
+def _zoned_print(os_name, plan, duration=21.0):
+    farm, res = _zoned_run(plan, duration, os_params=OS[os_name])
+    return _farm_print(farm, stable=res.stable_time, unfired=res.unfired_faults)
 
 
 @pytest.mark.slow
 @settings(max_examples=12, deadline=None, derandomize=True)
 @given(st.lists(_action, min_size=1, max_size=4), st.sampled_from(sorted(OS)))
 def test_differential_random_fault_programs(program, os_name):
-    """Whole fault programs drawn the way ``test_shard_equivalence`` draws
-    them, on the ZONED farm's one simulator."""
+    """Whole fault programs — crashes, restarts, NIC flaps in each failure
+    mode, VLAN splits and switch outages — on the ZONED farm."""
     plan = _compile(program)
     with pytest.MonkeyPatch.context() as monkeypatch:
         _assert_lazy_equals_eager(monkeypatch, lambda: _zoned_print(os_name, plan))
-
-
-@pytest.mark.slow
-def test_sharded_run_matches_eager_single_process(monkeypatch):
-    """Spawned workers import the unpatched (lazy) handler: two of them run
-    the three ZONED islands lazily, then three run them on the eager oracle
-    their factory swaps in — two layouts, two handlers, one simulation."""
-    plan = _compile([("crash_restart", "z0-n1"), ("split", 23)])
-    sharded = _zoned_print("fast", plan, shards=2)
-    _use_eager_oracle(monkeypatch.setattr)
-    eager = _zoned_print("fast", plan, shards="auto", factory=build_eager_zoned_farm)
-    assert sharded.pop("events") < eager.pop("events")
-    assert sharded == eager
 
 
 # ----------------------------------------------------------------------

@@ -1,12 +1,16 @@
-"""What an arrival and a request cost, pinned with counts (docs/PROTOCOL.md §10).
+"""What an arrival and a request cost, pinned with counts (docs/PROTOCOL.md §8
+and §10).
 
-One QUICK traffic case at ``shards=1`` runs under cProfile. Counts repeat
-exactly for a seed and do not care how loaded the host is. The pins fail on
-older code: the request stream made several Python calls per candidate
-arrival and ran one ``searchsorted`` per accepted arrival, a front end
-rebuilt its worker list from the AMG view on every request, and every
-request scheduled two timeouts (one cancelled, one firing as a no-op) on
-top of an ``Event`` per frame delivery, frame handling and service time.
+One QUICK traffic case runs under cProfile. Counts repeat exactly for a
+seed and do not care how loaded the host is. The pins fail on older code:
+the request stream made several Python calls per candidate arrival and ran
+one ``searchsorted`` per accepted arrival, a front end rebuilt its worker
+list from the AMG view on every request, every request scheduled two
+timeouts (one cancelled, one firing as a no-op) on top of an ``Event`` per
+frame delivery, frame handling and service time, a case once pickled its
+state twice per step, ``on_frame`` made 15.9 ``isinstance`` tests per call
+(later four for each application frame), and ``schedule_at`` made one
+``_maybe_purge`` call per call.
 """
 
 import cProfile
@@ -50,7 +54,7 @@ def run():
         mp.setattr(AdapterProtocol, "_install_view", counting_install)
         profiler = cProfile.Profile()
         profiler.enable()
-        row = run_traffic_case(case=0, seed=7, shards=1, **QUICK)
+        row = run_traffic_case(case=0, seed=7, **QUICK)
         profiler.disable()
     assert row["requests"]["issued"] > 500
     return row, pstats.Stats(profiler).stats, lists, views
@@ -61,6 +65,48 @@ def _calls(stats, name, module):
         ncalls for (filename, _line, fn), (_cc, ncalls, *_rest) in stats.items()
         if fn == name and filename.endswith(module)
     )
+
+
+def _calls_from(stats, callee, caller, module):
+    """Calls of ``callee`` (a function name) made by ``caller`` in ``module``."""
+    return sum(
+        entry[0]
+        for (_file, _line, fn), (*_counts, callers) in stats.items() if fn == callee
+        for (filename, _l, name), entry in callers.items()
+        if name == caller and filename.endswith(module)
+    )
+
+
+def test_a_case_pickles_nothing(run):
+    """A case is one simulator in this process: nothing is serialised."""
+    _row, stats, _lists, _views = run
+    pickling = {fn: entry[1] for (_file, _line, fn), entry in stats.items() if "_pickle." in fn}
+    assert pickling == {}
+
+
+def test_on_frame_finds_its_handler_by_type(run):
+    """A table probe, not an ``isinstance`` ladder: every payload type,
+    application kinds included, is routed by one lookup of its type.
+    Application frames are routed when they are received and handled by
+    ``_on_app_frame``, so the routed frames are the calls of both."""
+    _row, stats, _lists, _views = run
+    on_frame = _calls(stats, "on_frame", "gulfstream/adapter_proto.py")
+    routed = on_frame + _calls(stats, "_on_app_frame", "gulfstream/adapter_proto.py")
+    assert routed > 1000
+    tests = _calls_from(
+        stats, "<built-in method builtins.isinstance>", "on_frame", "gulfstream/adapter_proto.py"
+    )
+    assert tests == 0, tests / on_frame
+
+
+def test_schedule_at_checks_the_dead_count_before_calling_purge(run):
+    """Every request arrival is a ``schedule_at``; it calls for a purge only
+    when the dead count says one may be due (the unconditional check at the
+    end of each ``run`` is what keeps the bound)."""
+    _row, stats, _lists, _views = run
+    schedule_at = _calls(stats, "schedule_at", "sim/engine.py")
+    assert schedule_at > 500
+    assert _calls_from(stats, "_maybe_purge", "schedule_at", "sim/engine.py") < schedule_at / 2
 
 
 def test_stream_makes_no_python_call_per_candidate(run):

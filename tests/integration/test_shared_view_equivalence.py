@@ -25,28 +25,24 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro.farm.builder import build_farm, build_zoned_farm
+from repro.farm.builder import build_farm
 from repro.gulfstream import amg as amg_module, two_phase as two_phase_module
 from repro.gulfstream.adapter_proto import AdapterProtocol, AdapterState
 from repro.gulfstream.amg import AMGView
 from repro.gulfstream.messages import MemberInfo
 from repro.gulfstream.two_phase import CommitCoordinator
 from repro.net.addressing import IPAddress
-from repro.sim.shard import run_sharded
 
 from tests.conftest import make_flat_farm, run_stable
 from tests.integration.test_golden_trace import PARAMS as GOLDEN_PARAMS, SPEC as GOLDEN_SPEC
 from tests.integration.test_lazy_beacon_equivalence import (
     LINKS,
     OS,
-    _chaos_print,
-    _farm_print,
-)
-from tests.integration.test_shard_equivalence import (
-    ZONED,
     _action,
+    _chaos_print,
     _compile,
-    _fingerprint as _shard_fingerprint,
+    _farm_print,
+    _zoned_run,
 )
 
 
@@ -161,45 +157,21 @@ def test_chaos_corpus(monkeypatch, mix, seed):
     )
 
 
-def build_per_member_zoned_farm(trace=None, **kwargs):
-    """``build_zoned_farm`` in a process switched to the per-member oracle.
-    A spawned shard worker imports the shared-view code afresh, so the
-    factory it runs is what swaps the oracle in (in the parent, the test's
-    own monkeypatch has already done so, and undoes it afterwards)."""
-    _patch_in_per_member_derivation(SimpleNamespace(setattr=setattr))
-    return build_zoned_farm(trace=trace, **kwargs)
-
-
-def _zoned_print(plan, shards=1, duration=21.0, factory=build_zoned_farm):
-    res = run_sharded(factory, ZONED, plan=plan, duration=duration, shards=shards)
-    return _shard_fingerprint(res)
+def _zoned_print(plan, duration=21.0):
+    farm, res = _zoned_run(plan, duration)
+    return _full_print(farm, stable=res.stable_time, unfired=res.unfired_faults)
 
 
 @pytest.mark.slow
 @settings(max_examples=10, deadline=None, derandomize=True)
 @given(st.lists(_action, min_size=1, max_size=4))
 def test_differential_random_fault_programs(program):
-    """Whole fault programs drawn the way ``test_shard_equivalence`` draws
-    them, on the ZONED farm's one simulator: every commit arrives as the
-    coordinator's own object, so members across all three zones install the
-    one view it built (between shard workers it arrives as a cache-free
-    pickled copy; ``test_sharded_run_matches_per_member_single_process``
-    covers that)."""
+    """Whole fault programs on the ZONED farm: every commit arrives as the
+    coordinator's own object, so members across both zones install the
+    one view it built."""
     plan = _compile(program)
     with pytest.MonkeyPatch.context() as monkeypatch:
         _assert_shared_equals_per_member(monkeypatch, lambda: _zoned_print(plan))
-
-
-@pytest.mark.slow
-def test_sharded_run_matches_per_member_single_process(monkeypatch):
-    """Spawned workers import the unpatched (shared-view) code: two of them
-    run the three ZONED islands on it, then three run them on the per-member
-    oracle their factory swaps in — two layouts, two derivations, one
-    simulation."""
-    plan = _compile([("crash_restart", "z0-n1"), ("split", 23)])
-    sharded = _zoned_print(plan, shards=2)
-    _patch_in_per_member_derivation(monkeypatch)
-    assert sharded == _zoned_print(plan, shards="auto", factory=build_per_member_zoned_farm)
 
 
 # ----------------------------------------------------------------------

@@ -1,6 +1,5 @@
-"""The metrics primitives: instruments, keys, sampling, and merging."""
-
-import math
+"""The metrics primitives: instruments, keys, sampling, and the plain-data
+snapshot."""
 
 import pytest
 
@@ -159,7 +158,7 @@ def test_clockless_registry_numbers_its_samples():
 
 
 # ----------------------------------------------------------------------
-# merging
+# the plain-data snapshot
 # ----------------------------------------------------------------------
 def _replica(counter_value, gauge_value, observations):
     reg = MetricsRegistry()
@@ -171,57 +170,14 @@ def _replica(counter_value, gauge_value, observations):
     return reg
 
 
-def test_merged_sums_counters_averages_gauges_merges_buckets():
-    merged = MetricsRegistry.merged(
-        [_replica(3, 10.0, [0.5, 1.5]), _replica(4, 20.0, [0.5, 3.0])]
-    )
-    assert merged.counter("c", vlan=10).value == 7
-    assert merged.gauge("g").value == pytest.approx(15.0)
-    h = merged.histogram("h", buckets=(1.0, 2.0))
-    assert h.bucket_counts == [2, 1, 1]
-    assert h.count == 4
-    assert h.sum == pytest.approx(5.5)
-    assert h.min == 0.5 and h.max == 3.0
-
-
-def test_merged_rejects_empty_and_mismatched_buckets():
-    with pytest.raises(ValueError):
-        MetricsRegistry.merged([])
-    a = MetricsRegistry()
-    a.histogram("h", buckets=(1.0,)).observe(0.5)
-    b = MetricsRegistry()
-    b.histogram("h", buckets=(2.0,)).observe(0.5)
-    with pytest.raises(ValueError):
-        MetricsRegistry.merged([a, b])
-
-
-def test_merged_of_one_is_a_copy():
-    one = _replica(2, 5.0, [0.5])
-    merged = MetricsRegistry.merged([one])
-    assert merged.counter("c", vlan=10).value == 2
-    merged.counter("c", vlan=10).inc()
-    assert one.counter("c", vlan=10).value == 2  # original untouched
-    assert not math.isinf(merged.histogram("h", buckets=(1.0, 2.0)).min)
-
-
 def test_dump_roundtrips_every_instrument_kind():
     """dump() -> from_dump() preserves the full snapshot, including
-    histogram bucket placement — it is the sharded workers' wire format."""
+    histogram bucket placement — a traffic case's registry outlives its
+    farm this way."""
     reg = _replica(3, 10.0, [0.5, 1.5, 3.0])
     rebuilt = MetricsRegistry.from_dump(reg.dump())
     original = {m.key: m.value_dict() for m in reg}
     assert {m.key: m.value_dict() for m in rebuilt} == original
-
-
-def test_merge_dumps_equals_merged_and_is_order_invariant():
-    a, b = _replica(3, 10.0, [0.5, 1.5]), _replica(4, 20.0, [0.5, 3.0])
-    via_dumps = MetricsRegistry.merge_dumps([a.dump(), b.dump()])
-    via_registries = MetricsRegistry.merged([a, b])
-    snap = {m.key: m.value_dict() for m in via_dumps}
-    assert snap == {m.key: m.value_dict() for m in via_registries}
-    # shard-count invariance hinges on keyed (not positional) folding
-    reversed_snap = MetricsRegistry.merge_dumps([b.dump(), a.dump()])
-    assert {m.key: m.value_dict() for m in reversed_snap} == snap
 
 
 def test_from_dump_rejects_unknown_kind():

@@ -5,7 +5,6 @@ import pickle
 from repro.gulfstream.messages import Heartbeat
 from repro.net.addressing import IPAddress, MULTICAST
 from repro.net.packet import Frame
-from repro.sim.shard import CutMessage
 
 A, B = IPAddress("10.0.0.1"), IPAddress("10.0.0.2")
 
@@ -31,12 +30,10 @@ def test_is_multicast_is_decided_by_the_destination():
     assert Frame(A, B, "hb").is_multicast is False
 
 
-def test_pickle_round_trip_alone_and_inside_a_cut_message():
+def test_pickle_round_trip():
     for frame in (Frame(A, B, Heartbeat(sender=A, epoch=7), 48), Frame(A, MULTICAST, "beacon")):
         for protocol in range(2, pickle.HIGHEST_PROTOCOL + 1):
             clone = pickle.loads(pickle.dumps(frame, protocol=protocol))
             assert clone == frame and clone is not frame
             assert clone.is_multicast is frame.is_multicast
             assert (clone.dst is MULTICAST) is frame.is_multicast
-        cut = CutMessage(1.5, 0, 4, 1, 2, "sw-0", frame)
-        assert pickle.loads(pickle.dumps(cut)) == cut

@@ -1,9 +1,13 @@
-"""ParallelRunner: dispatch, ordering, fallback, timeout.
+"""The worker pool: ParallelRunner's dispatch, ordering, fallback and
+timeout, and the PersistentWorkerPool underneath it.
 
 The task callables live at module level so spawn workers can import them
 by reference (``tests.runner.test_pool``). The fallback tests break the
 pool on purpose — a worker that dies, a payload that does not pickle — and
-each must end in bounded time with serial's rows.
+each must end in bounded time with serial's rows. A worker that raises,
+dies between two calls or never answers must surface as a ``WorkerError``
+naming it, in bounded time. Everything crosses the pipe as its pickle, so
+what a worker does to a payload never reaches the caller.
 """
 
 import os
@@ -13,7 +17,8 @@ import time
 import pytest
 
 from repro.runner import ParallelRunner, TaskTimeout, sleep_task
-from repro.runner.pool import WorkerError
+from repro.runner import pool as pool_module
+from repro.runner.pool import PersistentWorkerPool, WorkerError
 
 
 def square(x):
@@ -133,3 +138,117 @@ def test_sleep_task_overlaps():
     elapsed = time.perf_counter() - t0
     assert out == [{"slept": 0.75}] * 4
     assert elapsed < 2.6, elapsed
+
+
+# ----------------------------------------------------------------------
+# PersistentWorkerPool: state, isolation and failure propagation
+# ----------------------------------------------------------------------
+class Tally:
+    """Tiny stateful worker: accumulates, echoes, or raises on demand."""
+
+    def __init__(self, init):
+        self.init = init
+        self.total = init["start"]
+        self.kept = None
+
+    def add(self, payload):
+        self.total += payload["n"]
+        # across a pipe, mutating the payload must never leak back to the caller
+        payload["n"] = -999
+        return {"total": self.total}
+
+    def keep(self, payload):
+        self.kept = [self.init, payload]
+        return self.kept
+
+    def last_kept(self, _payload):
+        return self.kept
+
+    def boom(self, payload):
+        raise RuntimeError(f"worker exploded on {payload!r}")
+
+
+def _make(init):
+    return Tally(init)
+
+
+INIT_ARGS = ({"start": 10}, {"start": 20})  # never mutated
+
+
+@pytest.fixture
+def pool():
+    p = PersistentWorkerPool(_make, INIT_ARGS)
+    yield p
+    p.terminate()
+
+
+def test_state_persists_across_calls_and_workers_are_independent(pool):
+    assert pool.call(0, "add", {"n": 1}) == {"total": 11}
+    assert pool.call(0, "add", {"n": 1}) == {"total": 12}
+    assert pool.call(1, "add", {"n": 5}) == {"total": 25}
+
+
+def test_payload_mutation_in_worker_does_not_leak(pool):
+    """A worker gets a pickled copy, so the pipe isolates the caller from
+    anything the worker does to it (``Tally.add`` mutates its payload), and
+    what it keeps or returns is a copy too."""
+    payload = {"n": 7}
+    pool.call(0, "add", payload)
+    assert payload == {"n": 7}
+    kept = pool.call(0, "keep", payload)
+    assert kept == [INIT_ARGS[0], payload] and kept[1] is not payload
+    assert pool.call(0, "last_kept") == kept
+
+
+def test_worker_exception_surfaces_as_workererror(pool):
+    with pytest.raises(WorkerError, match="exploded"):
+        pool.call(0, "boom", {"why": "test"})
+
+
+def test_stop_reports_each_workers_peak_rss():
+    spawned = PersistentWorkerPool(_make, [{"start": 0}, {"start": 1}])
+    stats = spawned.stop()
+    assert len(stats) == 2
+    assert all(s is not None and s["peak_rss_kb"] > 0 for s in stats)
+
+
+def test_empty_pool_rejected():
+    with pytest.raises(ValueError):
+        PersistentWorkerPool(_make, [])
+
+
+class Stuck:
+    """A worker whose one method never returns."""
+
+    def __init__(self, _init):
+        pass
+
+    def hang(self, _payload):
+        while True:
+            time.sleep(60)
+
+
+def test_worker_killed_between_calls_is_named():
+    pool = PersistentWorkerPool(_make, INIT_ARGS)
+    try:
+        assert [pool.call(i, "add", {"n": 1}) for i in (0, 1)] == [{"total": 11}, {"total": 21}]
+        pool._procs[1].kill()
+        pool._procs[1].join(timeout=10)
+        assert not pool._procs[1].is_alive()
+        with pytest.raises(WorkerError, match="worker 1 died") as err:
+            pool.call(1, "add", {"n": 1})
+        assert err.value.worker == 1
+    finally:
+        pool.terminate()
+
+
+def test_hung_worker_times_out(monkeypatch):
+    pool = PersistentWorkerPool(Stuck, [None])
+    monkeypatch.setattr(pool_module, "CALL_TIMEOUT", 0.5)
+    t0 = time.monotonic()
+    try:
+        with pytest.raises(WorkerError, match="worker 0 gave no reply within 0.5s"):
+            pool.call(0, "hang")
+    finally:
+        pool.terminate()
+    assert time.monotonic() - t0 < 15.0

@@ -175,11 +175,6 @@ def test_workload_unknown_mix_exits_2(capsys):
     assert code == 2
 
 
-def test_workload_jobs_and_shards_conflict(capsys):
-    code, _ = run(capsys, "workload", "--jobs", "2", "--shards", "2")
-    assert code == 2
-
-
 #: the smallest workload run that still issues requests
 TINY_WORKLOAD = ("workload", "--cases", "1", "--duration", "5", "--rate", "40",
                  "--users", "1000")
@@ -219,7 +214,7 @@ def test_workload_cache_never_aliases_across_profiles(capsys, monkeypatch, tmp_p
 
 def test_main_leaves_the_environment_alone(capsys):
     before = dict(os.environ)
-    code, _ = run(capsys, *TINY_WORKLOAD, "--profile", "flat", "--shards", "1")
+    code, _ = run(capsys, *TINY_WORKLOAD, "--profile", "flat")
     assert code == 0
     assert dict(os.environ) == before
 
@@ -231,12 +226,12 @@ def test_sim_backend_flag_is_gone(capsys):
     assert "--sim-backend" in capsys.readouterr().err
 
 
-def test_discover_shards_with_replicates_says_what_works(capsys):
-    code = main(["discover", "--shards", "2", "--replicates", "2"])
-    err = capsys.readouterr().err
-    assert code == 2
-    assert "drop --replicates" in err and "--jobs" in err
-    assert "GULFSTREAM" not in err
+@pytest.mark.parametrize("command", ["discover", "workload"])
+def test_shards_flag_is_gone(command, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--shards", "2"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --shards 2" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("argv", [
