@@ -26,10 +26,11 @@ adapter (§2.2, Figure 3).
 from __future__ import annotations
 
 import enum
-from collections import deque
+from array import array
+from bisect import bisect_left
 from dataclasses import dataclass, field as dc_field
 from functools import cached_property
-from typing import Any, Deque, Dict, FrozenSet, Optional, Set, Tuple, TYPE_CHECKING
+from typing import Any, Dict, FrozenSet, List, Optional, Set, Tuple, TYPE_CHECKING
 
 from repro.net.addressing import IPAddress
 from repro.gulfstream.amg import AMGView, choose_leader
@@ -121,6 +122,67 @@ def _route(kind: type) -> Optional[Tuple[str, bool]]:
     return route
 
 
+def _due(keys: array, seqs: array, lo: int, now: float, seq: int) -> int:
+    """The end of the run of entries from ``lo`` keyed before ``(now,
+    seq)`` in columns in key order: beacons whose events would have fired."""
+    k = bisect_left(keys, now, lo)
+    end = len(keys)
+    while k < end and keys[k] == now and seqs[k] < seq:
+        k += 1
+    return k
+
+
+class _Backlog:
+    """Beacons billed to the host's OS model and not handled yet, in key
+    order, as three columns live from ``head`` on: the finish time and
+    reserved seq that key the event which would have handled each beacon,
+    and the beacon — 24 bytes an entry (docs/PROTOCOL.md §8). The columns
+    are emptied the moment the last entry goes."""
+
+    __slots__ = ("keys", "seqs", "msgs", "head")
+
+    def __init__(self) -> None:
+        self.keys = array("d")
+        self.seqs = array("q")
+        self.msgs: List[Beacon] = []
+        self.head = 0
+
+    def __len__(self) -> int:
+        return len(self.msgs) - self.head
+
+    def append(self, key: float, seq: int, msg: Beacon) -> None:
+        self.keys.append(key)
+        self.seqs.append(seq)
+        self.msgs.append(msg)
+
+    def extend(self, keys: array, seqs: array, msgs: List[Beacon]) -> None:
+        self.keys.extend(keys)
+        self.seqs.extend(seqs)
+        self.msgs.extend(msgs)
+
+    def pop_due(self, now: float, seq: int) -> List[Beacon]:
+        """Remove and return the beacons keyed before ``(now, seq)``, whose
+        events would have fired by now: a prefix, the columns being in key
+        order. The popped prefix is cut from the columns once it is half of
+        them."""
+        keys, seqs, msgs, head = self.keys, self.seqs, self.msgs, self.head
+        k = _due(keys, seqs, head, now, seq)
+        end = len(keys)
+        due = msgs[head:k]
+        if k == end:
+            self.clear()
+        elif 2 * k < end:
+            self.head = k
+        else:
+            del keys[:k], seqs[:k], msgs[:k]
+            self.head = 0
+        return due
+
+    def clear(self) -> None:
+        del self.keys[:], self.seqs[:], self.msgs[:]
+        self.head = 0
+
+
 class AdapterProtocol:
     """The GulfStream protocol instance for one adapter."""
 
@@ -136,15 +198,16 @@ class AdapterProtocol:
         self.send_frames = nic.send_frames
         self._state = AdapterState.BOOT
         #: beacons received while not LEADER: charged to the OS model on
-        #: arrival, folded in by :meth:`_absorb` — ``(finish time, reserved
-        #: seq, beacon)``, the key of the event that would have handled each
-        self._backlog: Deque[Tuple[float, int, Beacon]] = deque()
+        #: arrival, folded in by :meth:`_absorb`
+        self._backlog = _Backlog()
         #: restart generation; scheduled callbacks from older generations
         #: are ignored, making stop()/start() safe at any instant
         self.gen = 0
         self.epoch = 0
         self.view: Optional[AMGView] = None
         self.hb = None
+        #: beacons collected in BEACONING / WAIT_FORM; emptied when a view is
+        #: installed (nothing reads it until the next beacon phase)
         self.peers: Dict[IPAddress, MemberInfo] = {}
         self.coordinator: Optional[CommitCoordinator] = None
         self.pending_prepare: Optional[Prepare] = None
@@ -163,9 +226,11 @@ class AdapterProtocol:
         self._takeover_pending = False
         self._merge_req_sent: Dict[IPAddress, float] = {}
         self._hint_sent: Dict[IPAddress, float] = {}
-        #: when each current member entered the view (leader uses this to
-        #: distinguish a restarted member's beacons from in-flight relics)
-        self._member_since: Dict[IPAddress, float] = {}
+        #: when each current member entered the view (:meth:`_member_since`):
+        #: the first install's time, or its entry in ``_joined`` if it joined
+        #: a later view
+        self._installed_at = 0.0
+        self._joined: Dict[IPAddress, float] = {}
         # reporting state (leader role)
         self._declared_stable = False
         self._stable_event = None
@@ -220,9 +285,10 @@ class AdapterProtocol:
         if new is AdapterState.LEADER:
             # a leader acts on beacons: the unfinished rest become the events
             # they would have been, at their original keys
-            while self._backlog:
-                when, seq, msg = self._backlog.popleft()
+            backlog, h = self._backlog, self._backlog.head
+            for when, seq, msg in zip(backlog.keys[h:], backlog.seqs[h:], backlog.msgs[h:]):
                 self.sim.schedule_at(when, self._on_beacon, msg, seq=seq)
+            backlog.clear()
         if (old is AdapterState.LEADER) is not (new is AdapterState.LEADER):
             self.nic._sync()  # a leader takes beacon multicasts eagerly
 
@@ -381,7 +447,7 @@ class AdapterProtocol:
                 # (grace window), it restarted so quickly nobody noticed
                 # the crash. Remove the stale membership; its next beacon
                 # joins it afresh.
-                joined = self._member_since.get(msg.info.ip, 0.0)
+                joined = self._member_since(msg.info.ip)
                 if self.sim.now - joined > 2 * self.params.beacon_interval:
                     self.trace("gs.member.restarted", who=str(msg.info.ip))
                     self.pending_deaths.add(msg.info.ip)
@@ -610,19 +676,30 @@ class AdapterProtocol:
             self.pending_joins.clear()
             self.pending_deaths.clear()
             self._last_leader_contact = self.sim.now
+        # the beacon phase is over (the state change folded in what it
+        # heard); start() and _form_timeout, the ways back, begin afresh
+        self.peers.clear()
         self.daemon.on_view_installed(self)
 
     def _track_members(self, old: Optional[AMGView], view: AMGView) -> None:
-        """Re-key ``_member_since`` to ``view``'s members, survivors keeping
-        their entry: O(change), on the hashes the two views already store."""
+        """Note when ``view``'s members entered it, survivors keeping their
+        time: O(change), on the hashes the two views already store, and
+        nothing per member of the first view."""
         now = self.sim.now
         if old is None:
-            self._member_since = dict.fromkeys(view.ip_set, now)
+            self._installed_at = now
+            self._joined = {}
             return
+        joined = self._joined
         for ip in old.ip_set - view.ip_set:
-            del self._member_since[ip]
+            joined.pop(ip, None)
         for ip in view.ip_set - old.ip_set:
-            self._member_since[ip] = now
+            joined[ip] = now
+
+    def _member_since(self, ip: IPAddress) -> float:
+        """When current member ``ip`` entered the view (a leader tells a
+        restarted member's beacons from in-flight relics with it)."""
+        return self._joined.get(ip, self._installed_at)
 
     def _make_hb_engine(self, view: AMGView):
         p = self.params
@@ -1095,9 +1172,9 @@ class AdapterProtocol:
             sim.post(self.os.charge(), self.on_frame if route else self._on_app_frame, frame)
             return
         backlog = self._backlog
-        if backlog and backlog[0][0] < sim.now:
+        if backlog.msgs and backlog.keys[backlog.head] < sim.now:
             self._absorb()  # keeps a MEMBER's backlog at O(in flight)
-        backlog.append((sim.now + self.os.charge(), sim.reserve_seq(), msg))
+        backlog.append(sim.now + self.os.charge(), sim.reserve_seq(), msg)
 
     def receive_at(self, frame, seq: int) -> None:
         """A beacon multicast logged as a record, at this eager (leader)
@@ -1105,41 +1182,25 @@ class AdapterProtocol:
         sim = self.sim
         sim.schedule_at(sim.now + self.os.charge(seq), self.on_frame, frame, seq=seq)
 
-    def take(self, entries) -> None:
+    def take(self, keys: array, seqs: array, msgs: List[Beacon]) -> None:
         """Beacon records the host's OS model billed for this adapter, as
-        ``(finish, seq, beacon)`` backlog entries in key order: the ones
-        already finished are handled here, the rest join the backlog."""
+        backlog columns in key order (finish time, reserved seq, beacon):
+        the ones already finished are handled here, the rest join the
+        backlog (a batch that is all due never enters it)."""
         backlog = self._backlog
-        horizon = (self.sim.now, self.sim.firing_seq)
-        if backlog and backlog[0] < horizon:
+        if backlog.msgs:
             self._fold_due()
-        if backlog:  # an older entry is unfinished: these queue behind it
-            backlog.extend(entries)
+            if backlog.msgs:  # an older entry is unfinished: these queue behind it
+                backlog.extend(keys, seqs, msgs)
+                return
+        due = _due(keys, seqs, 0, self.sim.now, self.sim.firing_seq)
+        if due == len(msgs):
+            self._collect(msgs)
             return
-        due = 0
-        state = self._state
-        if state is AdapterState.BEACONING or state is AdapterState.WAIT_FORM:
-            # _fold_due's collecting branch, straight from the list (a record
-            # is never this adapter's own beacon: the sender's slot is skipped)
-            peers, floor = self.peers, self._epoch_floor
-            for entry in entries:
-                if not entry < horizon:
-                    break
-                due += 1
-                msg = entry[2]
-                peers[msg.info.ip] = msg.info
-                if msg.epoch > floor:
-                    floor = msg.epoch
-            self._epoch_floor = floor
-        else:
-            # a lazy adapter is never a LEADER (the state setter bills first),
-            # and every other state ignores a beacon (§2.1)
-            for entry in entries:
-                if not entry < horizon:
-                    break
-                due += 1
-        if due < len(entries):
-            backlog.extend(entries[due:])
+        if due:
+            self._collect(msgs[:due])
+            keys, seqs, msgs = keys[due:], seqs[due:], msgs[due:]
+        backlog.extend(keys, seqs, msgs)
 
     def _absorb(self) -> None:
         """Handle every beacon whose event would have fired by now: the
@@ -1154,19 +1215,25 @@ class AdapterProtocol:
         order) and each postdates the last state change, so handling them
         under the current state is what their events would have done.
         """
-        backlog = self._backlog
-        horizon = (self.sim.now, self.sim.firing_seq)
-        me, peers = self.nic.ip, self.peers
-        collecting = self._state in (AdapterState.BEACONING, AdapterState.WAIT_FORM)
-        while backlog and backlog[0] < horizon:  # seq is unique: msg never compared
-            msg = backlog.popleft()[2]
-            if not collecting:
-                self._on_beacon(msg)
-            elif msg.info.ip != me:
-                # all _on_beacon does while collecting, without a call per entry
-                peers[msg.info.ip] = msg.info
-                if msg.epoch > self._epoch_floor:
-                    self._epoch_floor = msg.epoch
+        if self._backlog.msgs:
+            self._collect(self._backlog.pop_due(self.sim.now, self.sim.firing_seq))
+
+    def _collect(self, msgs: List[Beacon]) -> None:
+        """Handle finished beacons under the current state: all
+        :meth:`_on_beacon` does at a lazy adapter, without a call per beacon."""
+        state = self._state
+        if state is not AdapterState.BEACONING and state is not AdapterState.WAIT_FORM:
+            # a lazy adapter is never a LEADER (the state setter bills first),
+            # and every other state ignores a beacon (§2.1)
+            return
+        me, peers, floor = self.nic.ip, self.peers, self._epoch_floor
+        for msg in msgs:
+            info = msg.info
+            if info.ip != me:  # a record is never its own, a received frame may be
+                peers[info.ip] = info
+                if msg.epoch > floor:
+                    floor = msg.epoch
+        self._epoch_floor = floor
 
     def on_frame(self, frame) -> None:
         """Entry point for a frame whose OS handling delay has elapsed."""

@@ -113,11 +113,12 @@ class NIC:
 
         ``sink`` is the object ``fn`` belongs to when it can also take
         multicast records lazily: it has ``lazy`` (may it, now?), ``os``
-        (the host's OS model, which bills the records), ``take(entries)``
-        (the billed ``(key time, seq, payload)`` entries, in order) and
-        ``receive_at(frame, seq)`` (``fn``'s work for a logged multicast
-        while it is not lazy, its event at the reserved ``seq``). Records
-        never reach ``fn``.
+        (the host's OS model, which bills the records), ``take(keys, seqs,
+        payloads)`` (the billed records in key order, as columns: an
+        ``array('d')`` of key times, an ``array('q')`` of seqs and a list of
+        payloads) and ``receive_at(frame, seq)`` (``fn``'s work for a logged
+        multicast while it is not lazy, its event at the reserved ``seq``).
+        Records never reach ``fn``.
         """
         if sink is not None and self not in sink.os.nics:
             raise ValueError(f"{self.name}: the sink's OS model does not bill this adapter")

@@ -21,6 +21,7 @@ thread-pool churn. Every distribution is a tunable in :class:`OSParams`, and
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Callable, List, Optional, Sequence, Tuple
 
@@ -95,9 +96,9 @@ class OSModel:
         self.nics = nics
         # the daemon is modelled single-threaded: event handling serializes
         self._busy_until = 0.0
-        # prefetched uniform [0,1) draws; every simulated event costs a
-        # proc_delay draw, so scalar numpy calls would dominate the model
-        self._buf: list[float] = []
+        # prefetched uniform [0,1) draws, unboxed; every simulated event
+        # costs a proc_delay draw, so scalar numpy calls would dominate
+        self._buf = array("d")
         self._buf_i = 0
         # ``sim.deferred`` at the last full catch-up: while it has not moved,
         # no segment logged a record and there is nothing to bill
@@ -117,10 +118,14 @@ class OSModel:
             # uniform(lo, hi) is lo + (hi-lo) * next_double(), so scaling a
             # prefetched unit draw consumes the stream identically to the
             # scalar call — the replayed history is unchanged
-            buf = self._buf = self.rng.random(self.BUFFER).tolist()
+            buf = self._buf = self._refill()
             i = 0
         self._buf_i = i + 1
         return lo + (hi - lo) * buf[i]
+
+    def _refill(self) -> array:
+        """The next ``BUFFER`` unit draws, 8 bytes each."""
+        return array("d", self.rng.random(self.BUFFER).tobytes())
 
     def boot_delay(self) -> float:
         """When the daemon comes up after the node does."""
@@ -155,7 +160,7 @@ class OSModel:
         if hi > delay:
             i = self._buf_i  # _draw(proc_delay), inline: once per received frame
             if i >= len(self._buf):
-                self._buf = self.rng.random(self.BUFFER).tolist()
+                self._buf = self._refill()
                 i = 0
             self._buf_i = i + 1
             delay += (hi - delay) * self._buf[i]
@@ -176,9 +181,10 @@ class OSModel:
 
         Each record costs what :meth:`charge` would have at its delivery
         instant ``when``: the next ``proc_delay`` draw, queued behind the
-        busy chain, keyed ``(when + (finish - when), seq)``. The charged
-        entries go to each adapter's receiver (``nic.sink.take``) in one
-        list. ``before`` stops at that seq (see :meth:`charge`).
+        busy chain, keyed ``(when + (finish - when), seq)``. Each adapter's
+        receiver gets its entries in one call, as columns
+        (``nic.sink.take(keys, seqs, payloads)``, :meth:`NIC.bind`).
+        ``before`` stops at that seq (see :meth:`charge`).
         """
         if before is None:
             if self._seen == self.sim.deferred:
@@ -198,9 +204,9 @@ class OSModel:
             return
         if len(takers) > 1:
             taken.sort()  # seqs are unique: only the first field is compared
-            out: List[list] = [[] for _ in takers]
-        else:
-            out = [[]]  # the usual steady-state case: one adapter, one record
+        keys = [array("d") for _ in takers]
+        seqs = [array("q") for _ in takers]
+        msgs: List[list] = [[] for _ in takers]
         lo, hi = self.params.proc_delay
         span = hi - lo
         busy = self._busy_until
@@ -209,16 +215,18 @@ class OSModel:
             delay = lo
             if hi > lo:  # charge(), inline
                 if i >= len(buf):
-                    buf = self._buf = self.rng.random(self.BUFFER).tolist()
+                    buf = self._buf = self._refill()
                     i = 0
                 delay += span * buf[i]
                 i += 1
             busy = (busy if busy > when else when) + delay
-            out[who].append((when + (busy - when), seq, msg))
+            keys[who].append(when + (busy - when))
+            seqs[who].append(seq)
+            msgs[who].append(msg)
         self._busy_until = busy
         self._buf_i = i
-        for nic, entries in zip(takers, out):
-            nic.sink.take(entries)
+        for nic, k, q, m in zip(takers, keys, seqs, msgs):
+            nic.sink.take(k, q, m)
 
     def handle(self, fn: Callable[..., Any], *args: Any) -> Event:
         """Run ``fn(*args)`` after the daemon gets CPU for it (:meth:`charge`)."""

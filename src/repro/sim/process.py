@@ -8,6 +8,7 @@ cancellation surface.
 
 from __future__ import annotations
 
+from array import array
 from typing import Any, Callable, Optional
 
 import numpy as np
@@ -52,9 +53,9 @@ class Timer:
         self.max_fires = max_fires
         self.fires = 0
         self._cancelled = False
-        # prefetched unit draws for the jitter path: one vectorised RNG
-        # call per 64 ticks instead of a scalar numpy call per tick
-        self._jbuf: list[float] = []
+        # prefetched unit draws for the jitter path, unboxed: one vectorised
+        # RNG call per 64 ticks instead of a scalar numpy call per tick
+        self._jbuf = array("d")
         self._jbuf_i = 0
         first = interval if initial_delay is None else initial_delay
         self._event: Optional[Event] = sim.schedule(self._jittered(first), self._fire)
@@ -66,7 +67,7 @@ class Timer:
         i = self._jbuf_i
         buf = self._jbuf
         if i >= len(buf):
-            buf = self._jbuf = self.rng.random(64).tolist()
+            buf = self._jbuf = array("d", self.rng.random(64).tobytes())
             i = 0
         self._jbuf_i = i + 1
         # uniform(-j, +j) = -j + 2j * next_double(): same stream consumption
@@ -88,7 +89,7 @@ class Timer:
         if self.jitter != 0.0:
             i = self._jbuf_i  # _jittered(interval), inline: once per tick of every timer
             if i >= len(self._jbuf):
-                self._jbuf = self.rng.random(64).tolist()  # type: ignore[union-attr]
+                self._jbuf = array("d", self.rng.random(64).tobytes())  # type: ignore[union-attr]
                 i = 0
             self._jbuf_i = i + 1
             delay += self.jitter * (2.0 * self._jbuf[i] - 1.0)

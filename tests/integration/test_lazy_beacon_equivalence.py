@@ -343,10 +343,12 @@ def test_wait_form_to_leader_materialises_unfinished_tail(monkeypatch):
             assert len(proto._backlog) == (3 if lazy else 0)
 
         def lead():
+            proto._absorb()  # what the state change folds in first
+            assert sorted(map(str, proto.peers)) == ["10.0.0.7"]
             proto._install_view(AMGView.build([proto.my_info()], 1), "formation")
             assert proto.state is AdapterState.LEADER
             assert not proto._backlog
-            assert sorted(map(str, proto.peers)) == ["10.0.0.7"]
+            assert not proto.peers  # the beacon phase is over
 
         sim.schedule_at(0.001, arrive)
         sim.schedule_at(0.0055, lead)

@@ -5,15 +5,15 @@ the ``Commit`` carries that object (``Commit.view``), every member installs
 it by reference, and what stays per member is O(1) or O(change)
 (docs/PROTOCOL.md §3, "What a commit costs"). The per-member derivation it
 replaced survives only here, as the oracle: each receiver scans
-``msg.members`` for itself, builds a fresh view, rebuilds ``_member_since``
-with the old comprehension, re-derives ``ips``/``ip_set`` on every access,
+``msg.members`` for itself, builds a fresh view, rebuilds every member's
+join time with the old comprehension, re-derives ``ips``/``ip_set`` on every access,
 and the coordinator recounts its members on every ack. Every scenario below
 runs under both and must produce the same trace records, notification
 history, segment statistics, metrics dump *and engine event count* — the
 change removes work inside events, not events.
 
 Below the differential runs: a property test of the delta-maintained
-``_member_since``, and the counts that pin the complexity class (they fail
+join times (``_member_since``), and the counts that pin the complexity class (they fail
 on the per-member code, by a factor that grows with the group).
 """
 
@@ -79,7 +79,12 @@ def _rebuilt_member_since(member_since, old, view, now):
 
 
 def _per_member_track_members(self, old, view):
-    self._member_since = _rebuilt_member_since(self._member_since, old, view, self.sim.now)
+    rebuilt = _rebuilt_member_since(self.__dict__.get("_rebuilt", {}), old, view, self.sim.now)
+    self._rebuilt = rebuilt
+
+
+def _per_member_member_since(self, ip):
+    return self._rebuilt.get(ip, 0.0)
 
 
 def _per_ack_recount(self, ack):
@@ -97,6 +102,7 @@ def _patch_in_per_member_derivation(patch):
     patch.setattr(AdapterProtocol, "_on_prepare", _per_member_on_prepare)
     patch.setattr(AdapterProtocol, "_on_commit", _per_member_on_commit)
     patch.setattr(AdapterProtocol, "_track_members", _per_member_track_members)
+    patch.setattr(AdapterProtocol, "_member_since", _per_member_member_since)
     patch.setattr(CommitCoordinator, "on_prepare_ack", _per_ack_recount)
     # nothing cached on the view either: every access re-derives, as before
     ips = property(lambda self: tuple(m.ip for m in self.members))
@@ -175,7 +181,7 @@ def test_differential_random_fault_programs(program):
 
 
 # ----------------------------------------------------------------------
-# property: the delta-maintained _member_since is the rebuilt one
+# property: the delta-maintained join times are the rebuilt ones
 # ----------------------------------------------------------------------
 _UNIVERSE = [IPAddress(f"10.0.0.{i + 1}") for i in range(12)]
 _low, _high = frozenset(_UNIVERSE[:6]), frozenset(_UNIVERSE[6:])
@@ -192,7 +198,7 @@ _step = st.one_of(
 @example([_low, "same", "restart", _low])
 @example(["restart", "same", _high])
 def test_delta_member_since_equals_rebuilt(steps):
-    tracker = SimpleNamespace(sim=SimpleNamespace(now=0.0), _member_since={})
+    tracker = SimpleNamespace(sim=SimpleNamespace(now=0.0), _installed_at=0.0, _joined={})
     reference = {}
     installed = None  # what proto.view would be
     for epoch, step in enumerate(steps, start=1):
@@ -210,9 +216,12 @@ def test_delta_member_since_equals_rebuilt(steps):
         reference = _rebuilt_member_since(reference, installed, view, tracker.sim.now)
         AdapterProtocol._track_members(tracker, installed, view)
         installed = view
-        assert tracker._member_since == reference
         assert len(reference) == view.size
-        assert set(tracker._member_since) == set(view.ips)
+        for ip in view.ips:
+            assert AdapterProtocol._member_since(tracker, ip) == reference[ip]
+        # a time is stored only for a member that joined after the first view
+        assert set(tracker._joined) <= set(view.ips)
+        assert all(t > tracker._installed_at for t in tracker._joined.values())
 
 
 # ----------------------------------------------------------------------
