@@ -574,7 +574,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--duration", type=float, default=30.0,
                    help="request-stream window per case, simulated seconds")
     p.add_argument("--users", type=int, default=100_000,
-                   help="simulated user population (Zipf-distributed)")
+                   help="simulated user population (Zipf-distributed); the "
+                        "farm routes requests by domain alone, so no report "
+                        "value depends on it")
     p.add_argument("--mix", default="none",
                    help="chaos mix to run under the traffic (none, crash, "
                         "adapters, partition, leader, mixed)")

@@ -16,7 +16,8 @@ come from the sim's named-RNG registry, in standalone statistical tests from
   its peak rate (Lewis–Shedler), modulated by a per-domain rate profile
   (e.g. :class:`~repro.workload.profiles.DiurnalProfile`), with truncated-Zipf
   domain and user popularity; computed a draw buffer at a time, yielded an
-  event at a time.
+  event at a time (:meth:`RequestStream.arrivals` yields the same events
+  without their user ranks, as :class:`Arrival` pairs).
 * :func:`constant_rate` — the degenerate stream: one domain, fixed spacing.
 """
 
@@ -24,11 +25,14 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
+from typing import (
+    Callable, Dict, Iterator, List, Mapping, NamedTuple, Optional, Sequence, Tuple,
+)
 
 import numpy as np
 
 __all__ = [
+    "Arrival",
     "RequestEvent",
     "RequestStream",
     "TruncatedZipf",
@@ -75,6 +79,14 @@ class _UniformBuffer:
         return self._buf
 
 
+def _check_zipf(n: int, alpha: float) -> None:
+    """Raise unless ``n`` ranks and exponent ``alpha`` make a Zipf law."""
+    if n < 1:
+        raise ValueError(f"need at least one rank, got n={n}")
+    if alpha < 0:
+        raise ValueError(f"alpha must be >= 0, got {alpha}")
+
+
 class TruncatedZipf:
     """Zipf-distributed ranks ``1..n`` with exponent ``alpha``.
 
@@ -85,10 +97,7 @@ class TruncatedZipf:
     """
 
     def __init__(self, n: int, alpha: float = 0.9) -> None:
-        if n < 1:
-            raise ValueError(f"need at least one rank, got n={n}")
-        if alpha < 0:
-            raise ValueError(f"alpha must be >= 0, got {alpha}")
+        _check_zipf(n, alpha)
         self.n = int(n)
         self.alpha = float(alpha)
         weights = np.arange(1, self.n + 1, dtype=np.float64) ** -self.alpha
@@ -121,6 +130,13 @@ class RequestEvent:
     user: int
 
 
+class Arrival(NamedTuple):
+    """One arrival as the farm sees it: when, and which customer domain."""
+
+    time: float
+    domain: str
+
+
 def constant_rate(domain: str, rate: float) -> Iterator[RequestEvent]:
     """Evenly spaced arrivals for one domain, without end: the k-th at ``k / rate``."""
     for k in itertools.count():
@@ -139,7 +155,11 @@ class RequestStream:
     Domain choice
         Categorical with time-varying probabilities ``∝ w_d · profile(d, t)``.
     User choice
-        Truncated Zipf over ``n_users`` simulated customers.
+        Truncated Zipf over ``n_users`` simulated customers. Only iteration
+        reads a user: :meth:`arrivals`, the farm's feed (it routes by
+        domain alone), yields the same times and domains without ranks, and
+        the ``n_users`` rank table (16 MB at a million users) is built at
+        the first user read.
 
     ``rngs`` maps each of :data:`STREAM_NAMES` to an independent
     :class:`numpy.random.Generator`; by default they derive from ``seed``
@@ -149,6 +169,9 @@ class RequestStream:
     give (docs/PROTOCOL.md §10), and events are yielded one at a time — the
     stream can run for millions of requests in constant memory. The profile
     is still called once per domain and candidate, with a Python float.
+    Both ways of reading the stream consume exactly the same draws from every
+    generator, so they agree even when one generator serves all three
+    purposes.
     """
 
     def __init__(
@@ -182,11 +205,17 @@ class RequestStream:
             raise ValueError(f"rngs is missing streams {missing}")
         self._arrival_rng = rngs["arrivals"]
         self._domain_uniforms = _UniformBuffer(rngs["domains"])
+        _check_zipf(n_users, user_alpha)
+        self._n_users = n_users
+        self._user_alpha = user_alpha
         self._user_uniforms = _UniformBuffer(rngs["users"])
-        self._users = TruncatedZipf(n_users, user_alpha)
-        #: ranks of the current block of user uniforms, handed out from ``_user_pos``
-        self._user_ranks = np.empty(0, dtype=np.int64)
-        self._user_pos = 0
+        #: built at the first user read (:meth:`_block_ranks`)
+        self._users: Optional[TruncatedZipf] = None
+        #: the current block of user uniforms, of which the last ``_user_left``
+        #: are not handed out yet; its ranks once read
+        self._user_block = np.empty(0)
+        self._user_left = 0
+        self._user_ranks: Optional[np.ndarray] = None
         domain_zipf = TruncatedZipf(len(self.domains), domain_alpha)
         self._weights = [domain_zipf.pmf(r) for r in range(1, len(self.domains) + 1)]
 
@@ -235,26 +264,41 @@ class RequestStream:
         accept = ~(u >= offered)
         return times[accept].tolist(), pick[accept].tolist(), error
 
+    def _skip_users(self, count: int) -> None:
+        """Consume the next ``count`` (at most 4096) user uniforms unread,
+        drawing a block when the last runs out."""
+        if count > self._user_left:
+            self._user_block = self._user_uniforms.block()
+            self._user_ranks = None
+            self._user_left += _BUFFER
+        self._user_left -= count
+
+    def _block_ranks(self) -> np.ndarray:
+        """The Zipf ranks of the current user block: one ``searchsorted``
+        per block, on a table built at the first read."""
+        if self._user_ranks is None:
+            if self._users is None:
+                self._users = TruncatedZipf(self._n_users, self._user_alpha)
+            self._user_ranks = self._users.ranks(self._user_block)
+        return self._user_ranks
+
     def _take_users(self, count: int) -> List[int]:
-        """The next ``count`` (at most 4096) Zipf user ranks: one
-        ``searchsorted`` per block of uniforms, drawn when the last runs out."""
-        pos = self._user_pos
-        taken = self._user_ranks[pos:pos + count].tolist()
-        pos += len(taken)
+        """The next ``count`` (at most 4096) Zipf user ranks: the same draws
+        :meth:`_skip_users` consumes, ranked."""
+        pos = _BUFFER - self._user_left
+        taken = self._block_ranks()[pos:pos + count].tolist() if self._user_left else []
+        self._skip_users(count)
         if len(taken) < count:
-            self._user_ranks = self._users.ranks(self._user_uniforms.block())
-            pos = count - len(taken)
-            taken += self._user_ranks[:pos].tolist()
-        self._user_pos = pos
+            taken += self._block_ranks()[:count - len(taken)].tolist()
         return taken
 
     # ------------------------------------------------------------------
-    def __iter__(self) -> Iterator[RequestEvent]:
-        """Arrivals a buffer of 4096 candidates at a time — one buffer per
-        refill of the exponential and domain draws — thinned in one pass
-        and yielded one event at a time."""
+    def _blocks(self) -> Iterator[Tuple[List[float], List[int]]]:
+        """Accepted times and domain indices a buffer of 4096 candidates at
+        a time — one buffer per refill of the exponential and domain
+        draws — thinned in one pass. A peak violation raises once the
+        block's events before it have been handed out."""
         peak = self.base_rate * self.peak_factor
-        names = self.domains
         t = 0.0
         while True:
             times = self._arrival_rng.exponential(1.0, _BUFFER)
@@ -269,10 +313,27 @@ class RequestStream:
             t = float(times[-1])
             uniforms = self._domain_uniforms.block()
             accepted, picks, error = self._thin(times[:n], uniforms[:n], peak)
-            users = self._take_users(len(accepted))
-            for time, k, user in zip(accepted, picks, users):
-                yield RequestEvent(time, names[k], user)
+            yield accepted, picks
             if error is not None:
                 raise ValueError(error)
             if n < _BUFFER:
                 return
+
+    def arrivals(self) -> Iterator[Arrival]:
+        """The stream's events as :class:`Arrival` ``(time, domain)`` pairs,
+        yielded one at a time: what the farm reads. No user is ranked, but
+        the user draws are consumed as :meth:`__iter__` consumes them."""
+        names = self.domains
+        for accepted, picks in self._blocks():
+            self._skip_users(len(accepted))
+            for time, k in zip(accepted, picks):
+                yield Arrival(time, names[k])
+
+    def __iter__(self) -> Iterator[RequestEvent]:
+        """The stream's events as :class:`RequestEvent` values, each with
+        its Zipf user rank, yielded one at a time."""
+        names = self.domains
+        for accepted, picks in self._blocks():
+            users = self._take_users(len(accepted))
+            for time, k, user in zip(accepted, picks, users):
+                yield RequestEvent(time, names[k], user)

@@ -8,7 +8,7 @@ accomplished with minimal service interruption"):
 * :func:`build_traffic_farm` — a multi-domain farm whose dispatcher node
   runs a :class:`~repro.farm.requests.TrafficSource` fed a
   :class:`~repro.workload.generators.RequestStream` (Poisson arrivals,
-  truncated-Zipf users/domains, diurnal modulation): real ``Request``
+  truncated-Zipf domains, diurnal modulation): real ``Request``
   frames to the domains' front ends, one pending arrival at a time —
   millions of simulated users, constant memory.
 * An :class:`~repro.workload.autoscaler.Autoscaler` watching measured
@@ -215,6 +215,11 @@ def build_traffic_farm(
     movable spares. Everything the case does (stream start/stop,
     autoscaler ticks, chaos faults, monitor start/finalize) is scheduled
     here at fixed simulated times, so the build fully determines the run.
+
+    The source reads the stream's
+    :meth:`~repro.workload.generators.RequestStream.arrivals`: requests are
+    routed by domain alone, so the run ranks no user, and ``n_users`` moves
+    no simulated byte and builds no rank table.
     """
     if mix is not None and mix not in MIXES:
         raise ValueError(f"unknown mix {mix!r}: choose from {sorted(MIXES)}")
@@ -267,7 +272,8 @@ def build_traffic_farm(
         rngs=rngs,
     )
     TrafficSource(
-        farm.hosts["dispatch-0"], fe_ips, stream, start_at=TRAFFIC_START, timeout=REQUEST_TIMEOUT
+        farm.hosts["dispatch-0"], fe_ips, stream.arrivals(), start_at=TRAFFIC_START,
+        timeout=REQUEST_TIMEOUT,
     )
 
     # -- control plane ---------------------------------------------------
@@ -360,8 +366,11 @@ def run_traffic_case(
 
     ``case`` and ``rep`` only differentiate the derived task seed when
     fanned out by :func:`run_traffic_campaign` (``rep`` is the replicate
-    index of the same case). ``shards`` must be 1: ``benchmarks/e2e``
-    passes it, and it goes with ROADMAP item 5's ``[benchmark]`` PR.
+    index of the same case). ``n_users`` leaves the row unchanged (the farm
+    routes by domain, see :func:`build_traffic_farm`); it is kept as an
+    argument, and so in the result-cache key. ``shards`` must be 1:
+    ``benchmarks/e2e`` passes it, and it goes with ROADMAP item 5's
+    ``[benchmark]`` PR.
     """
     if shards != 1:
         raise ValueError(f"a traffic case runs on one simulator: shards must be 1, got {shards!r}")

@@ -21,13 +21,17 @@ from hypothesis import strategies as st
 from scipy import stats
 
 from repro.workload.generators import (
+    STREAM_NAMES,
+    Arrival,
     RequestEvent,
     RequestStream,
     TruncatedZipf,
     default_streams,
 )
 from repro.workload.profiles import DiurnalProfile, DomainLoadModel
-from repro.workload.traffic import _resolve_profile
+from repro.workload.traffic import _resolve_profile, run_traffic_case
+
+from tests.workload.test_traffic import QUICK
 
 
 def take(stream, n):
@@ -192,7 +196,7 @@ def test_duration_bounds_the_stream():
 
 def test_million_user_stream_is_lazy():
     """A million-user stream yields immediately — nothing precomputed per
-    event beyond the one-time CDF table."""
+    event beyond the CDF table, built at the first user read."""
     stream = RequestStream(["acme"], base_rate=1000.0, n_users=1_000_000,
                            rngs=default_streams(9))
     first = next(iter(stream))
@@ -411,3 +415,101 @@ def test_block_stream_is_the_scalar_stream_over_seeds(seed, n_domains, rate):
         names, rate, seed=seed, duration=5000.0 / rate, n_users=999,
         profile=prof, peak_factor=prof.peak,
     )
+
+
+# ----------------------------------------------------------------------
+# arrivals() ≡ the (time, domain) projection of the events
+# ----------------------------------------------------------------------
+def _rngs(seed, shared):
+    """Three generators for ``seed``, or one serving all three purposes."""
+    if shared:
+        rng = np.random.default_rng(seed)
+        return {name: rng for name in STREAM_NAMES}
+    return default_streams(seed)
+
+
+def _pairs(events, limit=None):
+    """``(time as float.hex, domain)`` per event, then the stream's error."""
+    out = []
+    try:
+        for ev in itertools.islice(events, limit):
+            assert type(ev.time) is float
+            out.append((ev.time.hex(), ev.domain))
+    except ValueError as exc:
+        return out, str(exc)
+    return out, None
+
+
+def _assert_arrivals_are_the_projection(domains, base_rate, seed, shared, limit=None,
+                                        **kwargs):
+    def stream():
+        return RequestStream(domains, base_rate, rngs=_rngs(seed, shared), **kwargs)
+
+    arrivals = _pairs(stream().arrivals(), limit)
+    events, error = _record(iter(stream()), limit)
+    reference = _record(_reference_stream(domains, base_rate, rngs=_rngs(seed, shared),
+                                          **kwargs), limit)
+    assert (events, error) == reference  # __iter__ keeps its user ranks
+    assert arrivals == ([(time, domain) for time, domain, _user in events], error)
+    return arrivals
+
+
+def test_an_arrival_is_a_time_domain_pair():
+    first = next(RequestStream(["acme"], base_rate=10.0, seed=1).arrivals())
+    assert type(first) is Arrival
+    assert first == (first.time, "acme") and first.time > 0.0
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    shape=st.sampled_from(["flat", "diurnal", "flash"]),
+    bounded=st.booleans(),
+    n_users=st.sampled_from([1, 999, 1_000_000]),
+    shared=st.booleans(),
+)
+def test_arrivals_are_the_events_without_users(seed, shape, bounded, n_users, shared):
+    """Bit for bit, across candidate and user block boundaries, with three
+    generators or one shared by all three purposes."""
+    profile, peak_factor = _resolve_profile(shape, E2E_NAMES, 30.0)
+    arrivals, error = _assert_arrivals_are_the_projection(
+        E2E_NAMES, 300.0, seed, shared, limit=None if bounded else 4096 + 700,
+        duration=30.0 if bounded else None, n_users=n_users,
+        profile=profile, peak_factor=peak_factor,
+    )
+    assert error is None and len(arrivals) > 4096
+
+
+@pytest.mark.parametrize("shared", [False, True])
+@pytest.mark.parametrize("crossing", [30.0, 50.0])
+def test_arrivals_raise_the_peak_violation_after_the_same_prefix(crossing, shared):
+    arrivals, error = _assert_arrivals_are_the_projection(
+        ["a", "b"], 100.0, 6, shared, duration=80.0,
+        profile=lambda d, t: 2.0 if t > crossing else 0.5,
+    )
+    assert error is not None and "peak_factor" in error
+    assert arrivals and float.fromhex(arrivals[-1][0]) <= crossing
+
+
+def test_arrivals_build_no_user_table(monkeypatch):
+    built = []
+    init = TruncatedZipf.__init__
+
+    def counting_init(self, n, alpha=0.9):
+        built.append(n)
+        init(self, n, alpha)
+
+    monkeypatch.setattr(TruncatedZipf, "__init__", counting_init)
+    stream = RequestStream(["a", "b"], base_rate=100.0, duration=100.0, seed=3)
+    assert sum(1 for _ in stream.arrivals()) > 4096
+    assert built == [2]  # the domain table only
+    next(iter(stream))
+    assert built == [2, 1_000_000]  # built at the first user read
+
+
+def test_traffic_rows_do_not_depend_on_the_user_population():
+    """No simulated byte reads a user: the farm routes by domain alone."""
+    few = run_traffic_case(case=0, seed=7, **{**QUICK, "n_users": 10})
+    many = run_traffic_case(case=0, seed=7, **{**QUICK, "n_users": 1_000_000})
+    assert few["requests"]["issued"] > 500
+    assert few == many
