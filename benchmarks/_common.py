@@ -15,7 +15,7 @@ from __future__ import annotations
 import os
 import pathlib
 
-from repro.analysis.sweeps import run_grid  # noqa: F401 — the benches' grid entry point
+from repro.runner import run_sweep  # noqa: F401 — the benches' grid entry point
 
 RESULTS = pathlib.Path(__file__).parent / "results"
 

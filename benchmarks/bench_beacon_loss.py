@@ -26,7 +26,7 @@ from repro.gulfstream.params import GSParams
 from repro.net.loss import LinkQuality, PerfectLink
 from repro.node.osmodel import OSParams
 
-from _common import bench_jobs, emit, once, run_grid
+from _common import bench_jobs, emit, once, run_sweep
 
 N_NODES = 20
 PARAMS = GSParams(beacon_duration=5.0, beacon_interval=1.0)
@@ -87,8 +87,8 @@ def loss_point(loss_p: float) -> dict:
     }
 
 
-def run_sweep():
-    return run_grid(
+def loss_sweep():
+    return run_sweep(
         loss_point,
         {"loss_p": (0.0, 0.3, 0.5, 0.7, 0.8, 0.9)},
         jobs=bench_jobs(),
@@ -96,7 +96,7 @@ def run_sweep():
 
 
 def test_beacon_loss_distribution(benchmark):
-    rows = once(benchmark, run_sweep)
+    rows = once(benchmark, loss_sweep)
     table = format_table(
         rows,
         columns=["loss_p", "p_miss_all_k", "predicted_missing", "measured_missing",

@@ -22,7 +22,7 @@ from repro.gulfstream.params import GSParams
 from repro.net.loss import LinkQuality
 from repro.node.osmodel import OSParams
 
-from _common import bench_jobs, emit, once, run_grid
+from _common import bench_jobs, emit, once, run_sweep
 
 BASE = GSParams(beacon_duration=2.0, amg_stable_wait=2.0, gsc_stable_wait=4.0,
                 probe_timeout=0.5, orphan_timeout=4.0, takeover_stagger=0.5,
@@ -54,7 +54,7 @@ def latency_point(t_hb: float, k: int) -> dict:
 
 
 def run_latency_sweep():
-    return run_grid(
+    return run_sweep(
         latency_point,
         {"t_hb": (0.5, 1.0, 2.0), "k": (1, 2, 3)},
         jobs=bench_jobs(),
@@ -117,7 +117,7 @@ def ladder_point(scheme: str) -> dict:
 
 
 def run_false_positive_ladder():
-    return run_grid(
+    return run_sweep(
         ladder_point,
         {"scheme": [label for label, _ in LADDER]},
         jobs=bench_jobs(),

@@ -12,7 +12,7 @@ spaced by the T_beacon difference, δ ∈ [5, 6].
 
 from repro.analysis import format_table, measure_stability
 
-from _common import bench_jobs, emit, once, run_grid
+from _common import bench_jobs, emit, once, run_sweep
 
 NODE_COUNTS = (2, 10, 25, 40, 55)
 BEACON_TIMES = (5.0, 10.0, 20.0)
@@ -32,7 +32,7 @@ def fig5_point(T_beacon: float, nodes: int) -> dict:
 
 
 def run_fig5():
-    return run_grid(
+    return run_sweep(
         fig5_point,
         {"T_beacon": BEACON_TIMES, "nodes": NODE_COUNTS},
         jobs=bench_jobs(),

@@ -20,7 +20,7 @@ from repro.gulfstream.params import GSParams
 from repro.node.faults import FaultInjector
 from repro.node.osmodel import OSParams
 
-from _common import bench_jobs, emit, once, run_grid
+from _common import bench_jobs, emit, once, run_sweep
 
 PARAMS = GSParams(beacon_duration=2.0, amg_stable_wait=2.0, gsc_stable_wait=4.0,
                   hb_interval=0.5, probe_timeout=0.5, orphan_timeout=3.0,
@@ -64,7 +64,7 @@ def comparison_point(n_zones: int, use_zones: bool) -> dict:
 
 
 def run_comparison():
-    return run_grid(
+    return run_sweep(
         comparison_point,
         {"n_zones": (3, 6), "use_zones": (False, True)},
         jobs=bench_jobs(),

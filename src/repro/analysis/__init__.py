@@ -3,31 +3,19 @@
 * :mod:`repro.analysis.stability` — the Figure 5 / Equation 1 apparatus:
   run a testbed discovery, measure time-to-stable, decompose the δ
   overhead into the paper's three components.
-* :mod:`repro.analysis.metrics` — message/byte accounting and
-  detection-latency extraction from traces and notification history.
-* :mod:`repro.analysis.sweeps` — parameter-grid runner and plain-text
-  table formatting used by every benchmark to print paper-style rows.
+* :mod:`repro.analysis.sweeps` — plain-text table formatting used by
+  every benchmark to print paper-style rows (grids run through
+  :func:`repro.runner.run_sweep`).
 """
 
 from repro.analysis.stability import StabilityResult, eq1_prediction, measure_stability
-from repro.analysis.metrics import (
-    detection_latencies,
-    false_failure_reports,
-    message_rates,
-    segment_loads,
-)
 from repro.analysis.report import summarize_farm
-from repro.analysis.sweeps import format_table, run_grid
+from repro.analysis.sweeps import format_table
 
 __all__ = [
     "StabilityResult",
-    "detection_latencies",
     "eq1_prediction",
-    "false_failure_reports",
     "format_table",
     "measure_stability",
-    "message_rates",
-    "run_grid",
-    "segment_loads",
     "summarize_farm",
 ]

@@ -70,7 +70,7 @@ def notifications_to_json(bus, indent: int = 0) -> str:
 
 
 def rows_to_json(rows: Sequence[Mapping], indent: int = 0) -> str:
-    """Serialize sweep rows (e.g. from :func:`repro.analysis.run_grid`)."""
+    """Serialize sweep rows (e.g. from :func:`repro.runner.run_sweep`)."""
     return json.dumps([_plain(dict(r)) for r in rows], indent=indent or None)
 
 

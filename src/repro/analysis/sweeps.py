@@ -1,43 +1,16 @@
-"""Parameter-grid running and table formatting.
+"""Table formatting.
 
 Every benchmark prints its reproduction as a plain-text table (the paper's
 "figures" are one-dimensional sweeps, so rows are the honest rendering).
-``run_grid`` evaluates a function over a parameter grid; ``format_table``
-renders rows the way the benches and EXPERIMENTS.md present them.
-
-``run_grid`` is a thin facade over :func:`repro.runner.run_sweep` — the
-parallel experiment fabric. The defaults are the historical serial
-in-process evaluation; pass ``jobs``/``replicates``/``seed_arg``/``cache``
-to fan out over a worker pool, replicate each point over independent
-seeds, or replay unchanged points from the on-disk result cache. Rows are
-identical for every ``jobs`` value (seeds are a pure function of the task
-identity, results are reassembled in grid order).
+The rows come from :func:`repro.runner.run_sweep`; ``format_table``
+renders them the way the benches and EXPERIMENTS.md present them.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence
+from typing import Iterable, List, Mapping, Optional, Sequence
 
-from repro.runner.sweep import run_sweep
-
-__all__ = ["format_table", "run_grid"]
-
-
-def run_grid(
-    fn: Callable[..., Mapping],
-    grid: Dict[str, Sequence],
-    fixed: Optional[Dict] = None,
-    **sweep_options,
-) -> List[Dict]:
-    """Evaluate ``fn(**point, **fixed)`` over the cartesian grid.
-
-    Each result mapping is merged with the grid point into one row dict;
-    rows come back in grid order (last key varies fastest). Keyword
-    options (``jobs``, ``replicates``, ``experiment``, ``seed_arg``,
-    ``base_seed``, ``cache``, ``timeout``, ``chunk_size``) pass through
-    to :func:`repro.runner.run_sweep`.
-    """
-    return run_sweep(fn, grid, fixed, **sweep_options)
+__all__ = ["format_table"]
 
 
 def format_table(

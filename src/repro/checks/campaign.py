@@ -149,13 +149,14 @@ def build_named_farm(
 # ----------------------------------------------------------------------
 # fault actions
 # ----------------------------------------------------------------------
-class _ChaosInjector:
+class ChaosInjector:
     """Plans and applies one case's randomized fault schedule.
 
     All randomness is drawn at :meth:`plan` time from the simulator's
     ``chaos/<mix>`` stream; the only fire-time resolution is *which*
     adapter currently leads a VLAN (a leader-targeted kill must aim at
-    the leader at kill time, not at plan time).
+    the leader at kill time, not at plan time). The traffic plane
+    subclasses it to confine the targets to its monitored VLANs.
     """
 
     #: NIC failure modes the adapter/flap actions cycle through
@@ -392,11 +393,6 @@ class _ChaosInjector:
                     nic.repair()
 
 
-#: public name for subclassing (the traffic plane restricts the target
-#: sets to the VLANs its monitor watches — see repro.workload.traffic)
-ChaosInjector = _ChaosInjector
-
-
 # ----------------------------------------------------------------------
 # one case
 # ----------------------------------------------------------------------
@@ -436,11 +432,11 @@ def run_chaos_case(
                 "subject": farm,
                 "detail": "initial discovery never stabilized",
             }],
-            latencies=[], waived=0, faults={},
+            latencies=[], waived=0, waived_by={}, faults={},
         )
         return row
     monitor.start()
-    injector = _ChaosInjector(f, mix)
+    injector = ChaosInjector(f, mix)
     heal_at = injector.plan(start=f.sim.now + 1.0, duration=duration)
     f.sim.run(until=heal_at + windows.settle_time)
     monitor.finalize()
@@ -511,11 +507,14 @@ def build_report(
     violations: List[Dict] = []
     faults: Dict[str, int] = {}
     waived = 0
+    waived_by: Dict[str, int] = {}
     for row in rows:
         for name, count in (row.get("checks") or {}).items():
             checks[name] = checks.get(name, 0) + count
         latencies.extend(row.get("latencies") or [])
         waived += row.get("waived") or 0
+        for reason, count in (row.get("waived_by") or {}).items():
+            waived_by[reason] = waived_by.get(reason, 0) + count
         for name, count in (row.get("faults") or {}).items():
             faults[name] = faults.get(name, 0) + count
         for v in row.get("violations") or []:
@@ -538,6 +537,7 @@ def build_report(
             **_percentiles(latencies),
         },
         "obligations_waived": waived,
+        "obligations_waived_by_reason": dict(sorted(waived_by.items())),
         "violations": violations,
         "ok": not violations,
     }
@@ -570,7 +570,13 @@ def render_report(report: Dict) -> str:
         f"count={lat['count']} p50={lat['p50']} p90={lat['p90']} "
         f"p99={lat['p99']} max={lat['max']}"
     )
-    lines.append(f"obligations waived: {report['obligations_waived']}")
+    by_reason = " ".join(
+        f"{reason}={count}" for reason, count in report["obligations_waived_by_reason"].items()
+    )
+    lines.append(
+        f"obligations waived: {report['obligations_waived']}"
+        + (f" ({by_reason})" if by_reason else "")
+    )
     if report["violations"]:
         lines.append(f"VIOLATIONS: {len(report['violations'])}")
         for v in report["violations"]:

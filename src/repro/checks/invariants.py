@@ -232,10 +232,11 @@ class InvariantMonitor:
             "verify_topology": 0,
         }
         self.latencies: List[float] = []
-        #: obligations waived because the failure was repaired first, the
-        #: adapter had no live peer to detect it, or a GSC failover
-        #: legitimately forgot it — accounted so reports show coverage
-        self.waived: int = 0
+        #: obligations waived, by reason — ``repaired``: the failure was
+        #: repaired before detection was due; ``gsc_failover``: a GSC
+        #: failover legitimately forgot it — accounted so reports show
+        #: coverage
+        self.waived_by: Dict[str, int] = {"gsc_failover": 0, "repaired": 0}
         self._started = False
         self._finalized = False
         self._sweep_timer: Optional[Timer] = None
@@ -278,6 +279,11 @@ class InvariantMonitor:
     @property
     def ok(self) -> bool:
         return not self.violations
+
+    @property
+    def waived(self) -> int:
+        """Obligations waived, all reasons together."""
+        return sum(self.waived_by.values())
 
     def _violate(self, invariant: str, subject: str, detail: str) -> None:
         self.violations.append(
@@ -334,7 +340,7 @@ class InvariantMonitor:
         self._deaths.pop(ip, None)
         if self._obligations.pop(ip, None) is not None:
             # repaired before detection was due: no requirement remains
-            self.waived += 1
+            self.waived_by["repaired"] += 1
 
     # ------------------------------------------------------------------
     # protocol-side event intake
@@ -540,7 +546,7 @@ class InvariantMonitor:
                     continue
                 if gsc is None or gsc.adapter_status(ip) is not True:
                     del self._obligations[ip]
-                    self.waived += 1
+                    self.waived_by["gsc_failover"] += 1
                     self.checks["detection_latency"] += 1
                     continue
             if self._live_peers(ip) == 0:
@@ -652,4 +658,5 @@ class InvariantMonitor:
             "violations": [v.as_dict() for v in self.violations],
             "latencies": sorted(round(x, 6) for x in self.latencies),
             "waived": self.waived,
+            "waived_by": dict(self.waived_by),
         }

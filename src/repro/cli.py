@@ -40,9 +40,9 @@ import argparse
 import sys
 from typing import List, Optional
 
-from repro.analysis import format_table, measure_stability, run_grid, summarize_farm
+from repro.analysis import format_table, measure_stability, summarize_farm
 from repro.gulfstream.params import GSParams
-from repro.runner import ResultCache
+from repro.runner import ResultCache, run_sweep
 from repro.workload.profiles import WORKLOAD_PROFILES
 
 __all__ = ["main", "build_parser"]
@@ -62,7 +62,7 @@ def _result_cache(args):
 
 
 def _sweep_options(args, experiment: str, metrics=None) -> dict:
-    """The ``run_grid`` pass-through options shared by sweep commands."""
+    """The :func:`~repro.runner.run_sweep` options shared by sweep commands."""
     return dict(
         jobs=args.jobs,
         replicates=args.replicates,
@@ -168,7 +168,7 @@ def _detector_point(scheme: str, members: int, seed: int) -> dict:
 def cmd_discover(args) -> int:
     if args.replicates > 1:
         registry = _sweep_registry(args)
-        rows = run_grid(
+        rows = run_sweep(
             _discover_point, {},
             fixed={"nodes": args.nodes, "beacon": args.beacon,
                    "adapters": args.adapters, "timeout": args.timeout},
@@ -204,7 +204,7 @@ def cmd_discover(args) -> int:
 
 def cmd_fig5(args) -> int:
     registry = _sweep_registry(args)
-    rows = run_grid(
+    rows = run_sweep(
         _fig5_point,
         {"T_beacon": args.beacon_times, "nodes": args.nodes},
         **_sweep_options(args, "cli.fig5", metrics=registry),
@@ -288,7 +288,7 @@ def cmd_move(args) -> int:
 
 def cmd_detectors(args) -> int:
     registry = _sweep_registry(args)
-    rows = run_grid(
+    rows = run_sweep(
         _detector_point,
         {"scheme": ["ring (GulfStream)", "all-pairs (HACMP)",
                     "random ping [9]", "central poll"]},

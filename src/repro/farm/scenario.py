@@ -3,18 +3,20 @@
 A :class:`Scenario` wires a fault plan (or a randomized injector) onto a
 built farm, runs it, and exposes the artifacts the experiments read:
 stability time, notification history, trace counters, and per-segment
-traffic totals.
+traffic totals. Its :meth:`Scenario.run` is the one scenario body: the
+scripted-fault experiments and every traffic case
+(:func:`repro.workload.traffic.run_sharded`) run through it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 from repro.farm.builder import Farm
 from repro.node.faults import FaultInjector, FaultPlan
 
-__all__ = ["Scenario", "ScenarioResult", "run_classic"]
+__all__ = ["Scenario", "ScenarioResult"]
 
 
 @dataclass
@@ -37,75 +39,6 @@ class ScenarioResult:
 
     def count(self, kind: str) -> int:
         return sum(1 for n in self.notifications if n.kind == kind)
-
-
-def run_classic(
-    farm: Farm,
-    plan: Optional[FaultPlan],
-    churn: Optional[Dict[str, float]],
-    *,
-    duration: float,
-    ambient_load: Dict[int, float],
-    stability_timeout: float,
-) -> Tuple[ScenarioResult, Optional[FaultInjector]]:
-    """The one scenario body: put the ambient load, scripted faults and
-    churn onto a built, not yet started farm, wait for GSC stability, run
-    to ``duration``, and close the run; returns the result and the churn
-    injector, if any. Every fault that never fired is also traced as one
-    ``scenario.fault.unfired`` record."""
-    sim = farm.sim
-    for vlan, load in ambient_load.items():
-        farm.fabric.segment(vlan).ambient_load = load
-    if plan is not None:
-        plan.arm(sim, farm.fabric, farm.hosts)
-    injector: Optional[FaultInjector] = None
-    if churn is not None:
-        injector = FaultInjector(
-            sim,
-            farm.hosts,
-            mtbf=churn.get("mtbf", 300.0),
-            mttr=churn.get("mttr", 30.0),
-        )
-        sim.schedule(churn.get("start", 0.0), injector.start)
-    farm.start()
-    stable = farm.run_until_stable(timeout=stability_timeout)
-    if sim.now < duration:
-        sim.run(until=duration)
-
-    unfired: List[dict] = []
-    if plan is not None:
-        for act in plan.pending_actions():
-            unfired.append({"time": act.time, "kind": act.kind, "target": act.target})
-    if injector is not None:
-        for node, kind in sorted(injector.pending_faults().items()):
-            unfired.append({"time": None, "kind": f"churn.{kind}", "target": node})
-    for entry in unfired:
-        sim.trace.emit(
-            sim.now,
-            "scenario.fault.unfired",
-            "scenario",
-            kind=entry["kind"],
-            target=entry["target"],
-            planned_time=entry["time"],
-        )
-    segment_stats = {
-        vlan: {
-            "frames_sent": seg.frames_sent,
-            "frames_delivered": seg.frames_delivered,
-            "frames_lost": seg.frames_lost,
-            "bytes_sent": seg.bytes_sent,
-        }
-        for vlan, seg in farm.fabric.segments.items()
-    }
-    gsc = farm.gsc()
-    return ScenarioResult(
-        stable_time=gsc.stable_time if gsc is not None else stable,
-        duration=sim.now,
-        notifications=list(farm.bus.history),
-        counters=dict(sim.trace.counters),
-        segment_stats=segment_stats,
-        unfired_faults=unfired,
-    ), injector
 
 
 class Scenario:
@@ -152,8 +85,61 @@ class Scenario:
         self.injector: Optional[FaultInjector] = None
 
     def run(self) -> ScenarioResult:
-        result, self.injector = run_classic(
-            self.farm, self.plan, self.churn_cfg, duration=self.duration,
-            ambient_load=self.ambient_load, stability_timeout=self.stability_timeout,
+        """Put the ambient load, scripted faults and churn onto the farm,
+        wait for GSC stability, run to ``duration``, and close the run.
+        Every fault that never fired is also traced as one
+        ``scenario.fault.unfired`` record."""
+        farm, plan, sim = self.farm, self.plan, self.farm.sim
+        for vlan, load in self.ambient_load.items():
+            farm.fabric.segment(vlan).ambient_load = load
+        if plan is not None:
+            plan.arm(sim, farm.fabric, farm.hosts)
+        churn = self.churn_cfg
+        injector: Optional[FaultInjector] = None
+        if churn is not None:
+            injector = self.injector = FaultInjector(
+                sim,
+                farm.hosts,
+                mtbf=churn.get("mtbf", 300.0),
+                mttr=churn.get("mttr", 30.0),
+            )
+            sim.schedule(churn.get("start", 0.0), injector.start)
+        farm.start()
+        stable = farm.run_until_stable(timeout=self.stability_timeout)
+        if sim.now < self.duration:
+            sim.run(until=self.duration)
+
+        unfired: List[dict] = []
+        if plan is not None:
+            for act in plan.pending_actions():
+                unfired.append({"time": act.time, "kind": act.kind, "target": act.target})
+        if injector is not None:
+            for node, kind in sorted(injector.pending_faults().items()):
+                unfired.append({"time": None, "kind": f"churn.{kind}", "target": node})
+        for entry in unfired:
+            sim.trace.emit(
+                sim.now,
+                "scenario.fault.unfired",
+                "scenario",
+                kind=entry["kind"],
+                target=entry["target"],
+                planned_time=entry["time"],
+            )
+        segment_stats = {
+            vlan: {
+                "frames_sent": seg.frames_sent,
+                "frames_delivered": seg.frames_delivered,
+                "frames_lost": seg.frames_lost,
+                "bytes_sent": seg.bytes_sent,
+            }
+            for vlan, seg in farm.fabric.segments.items()
+        }
+        gsc = farm.gsc()
+        return ScenarioResult(
+            stable_time=gsc.stable_time if gsc is not None else stable,
+            duration=sim.now,
+            notifications=list(farm.bus.history),
+            counters=dict(sim.trace.counters),
+            segment_stats=segment_stats,
+            unfired_faults=unfired,
         )
-        return result

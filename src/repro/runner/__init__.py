@@ -7,13 +7,11 @@ runs. This package turns that fan-out into a first-class subsystem:
   from a stable hash of ``(experiment, grid point, replicate)``, so a
   sweep's results are byte-identical regardless of worker count or
   scheduling order.
-* :mod:`repro.runner.pool` — the one worker process (``spawn``ed, a
-  duplex pipe, one state per worker) and the two classes on it:
-  :class:`ParallelRunner`, which hands chunks of sweep tasks to
-  whichever worker answers first, with per-task timeouts and graceful
-  in-process fallback when ``jobs=1``, a task does not pickle or a
-  worker dies, on top of :class:`PersistentWorkerPool`, N long-lived
-  workers each holding one state.
+* :mod:`repro.runner.pool` — :class:`ParallelRunner`, which starts
+  ``spawn``ed workers for one ``map``, hands chunks of sweep tasks to
+  whichever answers first and stops them before returning, with per-task
+  timeouts and graceful in-process fallback when ``jobs=1``, a task does
+  not pickle or a worker dies.
 * :mod:`repro.runner.cache` — :class:`ResultCache`, a content-addressed
   on-disk result store keyed by the task's parameters plus a fingerprint
   of the simulator's source, so re-running an unchanged sweep is a cache
@@ -22,8 +20,8 @@ runs. This package turns that fan-out into a first-class subsystem:
   runner gluing the three together, with multi-seed replication
   (``replicates=N``) and mean/stdev aggregation.
 
-``repro.analysis.run_grid`` and every ``benchmarks/bench_*.py`` grid sit
-on top of this package; the ``gulfstream-sim`` CLI exposes it as
+Every ``benchmarks/bench_*.py`` grid and campaign calls
+:func:`run_sweep`; the ``gulfstream-sim`` CLI exposes it as
 ``--jobs`` / ``--replicates`` / ``--cache``.
 """
 

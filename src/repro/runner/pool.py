@@ -1,22 +1,15 @@
-"""The one worker process, and the pool that sweeps drive it through.
-
-A worker is a ``spawn``ed child (no fork-inherited state, identical
-behavior on every platform) that builds one state, ``init_fn(init_arg)``,
-then serves ops over a duplex pipe: ``("call", method, payload)``
-answers ``("ok", result)``, ``("error", traceback_text, exception)`` or,
-when that reply does not pickle, ``("unpicklable", text)``; ``("stop",)``
-answers with the worker's peak RSS and exits.
-
-:class:`PersistentWorkerPool` holds N long-lived workers, each with its
-own state. Everything crosses the pipe as its pickle, so a worker never
-shares an object with its caller. Errors surface as :class:`WorkerError`
-naming the worker (``.worker`` is its index) and carrying the remote
-traceback text; the pool is torn down so no sibling is left running.
+"""The sweep's worker processes: :class:`ParallelRunner`.
 
 :class:`ParallelRunner` fans a list of keyword-argument dicts out to one
-callable: a :class:`PersistentWorkerPool` of ``min(jobs, n_chunks)``
-workers whose state is the callable, each running one contiguous chunk of
-tasks per call.
+callable. With ``jobs > 1`` and more than one task it starts
+``min(jobs, n_chunks)`` workers, each a ``spawn``ed child (no
+fork-inherited state, identical behavior on every platform) given the
+callable as its ``Process`` argument. A worker answers each chunk it is
+sent — a list of kwargs dicts — on a duplex pipe with ``("ok", results)``,
+``("error", traceback_text, exception)`` or, when that reply does not
+pickle, ``("unpicklable", text)``, and exits when the pipe closes.
+Everything crosses the pipe as its pickle, so a worker never shares an
+object with its caller.
 
 * **Chunked dispatch.** Tasks are grouped into contiguous chunks so
   per-task IPC overhead amortizes over short tasks while long tasks
@@ -28,18 +21,19 @@ tasks per call.
   pooled budget expires raises :class:`TaskTimeout` (a hung simulation
   would hang serially too — silently re-running it in-process would just
   hang the parent).
-* **Graceful fallback.** ``jobs=1``, a single task, a callable or task
-  that does not pickle, or a worker that dies mid-run all fall back to
-  plain in-process execution of whatever has not completed. A task's own
-  exception propagates as the object it was, exactly as it would
-  serially.
+* **Graceful fallback.** ``jobs=1``, a single task, a callable, task or
+  result that does not pickle, or a worker that dies mid-run all fall
+  back to plain in-process execution of whatever has not completed; the
+  warning names a dead worker and its exit code. A task's own exception
+  propagates as the object it was, exactly as it would serially, with a
+  :class:`WorkerError` naming the worker and carrying the remote
+  traceback as its cause.
 """
 
 from __future__ import annotations
 
 import multiprocessing
 import pickle
-import resource
 import time
 import traceback
 import warnings
@@ -47,14 +41,10 @@ from collections import deque
 from multiprocessing.connection import wait
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
-__all__ = ["ParallelRunner", "PersistentWorkerPool", "TaskTimeout", "WorkerError", "sleep_task"]
+__all__ = ["ParallelRunner", "TaskTimeout", "WorkerError", "sleep_task"]
 
 #: start method of every worker process
 START_METHOD = "spawn"
-
-#: parent-side guard (seconds) against a wedged pool worker, read at call
-#: time; generous because one call is normally a chunk of sweep tasks
-CALL_TIMEOUT = 600.0
 
 #: marks a slot whose task has not produced a result yet
 _PENDING = object()
@@ -69,38 +59,27 @@ class TaskTimeout(RuntimeError):
 
 class WorkerError(RuntimeError):
     """A worker failed or could not be reached; the message says which,
-    and ``worker`` is its index (``None`` when no one worker is at fault)."""
+    and ``worker`` is its index."""
 
-    def __init__(self, message: str, worker: Optional[int] = None) -> None:
+    def __init__(self, message: str, worker: int) -> None:
         super().__init__(message)
         self.worker = worker
 
 
 class _Unpicklable(WorkerError):
-    """An init argument, a payload or a reply does not pickle."""
+    """The callable, a chunk or a reply does not pickle."""
 
 
-def _worker_main(conn: Any, init_fn: Callable[[Any], Any], init_arg: Any) -> None:
-    """Child entry point: build the state, then serve ops until stopped."""
+def _worker_main(conn: Any, fn: Callable[..., Any]) -> None:
+    """Child entry point: answer each chunk with ``fn`` until the pipe closes."""
     with conn:
-        try:
-            state = init_fn(init_arg)
-        except BaseException:
-            conn.send(("error", traceback.format_exc(), None))
-            return
-        conn.send(("ok", None))
         while True:
             try:
-                msg = conn.recv()
+                chunk = conn.recv()
             except EOFError:
                 return
-            if msg[0] == "stop":
-                peak_kb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
-                conn.send(("ok", {"peak_rss_kb": int(peak_kb)}))
-                return
-            _op, method, payload = msg
             try:
-                reply = ("ok", getattr(state, method)(payload))
+                reply: Tuple[Any, ...] = ("ok", [fn(**kwargs) for kwargs in chunk])
             except BaseException as exc:
                 reply = ("error", traceback.format_exc(), exc)
             try:
@@ -110,137 +89,36 @@ def _worker_main(conn: Any, init_fn: Callable[[Any], Any], init_arg: Any) -> Non
                 conn.send(("unpicklable", text))
 
 
-class PersistentWorkerPool:
-    """N long-lived workers, each holding one ``init_fn(arg)`` state.
-
-    Parameters
-    ----------
-    init_fn:
-        Module-level callable building one worker's state; must be
-        importable from a spawned child.
-    init_args:
-        One init argument per worker; the pool size is ``len(init_args)``.
-
-    Any single reply is awaited at most :data:`CALL_TIMEOUT` seconds.
-    """
-
-    def __init__(self, init_fn: Callable[[Any], Any], init_args: Sequence[Any]) -> None:
-        self.n_workers = len(init_args)
-        self._closed = False
-        self._conns: List[Any] = []
-        self._procs: List[Any] = []
-        if self.n_workers == 0:
-            raise ValueError("PersistentWorkerPool needs at least one worker")
-        ctx = multiprocessing.get_context(START_METHOD)
-        try:
-            for i, arg in enumerate(init_args):
-                parent_conn, child_conn = ctx.Pipe(duplex=True)
-                self._conns.append(parent_conn)
-                proc = ctx.Process(
-                    target=_worker_main, args=(child_conn, init_fn, arg), daemon=True
-                )
-                try:
-                    proc.start()  # pickles init_fn and arg, here, synchronously
-                except _PICKLE_ERRORS as exc:
-                    raise self._broken(i, exc) from exc
-                finally:
-                    child_conn.close()
-                self._procs.append(proc)
-            for i in range(self.n_workers):
-                self._recv(i)
-        except BaseException:
-            self.terminate()
-            raise
-
-    # ------------------------------------------------------------------
-    def _broken(self, i: int, why: Any) -> WorkerError:
-        """Tear the pool down and return worker ``i``'s error: ``why`` says
-        what went wrong, or is the exception that stopped a pickle."""
-        self.terminate()
-        if isinstance(why, BaseException):
-            return _Unpicklable(f"worker {i}: {type(why).__name__}: {why}", i)
-        return WorkerError(f"worker {i} {why}", i)
-
-    def _send(self, i: int, method: str, payload: Any) -> None:
-        try:
-            self._conns[i].send(("call", method, payload))
-        except _PICKLE_ERRORS as exc:
-            raise self._broken(i, exc) from exc
-        except OSError:
-            raise self._broken(i, "died before a call")
-
-    def _reply(self, i: int) -> Tuple[Any, ...]:
-        """Worker ``i``'s next ``("ok", result)`` or ``("error", text, exc)``."""
-        conn = self._conns[i]
-        try:
-            if not conn.poll(CALL_TIMEOUT):
-                raise self._broken(i, f"gave no reply within {CALL_TIMEOUT}s")
-            reply = conn.recv()
-        except (EOFError, OSError):
-            raise self._broken(i, "died without a reply")
-        except _PICKLE_ERRORS as exc:
-            raise self._broken(i, exc) from exc
-        if reply[0] == "unpicklable":
-            self.terminate()
-            raise _Unpicklable(f"worker {i}: {reply[1].strip().splitlines()[-1]}", i)
-        return reply
-
-    def _recv(self, i: int) -> Any:
-        reply = self._reply(i)
-        if reply[0] == "error":
-            raise self._broken(i, f"failed:\n{reply[1]}")
-        return reply[1]
-
-    # ------------------------------------------------------------------
-    def call(self, i: int, method: str, payload: Any = None) -> Any:
-        """Invoke ``state.method(payload)`` on worker ``i``; return its result."""
-        if self._closed:
-            raise WorkerError("pool is closed")
-        self._send(i, method, payload)
-        return self._recv(i)
-
-    # ------------------------------------------------------------------
-    def stop(self) -> List[Optional[dict]]:
-        """Graceful shutdown. Returns per-worker stats (``peak_rss_kb``),
-        aligned with worker index."""
-        stats: List[Optional[dict]] = []
-        if not self._closed:
-            for conn in self._conns:
-                try:
-                    conn.send(("stop",))
-                except OSError:
-                    pass
-            for conn in self._conns:
-                try:
-                    stats.append(conn.recv()[1] if conn.poll(CALL_TIMEOUT) else None)
-                except (EOFError, OSError):
-                    stats.append(None)
-            for proc in self._procs:
-                proc.join(timeout=30)
-        self.terminate()
-        return stats
-
-    def terminate(self) -> None:
-        """Hard teardown (error paths); safe to call repeatedly."""
-        if self._closed:
-            return
-        self._closed = True
-        for proc in self._procs:
-            proc.terminate()
-        for proc in self._procs:
-            proc.join(timeout=10)
-        for conn in self._conns:
-            conn.close()
+def _died(i: int, proc: Any, when: str) -> WorkerError:
+    """Worker ``i``'s error once its pipe broke: its index and exit code."""
+    proc.join(timeout=10)
+    return WorkerError(f"worker {i} died {when} (exitcode {proc.exitcode})", i)
 
 
-class _ChunkRunner:
-    """A sweep worker's state: the task callable, run over one chunk per call."""
+def _unpicklable(i: int, exc: BaseException) -> _Unpicklable:
+    return _Unpicklable(f"worker {i}: {type(exc).__name__}: {exc}", i)
 
-    def __init__(self, fn: Callable[..., Any]) -> None:
-        self.fn = fn
 
-    def run(self, kwargs_list: List[Dict[str, Any]]) -> List[Any]:
-        return [self.fn(**kwargs) for kwargs in kwargs_list]
+def _send(conn: Any, i: int, proc: Any, chunk: List[Dict[str, Any]]) -> None:
+    try:
+        conn.send(chunk)
+    except _PICKLE_ERRORS as exc:
+        raise _unpicklable(i, exc) from exc
+    except OSError:
+        raise _died(i, proc, "before a chunk")
+
+
+def _recv(conn: Any, i: int, proc: Any) -> Tuple[Any, ...]:
+    """Worker ``i``'s ``("ok", results)`` or ``("error", text, exc)``."""
+    try:
+        reply = conn.recv()
+    except (EOFError, OSError):
+        raise _died(i, proc, "mid-chunk")
+    except _PICKLE_ERRORS as exc:
+        raise _unpicklable(i, exc) from exc
+    if reply[0] == "unpicklable":
+        raise _Unpicklable(f"worker {i}: {reply[1].strip().splitlines()[-1]}", i)
+    return reply
 
 
 def sleep_task(seconds: float) -> Dict[str, float]:
@@ -326,26 +204,37 @@ class ParallelRunner:
 
         Returns ``None`` once every chunk came back, else why the rest
         must run in-process. Re-raises a task's exception and raises
-        :class:`TaskTimeout` directly.
+        :class:`TaskTimeout` directly. The workers never outlive the call.
         """
-        chunks = self._chunks(len(tasks))
+        queue = deque(self._chunks(len(tasks)))
         deadline = (
             time.monotonic() + self.timeout * len(tasks)
             if self.timeout is not None
             else None
         )
-        queue = deque(chunks)
+        ctx = multiprocessing.get_context(START_METHOD)
+        conns: List[Any] = []
+        procs: List[Any] = []
         busy: Dict[Any, Tuple[int, range]] = {}
         failed: Optional[Tuple[int, str, BaseException]] = None
-        pool: Optional[PersistentWorkerPool] = None
         try:
-            pool = PersistentWorkerPool(_ChunkRunner, [fn] * min(self.jobs, len(chunks)))
-            idle = list(range(pool.n_workers))
+            for i in range(min(self.jobs, len(queue))):
+                parent_conn, child_conn = ctx.Pipe(duplex=True)
+                conns.append(parent_conn)
+                proc = ctx.Process(target=_worker_main, args=(child_conn, fn), daemon=True)
+                try:
+                    proc.start()  # pickles fn, here, synchronously
+                except _PICKLE_ERRORS as exc:
+                    raise _unpicklable(i, exc) from exc
+                finally:
+                    child_conn.close()
+                procs.append(proc)
+            idle = list(range(len(procs)))
             while failed is None and (queue or busy):
                 while idle and queue:
                     i, chunk = idle.pop(), queue.popleft()
-                    pool._send(i, "run", [tasks[j] for j in chunk])
-                    busy[pool._conns[i]] = (i, chunk)
+                    _send(conns[i], i, procs[i], [tasks[j] for j in chunk])
+                    busy[conns[i]] = (i, chunk)
                 remaining = None if deadline is None else max(0.0, deadline - time.monotonic())
                 ready = wait(list(busy), remaining)
                 if not ready:
@@ -356,15 +245,13 @@ class ParallelRunner:
                     )
                 for conn in ready:
                     i, chunk = busy.pop(conn)
-                    reply = pool._reply(i)
+                    reply = _recv(conn, i, procs[i])
                     if reply[0] == "error":
                         failed = (i, reply[1], reply[2])
                         break
                     for index, value in zip(chunk, reply[1]):
                         results[index] = value
                     idle.append(i)
-            if failed is None:
-                pool.stop()
         except _Unpicklable as exc:
             return f"sweep tasks are not picklable ({exc}); running in-process"
         except WorkerError as exc:
@@ -373,9 +260,13 @@ class ParallelRunner:
                 "finishing sweep in-process"
             )
         finally:
-            if pool is not None:
-                pool.terminate()
+            for conn in conns:
+                conn.close()
+            for proc in procs:
+                proc.terminate()
+            for proc in procs:
+                proc.join(timeout=10)
         if failed is not None:
             i, text, exc = failed
-            raise exc from WorkerError(f"worker {i} failed:\n{text}")
+            raise exc from WorkerError(f"worker {i} failed:\n{text}", i)
         return None

@@ -1,8 +1,9 @@
 """The grid sweep: seeding + cache + pool, one call.
 
-:func:`run_sweep` is the engine under ``repro.analysis.run_grid``. With
-the default options it is exactly the old serial grid evaluation (same
-rows, same order); the keyword-only options add, independently:
+:func:`run_sweep` is the one entry point every grid in the repository
+calls (CLI sweep commands, benches, chaos and workload campaigns). With
+the default options it is the serial grid evaluation (rows in grid
+order); the keyword-only options add, independently:
 
 * ``jobs=N`` — dispatch tasks over a :class:`~repro.runner.pool.ParallelRunner`.
 * ``seed_arg="seed"`` — inject a deterministic per-task seed (see

@@ -19,8 +19,8 @@ accomplished with minimal service interruption"):
   headline capacity number is *moves per hour sustained without invariant
   violation* and the availability/latency SLOs are measured during churn.
 
-A case is one farm on one simulator, run by
-:func:`~repro.farm.scenario.run_classic`.
+A case is one farm on one simulator, run as a
+:class:`~repro.farm.scenario.Scenario`.
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ from repro.checks.invariants import (
 from repro.farm.builder import ADMIN_VLAN, FREE_POOL_VLAN, Farm, FarmBuilder
 from repro.farm.domain import DISPATCH_VLAN, DOMAIN_VLAN_BASE
 from repro.farm.requests import TrafficSource, deploy_service
-from repro.farm.scenario import run_classic
+from repro.farm.scenario import Scenario
 from repro.metrics.core import MetricsRegistry
 from repro.node.osmodel import OSParams
 from repro.runner import run_sweep
@@ -318,7 +318,7 @@ class TrafficRun:
 
 def run_sharded(farm_kwargs: Dict[str, Any], duration: float) -> TrafficRun:
     """Build the traffic farm ``build_traffic_farm(**farm_kwargs)``, run it
-    to ``duration`` with :func:`~repro.farm.scenario.run_classic`, and
+    to ``duration`` as a :class:`~repro.farm.scenario.Scenario`, and
     snapshot what the row needs.
 
     The name is a seam for ``benchmarks/e2e``: its ``traffic`` workload
@@ -331,9 +331,7 @@ def run_sharded(farm_kwargs: Dict[str, Any], duration: float) -> TrafficRun:
     rather than left for whatever the caller allocates next.
     """
     farm = build_traffic_farm(trace=Trace(categories=TRAFFIC_TRACE_CATEGORIES), **farm_kwargs)
-    result, _ = run_classic(
-        farm, None, None, duration=duration, ambient_load={}, stability_timeout=TRAFFIC_START
-    )
+    result = Scenario(farm, duration=duration, stability_timeout=TRAFFIC_START).run()
     sim = farm.sim
     run = TrafficRun(
         stable_time=result.stable_time,

@@ -1,21 +1,10 @@
-"""Measurement harnesses: stability, metrics, sweeps."""
+"""Measurement harnesses: stability and table formatting."""
 
 import pytest
 
-from repro.analysis import (
-    detection_latencies,
-    eq1_prediction,
-    false_failure_reports,
-    format_table,
-    measure_stability,
-    message_rates,
-    run_grid,
-    segment_loads,
-)
+from repro.analysis import eq1_prediction, format_table, measure_stability
 from repro.gulfstream.params import GSParams
 from repro.node.osmodel import OSParams
-from repro.sim.trace import Trace
-
 
 
 SMALL = GSParams(beacon_duration=1.0, amg_stable_wait=1.0, gsc_stable_wait=2.0,
@@ -48,55 +37,6 @@ def test_measure_stability_timeout_raises():
         measure_stability(3, beacon_duration=1.0, seed=3, params=SMALL, timeout=0.5)
 
 
-def test_message_rates_and_validation():
-    tr = Trace()
-    for i in range(10):
-        tr.emit(float(i), "net.send", "x")
-    rates = message_rates(tr, elapsed=10.0)
-    assert rates["net.send"] == 1.0
-    with pytest.raises(ValueError):
-        message_rates(tr, elapsed=0.0)
-
-
-def test_segment_loads():
-    from tests.conftest import make_flat_farm, run_stable
-
-    farm = make_flat_farm(3, seed=4)
-    run_stable(farm)
-    loads = segment_loads(farm.fabric, elapsed=farm.sim.now)
-    assert set(loads) == {1, 2}
-    assert loads[1]["frames_per_sec"] > 0
-    assert loads[1]["members"] == 3
-    assert 0.0 <= loads[1]["loss_fraction"] <= 1.0
-
-
-def test_detection_latencies_extraction():
-    class N:
-        def __init__(self, time, kind, subject):
-            self.time, self.kind, self.subject = time, kind, subject
-
-    hist = [N(10.0, "adapter_failed", "a"), N(12.0, "adapter_failed", "b")]
-    lat = detection_latencies(hist, {"a": 8.0, "b": 11.0, "c": 5.0})
-    assert lat == {"a": 2.0, "b": 1.0, "c": None}
-
-
-def test_false_failure_reports():
-    class N:
-        def __init__(self, kind, subject):
-            self.kind, self.subject = kind, subject
-
-    hist = [N("adapter_failed", "a"), N("adapter_failed", "b")]
-    assert len(false_failure_reports(hist, dead_subjects={"a"})) == 1
-
-
-def test_run_grid_cartesian_order():
-    rows = run_grid(lambda x, y, k: {"sum": x + y + k}, {"x": [1, 2], "y": [10, 20]},
-                    fixed={"k": 100})
-    assert len(rows) == 4
-    assert rows[0] == {"x": 1, "y": 10, "k": 100, "sum": 111} or "k" not in rows[0]
-    assert [r["sum"] for r in rows] == [111, 121, 112, 122]
-
-
 def test_format_table_renders():
     out = format_table(
         [{"n": 5, "t": 1.2345}, {"n": 50, "t": 2.0}],
@@ -108,16 +48,6 @@ def test_format_table_renders():
     assert lines[0] == "demo"
     assert "nodes" in lines[1] and "time" in lines[1]
     assert "1.23" in out and "50" in out
-
-
-def test_run_grid_empty_value_list_yields_no_rows():
-    assert run_grid(lambda x: {"y": x}, {"x": []}) == []
-
-
-def test_run_grid_empty_grid_is_one_fixed_point():
-    # fixed kwargs feed the call but only grid keys land in the row
-    rows = run_grid(lambda k: {"out": k * 2}, {}, fixed={"k": 21})
-    assert rows == [{"out": 42}]
 
 
 def test_format_table_empty_rows():

@@ -69,3 +69,14 @@ def test_campaign_reports_are_byte_identical_across_jobs(tmp_path):
     assert set(loaded["checks"]) >= {"single_leader", "membership_agreement"}
     assert "p50" in loaded["detection_latency"]
     assert "zero" not in render_report(loaded) or loaded["violations"] == []
+
+
+def test_repaired_waivers_are_reported_by_reason():
+    # adapter faults are repaired within the chaos plan, mostly before the
+    # detection obligation falls due: each such waiver is a "repaired" one
+    row = run_chaos_case("adapters", case=0, farm="testbed6", duration=15.0, seed=0)
+    assert row["waived"] > 0
+    assert row["waived_by"] == {"gsc_failover": 0, "repaired": row["waived"]}
+    report = build_report([{**row, "mix": "adapters", "case": 0}], "testbed6", ["adapters"], 1)
+    assert report["obligations_waived_by_reason"] == row["waived_by"]
+    assert f"repaired={row['waived']}" in render_report(report)

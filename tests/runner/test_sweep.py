@@ -5,7 +5,6 @@ Task callables are module-level so the spawn pool can import them.
 
 import pytest
 
-from repro.analysis import run_grid
 from repro.runner import ResultCache, run_sweep, task_seed
 
 
@@ -18,7 +17,7 @@ def unfixed_metric(x, y):
     return {"prod": x * y}
 
 
-def test_defaults_match_historical_run_grid():
+def test_defaults_are_the_serial_grid_evaluation():
     rows = run_sweep(unfixed_metric, {"x": [1, 2], "y": [10, 20]})
     assert rows == [
         {"x": 1, "y": 10, "prod": 10},
@@ -48,12 +47,21 @@ def test_parallel_rows_identical_to_serial_at_fixed_seed():
     assert serial == parallel2 == parallel5
 
 
-def test_run_grid_facade_passes_sweep_options_through():
-    serial = run_grid(seeded_metric, {"x": [1, 2, 3]}, seed_arg="seed",
-                      experiment="facade")
-    parallel = run_grid(seeded_metric, {"x": [1, 2, 3]}, seed_arg="seed",
-                        experiment="facade", jobs=2)
-    assert serial == parallel
+def test_cartesian_order_with_fixed_kwargs():
+    rows = run_sweep(lambda x, y, k: {"sum": x + y + k}, {"x": [1, 2], "y": [10, 20]},
+                     fixed={"k": 100})
+    # fixed kwargs feed the call but only grid keys land in the row
+    assert rows[0] == {"x": 1, "y": 10, "sum": 111}
+    assert [r["sum"] for r in rows] == [111, 121, 112, 122]
+
+
+def test_empty_value_list_yields_no_rows():
+    assert run_sweep(lambda x: {"y": x}, {"x": []}) == []
+
+
+def test_empty_grid_is_one_fixed_point():
+    rows = run_sweep(lambda k: {"out": k * 2}, {}, fixed={"k": 21})
+    assert rows == [{"out": 42}]
 
 
 def test_replicates_aggregate_mean_sd_and_keep_labels():
