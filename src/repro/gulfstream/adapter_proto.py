@@ -21,6 +21,12 @@ BEACONs (§2.1); joins and merges are leader-initiated two-phase commits;
 deaths are declared only after verification (§3); and every membership
 change flows to GulfStream Central through the node's administrative
 adapter (§2.2, Figure 3).
+
+Which state handles what is written down once: :data:`_KINDS` names the
+states each frame kind is handled in, :data:`_TIMERS` the states each
+deferred callback still applies in (docs/PROTOCOL.md, "The state table").
+:meth:`AdapterProtocol.on_frame` and :meth:`AdapterProtocol._guarded`
+consult them, so no handler re-checks its own state.
 """
 
 from __future__ import annotations
@@ -85,36 +91,65 @@ class _Verification:
     window_event: Any = None
 
 
-#: payload type -> ``(handler, whole_frame)``: the name of the
-#: :class:`AdapterProtocol` method ``on_frame`` calls, with the payload or,
-#: where the handler needs the sender's address, with the whole frame
-_KINDS: Dict[type, Tuple[str, bool]] = {
-    Heartbeat: ("_on_heartbeat", False),
-    Beacon: ("_on_beacon", False),
-    Prepare: ("_on_prepare", False),
-    PrepareAck: ("_on_prepare_ack", False),
-    Commit: ("_on_commit", False),
-    Suspect: ("_on_suspect_msg", False),
-    SuspectAck: ("_on_suspect_ack", False),
-    SelfFault: ("_on_self_fault", False),
-    Probe: ("_on_probe", False),
-    ProbeAck: ("_on_probe_ack", False),
-    MergeRequest: ("_on_merge_request", False),
-    MergeInfo: ("_on_merge_info", False),
-    GroupHint: ("_on_group_hint", False),
-    SubgroupPoll: ("_on_subgroup_poll", False),
-    SubgroupPollAck: ("_on_subgroup_poll_ack", False),
-    MembershipReport: ("_on_report_frame", True),
-    ReportAck: ("_on_report_ack", False),
-    AggregatedReport: ("_on_batch", False),
+_States = FrozenSet[AdapterState]
+_Route = Tuple[str, bool, _States]
+
+#: every state but STOPPED: what a stopped instance handles is nothing
+_LIVE: _States = frozenset(AdapterState) - {AdapterState.STOPPED}
+_BEACONING: _States = frozenset({AdapterState.BEACONING})
+_WAIT_FORM: _States = frozenset({AdapterState.WAIT_FORM})
+_MEMBER: _States = frozenset({AdapterState.MEMBER})
+_LEADER: _States = frozenset({AdapterState.LEADER})
+#: the states that hold a view (the ``state`` setter asserts it)
+_IN_GROUP: _States = _MEMBER | _LEADER
+
+#: The transition table. Payload type -> ``(handler, whole_frame, states)``:
+#: the :class:`AdapterProtocol` method ``on_frame`` calls — with the payload
+#: or, where the handler needs the sender's address, with the whole frame —
+#: and the states it is called in; in any other state the frame is dropped.
+#: After formation only the leader listens for BEACONs (§2.1).
+_KINDS: Dict[type, _Route] = {
+    Heartbeat: ("_on_heartbeat", False, _IN_GROUP),
+    Beacon: ("_on_beacon", False, _BEACONING | _WAIT_FORM | _LEADER),
+    Prepare: ("_on_prepare", False, _LIVE),
+    PrepareAck: ("_on_prepare_ack", False, _LIVE),
+    Commit: ("_on_commit", False, _LIVE),
+    Suspect: ("_on_suspect_msg", False, _LIVE),
+    SuspectAck: ("_on_suspect_ack", False, _IN_GROUP),
+    SelfFault: ("_on_self_fault", False, _LEADER),
+    Probe: ("_on_probe", False, _LIVE),
+    ProbeAck: ("_on_probe_ack", False, _IN_GROUP),
+    MergeRequest: ("_on_merge_request", False, _LEADER),
+    MergeInfo: ("_on_merge_info", False, _LEADER),
+    GroupHint: ("_on_group_hint", False, _MEMBER),
+    SubgroupPoll: ("_on_subgroup_poll", False, _IN_GROUP),
+    SubgroupPollAck: ("_on_subgroup_poll_ack", False, _IN_GROUP),
+    MembershipReport: ("_on_report_frame", True, _LIVE),
+    ReportAck: ("_on_report_ack", False, _LIVE),
+    AggregatedReport: ("_on_batch", False, _LIVE),
+}
+
+#: ``_later`` callback -> the states it still applies in; fired in any other
+#: state, or after a restart, it does nothing
+_TIMERS: Dict[str, _States] = {
+    "_end_beacon_phase": _BEACONING,
+    "_form_group": _BEACONING,
+    "_form_timeout": _WAIT_FORM,
+    "_clear_pending": _LIVE,
+    "_declare_stable": _LEADER,
+    "_send_report": _LEADER,
+    "_suspect_retry": _IN_GROUP,
+    "_verify_leader_death": _MEMBER,
+    "_verification_expired": _LEADER,
+    "_probe_timeout": _IN_GROUP,
 }
 
 #: every payload type ``on_frame`` has seen -> its route (``None``:
 #: application traffic), resolved once per type by :func:`_route`
-_ROUTES: Dict[type, Optional[Tuple[str, bool]]] = dict(_KINDS)
+_ROUTES: Dict[type, Optional[_Route]] = dict(_KINDS)
 
 
-def _route(kind: type) -> Optional[Tuple[str, bool]]:
+def _route(kind: type) -> Optional[_Route]:
     """The route of the nearest protocol class in ``kind``'s MRO — a
     subclass is its base's kind — or ``None`` if it has none."""
     route = next((_KINDS[cls] for cls in kind.__mro__ if cls in _KINDS), None)
@@ -281,6 +316,7 @@ class AdapterProtocol:
         # whatever the finished part of the backlog would have done under the
         # old state happens before anyone can see the new one
         self._absorb()
+        assert new not in _IN_GROUP or self.view is not None, new
         old, self._state = self._state, new
         if new is AdapterState.LEADER:
             # a leader acts on beacons: the unfinished rest become the events
@@ -305,11 +341,12 @@ class AdapterProtocol:
         return self.nic.send(dst, payload, size=size or self.params.size_control)
 
     def _later(self, delay: float, fn, *args):
-        gen = self.gen
-        return self.sim.schedule(delay, self._guarded, gen, fn, args)
+        """Call ``fn(*args)`` after ``delay`` if this instance has not
+        restarted and is in one of ``fn``'s :data:`_TIMERS` states then."""
+        return self.sim.schedule(delay, self._guarded, self.gen, fn, args)
 
     def _guarded(self, gen: int, fn, args) -> None:
-        if gen == self.gen and self._state is not AdapterState.STOPPED:
+        if gen == self.gen and self._state in _TIMERS[fn.__name__]:
             fn(*args)
 
     # ------------------------------------------------------------------
@@ -339,20 +376,26 @@ class AdapterProtocol:
         """Tear everything down (node crash or daemon shutdown)."""
         self.gen += 1
         self.state = AdapterState.STOPPED
-        if self._beacon_timer is not None:
-            self._beacon_timer.cancel()
-            self._beacon_timer = None
+        self._stand_down()  # the generation guard drops verification windows
         if self.hb is not None:
             self.hb.stop()
             self.hb = None
-        if self.coordinator is not None:
-            self.coordinator.cancel()
-            self.coordinator = None
-        self.verifications.clear()
         self._probe_waiters.clear()
         self._outstanding_suspects.clear()
         self._backlog.clear()  # a stopped instance is never restarted
         self.trace("gs.stop")
+
+    def _stand_down(self) -> None:
+        """Drop what only a discovering adapter or a leader runs — the
+        beacon timer, a 2PC round, verifications — on becoming a member or
+        stopping."""
+        if self._beacon_timer is not None:
+            self._beacon_timer.cancel()
+            self._beacon_timer = None
+        if self.coordinator is not None:
+            self.coordinator.cancel()
+            self.coordinator = None
+        self.verifications.clear()
 
     # ------------------------------------------------------------------
     # beaconing & discovery (§2.1)
@@ -365,7 +408,7 @@ class AdapterProtocol:
                 info=self.my_info(),
                 is_leader=True,
                 epoch=self.epoch,
-                group_size=self.view.size if self.view else 1,
+                group_size=self.view.size,
             )
         else:
             return
@@ -373,14 +416,10 @@ class AdapterProtocol:
         self.nic.multicast(msg, size=self.params.size_beacon)
 
     def _end_beacon_phase(self) -> None:
-        if self.state is not AdapterState.BEACONING:
-            return
         # thread-switch lag before the collected information is examined
         self._later(self.os.phase_lag(), self._form_group)
 
     def _form_group(self) -> None:
-        if self.state is not AdapterState.BEACONING:
-            return
         self._absorb()
         if not self.nic.loopback_test():
             # a sick adapter must not form (and report) a phantom group;
@@ -401,8 +440,6 @@ class AdapterProtocol:
             self._later(self.params.form_timeout, self._form_timeout)
 
     def _form_timeout(self) -> None:
-        if self.state is not AdapterState.WAIT_FORM:
-            return
         # the expected coordinator never committed us; re-beacon briefly
         self.trace("gs.form.timeout")
         self.state = AdapterState.BEACONING
@@ -410,18 +447,13 @@ class AdapterProtocol:
         self._later(self.params.rebeacon_duration, self._end_beacon_phase)
 
     def _on_beacon(self, msg: Beacon) -> None:
+        if self._state is not AdapterState.LEADER:
+            # collected while discovering; the state setter's events for a
+            # leader's backlog may fire after a demotion, and are ignored
+            self._collect([msg])
+            return
         if msg.info.ip == self.nic.ip:
             return
-        state = self._state
-        if state is AdapterState.BEACONING or state is AdapterState.WAIT_FORM:
-            self.peers[msg.info.ip] = msg.info
-            if msg.epoch > self._epoch_floor:
-                self._epoch_floor = msg.epoch
-            return
-        if state is not AdapterState.LEADER:
-            # after formation only the leader listens for BEACONs (§2.1)
-            return
-        assert self.view is not None
         if msg.is_leader:
             if self.view.contains(msg.info.ip):
                 if msg.epoch < self.epoch:
@@ -472,16 +504,12 @@ class AdapterProtocol:
         self.send(their_beacon.info.ip, MergeRequest(sender=self.ip, epoch=self.epoch))
 
     def _on_merge_request(self, msg: MergeRequest) -> None:
-        if self.state is not AdapterState.LEADER or self.view is None:
-            return
         reply = MergeInfo(sender=self.ip, epoch=self.epoch, members=self.view.members)
         self.send(
             msg.sender, reply, size=self.params.membership_msg_size(self.view.size)
         )
 
     def _on_merge_info(self, msg: MergeInfo) -> None:
-        if self.state is not AdapterState.LEADER or self.view is None:
-            return
         new = [m for m in msg.members if not self.view.contains(m.ip)]
         if not new:
             return
@@ -521,7 +549,7 @@ class AdapterProtocol:
 
     def _kick_membership_change(self) -> None:
         """Fold queued joins/deaths into one recommit (leader only)."""
-        if self.state is not AdapterState.LEADER or self.view is None:
+        if self.state is not AdapterState.LEADER:
             return
         if self.coordinator is not None and not self.coordinator.finished:
             self._change_dirty = True
@@ -654,16 +682,10 @@ class AdapterProtocol:
                 self._kick_membership_change()
         else:
             self.state = AdapterState.MEMBER
-            if self._beacon_timer is not None:
-                self._beacon_timer.cancel()
-                self._beacon_timer = None
-            if self.coordinator is not None:
-                self.coordinator.cancel()
-                self.coordinator = None
             for v in self.verifications.values():
                 if v.window_event is not None:
                     v.window_event.cancel()
-            self.verifications.clear()
+            self._stand_down()
             if self._stable_event is not None:
                 self._stable_event.cancel()
                 self._stable_event = None
@@ -732,8 +754,6 @@ class AdapterProtocol:
                 )
 
     def _declare_stable(self) -> None:
-        if self.state is not AdapterState.LEADER or self.view is None:
-            return
         self._declared_stable = True
         self._stable_event = None
         self.trace("gs.amg.stable", size=self.view.size, epoch=self.view.epoch)
@@ -741,8 +761,6 @@ class AdapterProtocol:
 
     def _send_report(self) -> None:
         self._report_event = None
-        if self.state is not AdapterState.LEADER or self.view is None:
-            return
         current = self.view.ip_set
         if self._last_reported is None:
             kind = "full"
@@ -794,7 +812,7 @@ class AdapterProtocol:
         if not self._dissolve_pending:
             return
         self._dissolve_pending = False
-        if self.view is None or self.view.size != 1:
+        if self.view.size != 1:
             return
         self.trace("gs.dissolve", old_key=self.view.group_key)
         view = AMGView.build([self.my_info()], self._next_epoch())  # fresh key
@@ -810,8 +828,6 @@ class AdapterProtocol:
     # failure detection: member side (§3)
     # ------------------------------------------------------------------
     def _on_hb_suspect(self, suspect: IPAddress) -> None:
-        if self.view is None:
-            return
         if self.state is AdapterState.LEADER:
             if not self.nic.loopback_test():
                 # my own adapter is the silent one: declaring the members
@@ -849,7 +865,7 @@ class AdapterProtocol:
         msg, to, retries = entry
         if retries <= 0:
             del self._outstanding_suspects[seq]
-            if self.view is not None and to == self.view.leader_ip:
+            if to == self.view.leader_ip:
                 self.trace("gs.leader.unreachable")
                 self._leader_unreachable = True
             return
@@ -859,13 +875,13 @@ class AdapterProtocol:
 
     def _on_suspect_ack(self, msg: SuspectAck) -> None:
         self._outstanding_suspects.pop(msg.seq, None)
-        if self.view is not None and msg.sender == self.view.leader_ip:
+        if msg.sender == self.view.leader_ip:
             self._last_leader_contact = self.sim.now
             self._leader_unreachable = False
 
     def _on_total_silence(self) -> None:
         """Every monitored neighbour silent for orphan_timeout (§3.1 path)."""
-        if self.state is AdapterState.LEADER or self.view is None:
+        if self.state is AdapterState.LEADER:
             return
         if not self.nic.loopback_test():
             # *I* am the sick one (loopback failed): claiming leadership on
@@ -894,7 +910,7 @@ class AdapterProtocol:
     # leader death & takeover (§2.1)
     # ------------------------------------------------------------------
     def _consider_takeover(self) -> None:
-        if self._takeover_pending or self.view is None:
+        if self._takeover_pending:
             return
         self._takeover_pending = True
         rank = self.view.rank(self.ip)
@@ -904,7 +920,7 @@ class AdapterProtocol:
         self._later(delay, self._verify_leader_death, epoch_at)
 
     def _verify_leader_death(self, epoch_at: int) -> None:
-        if self.view is None or self.epoch != epoch_at or self.state is AdapterState.LEADER:
+        if self.epoch != epoch_at:
             self._takeover_pending = False
             return
         leader = self.view.leader_ip
@@ -913,7 +929,7 @@ class AdapterProtocol:
 
     def _leader_probe_result(self, ok: bool, epoch_at: int) -> None:
         self._takeover_pending = False
-        if ok or self.view is None or self.epoch != epoch_at:
+        if ok or self.epoch != epoch_at:
             if ok:
                 self.trace("gs.suspect.false", target="leader")
             return
@@ -932,7 +948,7 @@ class AdapterProtocol:
         partition (unreachable candidates stay members — the recommit's 2PC
         drops whoever cannot answer).
         """
-        if self.view is None or self.epoch != epoch_at or self.state is AdapterState.LEADER:
+        if self.epoch != epoch_at or self.state is AdapterState.LEADER:
             return
         if not candidates:
             return
@@ -982,7 +998,6 @@ class AdapterProtocol:
                     ),
                 )
             return
-        assert self.view is not None
         if not self.view.contains(msg.reporter):
             # a dropped member still thinks it belongs: point it home
             self.send(
@@ -1002,8 +1017,6 @@ class AdapterProtocol:
         self._begin_verification(msg.suspect, reporter=msg.reporter)
 
     def _on_group_hint(self, msg: GroupHint) -> None:
-        if self.view is None or self.state is not AdapterState.MEMBER:
-            return
         if self.view.leader_ip != msg.sender:
             return
         if not msg.member or msg.epoch > self.epoch:
@@ -1013,8 +1026,6 @@ class AdapterProtocol:
             self._self_promote("dropped" if not msg.member else "stale")
 
     def _on_self_fault(self, msg: SelfFault) -> None:
-        if self.state is not AdapterState.LEADER or self.view is None:
-            return
         if self.view.contains(msg.reporter):
             self._declare_dead(msg.reporter, "selffault")
 
@@ -1029,39 +1040,24 @@ class AdapterProtocol:
                 self._probe(
                     suspect,
                     self.params.probe_retries,
-                    lambda ok, s=suspect: self._verification_result(s, ok),
+                    lambda ok, s=suspect: self._finish_verification(s, dead=not ok, why="probe"),
                 )
             else:
                 v.window_event = self._later(
                     self.params.consensus_window, self._verification_expired, suspect
                 )
         v.reporters.add(reporter)
-        if not self.params.verify_probe:
-            self._maybe_declare_by_consensus(suspect)
+        if not self.params.verify_probe and len(v.reporters) >= self._consensus_needed():
+            self._finish_verification(suspect, dead=True, why="consensus")
 
-    def _consensus_needed(self, suspect: IPAddress) -> int:
-        if self.view is None or self.view.size <= 2:
-            return 1
-        if self.params.hb_mode == "bidirectional" and self.params.consensus:
+    def _consensus_needed(self) -> int:
+        p = self.params
+        if self.view.size > 2 and p.hb_mode == "bidirectional" and p.consensus:
             return 2
         return 1
 
-    def _maybe_declare_by_consensus(self, suspect: IPAddress) -> None:
-        v = self.verifications.get(suspect)
-        if v is None:
-            return
-        if len(v.reporters) >= self._consensus_needed(suspect):
-            self._finish_verification(suspect, dead=True, why="consensus")
-
     def _verification_expired(self, suspect: IPAddress) -> None:
-        v = self.verifications.get(suspect)
-        if v is not None:
-            self._finish_verification(suspect, dead=False, why="window")
-
-    def _verification_result(self, suspect: IPAddress, probe_ok: bool) -> None:
-        if suspect not in self.verifications:
-            return
-        self._finish_verification(suspect, dead=not probe_ok, why="probe")
+        self._finish_verification(suspect, dead=False, why="window")
 
     def _finish_verification(self, suspect: IPAddress, dead: bool, why: str) -> None:
         v = self.verifications.pop(suspect, None)
@@ -1076,14 +1072,14 @@ class AdapterProtocol:
             self.trace("gs.suspect.false", target=str(suspect), why=why)
 
     def _declare_dead(self, ip: IPAddress, why: str) -> None:
-        if self.view is None or not self.view.contains(ip):
+        if not self.view.contains(ip):
             return
         self.trace("gs.death", target=str(ip), why=why)
         self.pending_deaths.add(ip)
         self._kick_membership_change()
 
     def _on_subgroup_dead(self, ips) -> None:
-        if self.state is not AdapterState.LEADER or self.view is None:
+        if self.state is not AdapterState.LEADER:
             return
         for ip in ips:
             if self.view.contains(ip) and ip != self.ip:
@@ -1115,7 +1111,7 @@ class AdapterProtocol:
 
     def _on_probe_ack(self, msg: ProbeAck) -> None:
         entry = self._probe_waiters.pop(msg.nonce, None)
-        if self.view is not None and msg.sender == self.view.leader_ip:
+        if msg.sender == self.view.leader_ip:
             self._last_leader_contact = self.sim.now
             self._leader_unreachable = False
         if entry is not None:
@@ -1125,7 +1121,7 @@ class AdapterProtocol:
     # heartbeats
     # ------------------------------------------------------------------
     def _on_heartbeat(self, msg: Heartbeat) -> None:
-        if self._state is AdapterState.STOPPED:  # receive() schedules me directly
+        if self._state is AdapterState.STOPPED:  # receive() posts me past on_frame
             return
         view = self.view
         sender = msg.sender
@@ -1236,9 +1232,8 @@ class AdapterProtocol:
         self._epoch_floor = floor
 
     def on_frame(self, frame) -> None:
-        """Entry point for a frame whose OS handling delay has elapsed."""
-        if self._state is AdapterState.STOPPED:
-            return
+        """Entry point for a frame whose OS handling delay has elapsed: its
+        kind's :data:`_KINDS` handler, if the row names the current state."""
         kind = type(frame.payload)
         try:
             route = _ROUTES[kind]
@@ -1247,8 +1242,9 @@ class AdapterProtocol:
         if route is None:
             self._on_app_frame(frame)
             return
-        name, whole_frame = route
-        getattr(self, name)(frame if whole_frame else frame.payload)
+        name, whole_frame, states = route
+        if self._state in states:
+            getattr(self, name)(frame if whole_frame else frame.payload)
 
     def _on_app_frame(self, frame) -> None:
         """:meth:`on_frame` for a payload type without a route: not protocol
