@@ -102,6 +102,17 @@ class CheckWindows:
     times (§4.1). ``obligation_bound`` additionally allows for a leader
     takeover chain (the dead adapter may *be* a leader) and the orphan
     self-promotion fallback. Everything is scaled by ``safety``.
+
+    A commit's term is ``twopc_timeout``, although a commit may end later:
+    a deadline that finds acks still queued at the coordinator resolves
+    when its daemon drains that queue (``CommitCoordinator._on_timeout``).
+    That wait is the coordinator's backlog, which ``delta``'s allowance for
+    serialized handling, ``100 × proc_delay[1]`` (0.4 s under
+    ``OSParams()``), already bounds on the monitor's farms: the largest
+    measured over the chaos corpus, ``tests/checks`` and the e2e ``faults``
+    and ``traffic`` workloads is 1.7 ms. A scheduling spike
+    (``OSModel.stall``) at the coordinator lengthens it by what is left of
+    the spike, as it delays every other handled step on the path.
     """
 
     detection_bound: float

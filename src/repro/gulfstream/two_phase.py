@@ -13,6 +13,10 @@ singleton → merge path. Members that nack with a higher current epoch cause
 one retry at a higher epoch (they know something the coordinator missed,
 e.g. a concurrent merge).
 
+The deadline judges arrivals, not handling: an ack that reached the
+coordinator's NIC in time but still waits in its daemon's serialized queue
+is counted, by resolving once more when that queue is drained.
+
 The paper notes the prototype used point-to-point messages here and that
 this is one component of the measured δ overhead; we model that cost through
 the sender's serialized OS handling plus one frame per member per phase.
@@ -124,7 +128,15 @@ class CommitCoordinator:
             self._resolve()
 
     def _on_timeout(self) -> None:
-        if not self.finished:
+        if self.finished:
+            return
+        idle = self.proto.os.busy_until()
+        if idle > self.proto.sim.now:
+            # acks that reached the NIC by the deadline may still wait behind
+            # the daemon's backlog: judge the round once that is drained (the
+            # round is re-armed at most once: this deadline does not recur)
+            self._deadline = self.proto.sim.schedule_at(idle, self._resolve)
+        else:
             self._resolve()
 
     # ------------------------------------------------------------------

@@ -175,6 +175,13 @@ class OSModel:
         if until > self._busy_until:
             self._busy_until = until
 
+    def busy_until(self) -> float:
+        """When the daemon will have handled everything delivered to this
+        host so far, multicast records included: ``now`` or earlier when it
+        is idle."""
+        self.catch_up()
+        return self._busy_until
+
     def catch_up(self, before: Optional[float] = None) -> None:
         """Bill every multicast record delivered to this host's adapters and
         not billed yet, in seq order — the order the deliveries happened.

@@ -8,6 +8,7 @@ from repro.gulfstream.messages import MemberInfo, Prepare, PrepareAck
 from repro.gulfstream.params import GSParams
 from repro.gulfstream.two_phase import CommitCoordinator
 from repro.net.addressing import IPAddress
+from repro.node.osmodel import OSModel, OSParams
 from repro.sim.engine import Simulator
 
 
@@ -22,6 +23,7 @@ class StubProto:
         self.sim = sim
         self.ip = IPAddress(ip)
         self.params = GSParams(twopc_timeout=1.0)
+        self.os = OSModel(sim, "n", OSParams.ideal())  # idle unless stalled
         self.sent: list[tuple[IPAddress, Any]] = []
 
     def send(self, dst, payload, size=None):
@@ -69,6 +71,26 @@ def test_silent_member_dropped_at_timeout():
     sim.run(until=2.0)  # past twopc_timeout; 10.0.0.2 never answered
     assert len(done) == 1
     assert [str(m.ip) for m in done[0].members] == ["10.0.0.3", "10.0.0.1"]
+
+
+def test_deadline_counts_acks_still_queued_behind_the_daemon():
+    """An ack handled after the deadline, behind a daemon that was busy at
+    the deadline, is counted: the round resolves when that backlog ends,
+    once — work billed after the deadline does not push it further."""
+    sim = Simulator()
+    proto = StubProto(sim, "10.0.0.3")
+    members = [mi("10.0.0.1"), mi("10.0.0.2"), mi("10.0.0.3")]
+    done = []
+    c = CommitCoordinator(proto, members, 1, "formation",
+                          lambda view: done.append((sim.now, view)))
+    proto.os.stall(1.5)  # the daemon is 0.5 s behind at the 1.0 s deadline
+    sim.schedule_at(1.4, c.on_prepare_ack, PrepareAck(IPAddress("10.0.0.1"), proto.ip, 1, ok=True))
+    sim.schedule_at(1.45, proto.os.stall, 3.0)
+    sim.run(until=5.0)
+    assert len(done) == 1
+    when, view = done[0]
+    assert when == 1.5
+    assert [str(m.ip) for m in view.members] == ["10.0.0.3", "10.0.0.1"]
 
 
 def test_nack_with_hint_retries_at_higher_epoch():

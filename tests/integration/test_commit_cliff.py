@@ -1,24 +1,29 @@
 """The formation commit of one large AMG, under the paper-calibrated OS
-model (ROADMAP item 1, "A membership commit must finish at any group size").
+model (ROADMAP items 1 and 10, "A membership commit must finish at any
+group size").
 
 One VLAN of single-adapter hosts, the highest of them admin-eligible,
 discovers itself; the first ``gs.2pc.commit`` is the formation round of the
-whole VLAN. Its coordinator sends N − 1 Prepares and arms a bare
+whole VLAN. Its coordinator sends N − 1 Prepares and arms a
 ``twopc_timeout`` deadline, while every PrepareAck is handled behind the
-coordinator's serialized OS queue (1–4 ms each with ``OSParams()``). Once
-N × proc_delay passes the timeout, the deadline fires before the acks that
-have already arrived are handled, and the round commits only those handled
-so far: at 512 hosts a view of the coordinator alone, 511 members dropped.
+coordinator's serialized OS queue (1–4 ms each with ``OSParams()``). The
+deadline judges arrivals: when it fires with acks still queued, the round
+resolves once more when the queue is drained. With a deadline that judged
+handling instead, 400 hosts dropped 49 members from the formation and took
+3 admin rounds; the 400-host cases pin the re-arm.
 
-The 512-host case pins that defect as a strict xfail: it starts passing,
-and so must be turned into a plain test, in the change that makes the
-deadline judge arrivals rather than handling. Its 300-host twin, below the
-cliff, commits every member today and must keep doing so.
+At 512 hosts the re-arm is not enough. Every host also handles every
+beacon of the beacon phase (ROADMAP item 10): past ~400 hosts that load
+exceeds the daemon, so members are already seconds behind when the
+Prepares arrive and no ack reaches the coordinator in time. The 512-host
+cases pin that as strict xfails: they start passing, and so must be turned
+into plain tests, in the change that bounds the beacon phase's load. The
+300-host twins, below both cliffs, must keep passing.
 
-The same two farms pin what the defect costs: admin 2PC rounds (each
-``gs.2pc.prepare``) per cold discovery. Below the cliff, one round carries
+The same farms pin what the defect costs: admin 2PC rounds (each
+``gs.2pc.prepare``) per cold discovery. Below the cliff one round carries
 the VLAN to stability; at 512 hosts the dropped members rejoin through
-further rounds, the third of them 7.59 sim s in (25 by 30 sim s).
+further rounds.
 """
 
 import pytest
@@ -66,9 +71,14 @@ def test_formation_commit_keeps_every_member_below_the_cliff():
     assert (commit["reason"], commit["size"], commit["dropped"]) == ("formation", 300, 0)
 
 
+def test_formation_commit_counts_acks_queued_at_the_deadline():
+    commit = _first_commit(400)
+    assert (commit["reason"], commit["size"], commit["dropped"]) == ("formation", 400, 0)
+
+
 @pytest.mark.xfail(
     strict=True,
-    reason="ROADMAP item 1: the 2PC deadline counts handled acks, not arrived ones",
+    reason="ROADMAP item 10: the beacon phase's backlog delays every ack past the deadline",
 )
 def test_formation_commit_keeps_every_member_at_512_hosts():
     commit = _first_commit(512)
@@ -94,9 +104,13 @@ def test_one_round_carries_a_cold_discovery_below_the_cliff():
     assert _rounds_to_stability(300) == 1
 
 
+def test_one_round_carries_a_cold_discovery_at_400_hosts():
+    assert _rounds_to_stability(400) == 1
+
+
 @pytest.mark.xfail(
     strict=True,
-    reason="ROADMAP item 1: members the deadline drops rejoin through more rounds",
+    reason="ROADMAP item 10: members the beacon-phase backlog drops rejoin through more rounds",
 )
 def test_a_cold_discovery_takes_few_rounds_at_512_hosts():
     assert _rounds_to_stability(512) <= MAX_ROUNDS
