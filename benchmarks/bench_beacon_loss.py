@@ -33,7 +33,7 @@ PARAMS = GSParams(beacon_duration=5.0, beacon_interval=1.0)
 K_BEACONS = int(PARAMS.beacon_duration / PARAMS.beacon_interval)
 #: congestion clears just before the (staggered) phase ends, so formation
 #: itself runs on the recovered network — the paper's transient-load story
-LOAD_WINDOW = PARAMS.beacon_duration
+LOSSY_UNTIL = PARAMS.beacon_duration
 
 
 def one_trial(p_loss: float, seed: int) -> tuple[int, float | None]:
@@ -49,7 +49,7 @@ def one_trial(p_loss: float, seed: int) -> tuple[int, float | None]:
         for seg in farm.fabric.segments.values():
             seg.quality = PerfectLink()
 
-    farm.sim.schedule_at(LOAD_WINDOW, clear_congestion)
+    farm.sim.schedule_at(LOSSY_UNTIL, clear_congestion)
     farm.start()
     farm.sim.run(until=90.0)
     # the *initial* topology: the group formed by the end-of-phase commit,

@@ -410,9 +410,7 @@ class InvariantMonitor:
         seg = self.farm.fabric.segments.get(vlan)
         if seg is None:
             return False
-        if seg.partitioned:
-            return True
-        return seg.quality.effective_loss(seg.offered_load) > 0.0
+        return seg.partitioned or seg.quality.loss_probability > 0.0
 
     def _healthy(self, nic) -> bool:
         host = self.farm.hosts.get(nic.node_name)

@@ -166,11 +166,6 @@ class DetectorHarness:
         self.dead[member.nic.ip] = self.sim.now
         return member.nic.ip
 
-    def crash_at(self, time: float, index: int) -> IPAddress:
-        ip = self.members[index].nic.ip
-        self.sim.schedule_at(time, self.crash, index)
-        return ip
-
     def fail_adapter(
         self, index: int, mode: NicState = NicState.FAIL_FULL
     ) -> IPAddress:
@@ -186,13 +181,6 @@ class DetectorHarness:
         member.nic.fail(mode)
         self.dead[member.nic.ip] = self.sim.now
         return member.nic.ip
-
-    def fail_adapter_at(
-        self, time: float, index: int, mode: NicState = NicState.FAIL_FULL
-    ) -> IPAddress:
-        ip = self.members[index].nic.ip
-        self.sim.schedule_at(time, self.fail_adapter, index, mode)
-        return ip
 
     def repair_adapter(self, index: int) -> IPAddress:
         """Undo :meth:`fail_adapter`: restore the NIC and clear dead status."""

@@ -10,8 +10,6 @@ Reproduces the topologies of the paper's Figures 1 and 2:
   network-isolated customer domains (each with front-end and back-end
   layers), request dispatchers, and an administrative domain hosting
   GulfStream Central.
-* :class:`~repro.farm.scenario.Scenario` — farm + fault plan + measurement
-  in one runnable object.
 * :mod:`repro.farm.requests` — the application layer riding the farm: the
   request issuer on a dispatcher node and the front-end / back-end server
   applications (what reallocates servers under that traffic lives in
@@ -20,7 +18,6 @@ Reproduces the topologies of the paper's Figures 1 and 2:
 
 from repro.farm.domain import DomainSpec, FarmSpec
 from repro.farm.builder import Farm, FarmBuilder, build_farm, build_testbed, build_zoned_farm
-from repro.farm.scenario import Scenario
 from repro.farm.requests import BackEndApp, FrontEndApp, TrafficSource, deploy_service
 
 __all__ = [
@@ -30,7 +27,6 @@ __all__ = [
     "FarmBuilder",
     "FarmSpec",
     "FrontEndApp",
-    "Scenario",
     "TrafficSource",
     "build_farm",
     "build_testbed",

@@ -101,10 +101,6 @@ class Farm:
         return ReconfigurationManager(g)
 
     # ------------------------------------------------------------------
-    def adapters_on_vlan(self, vlan: int) -> List[IPAddress]:
-        seg = self.fabric.segments.get(vlan)
-        return sorted(seg.members, key=int) if seg else []
-
     def leader_of_vlan(self, vlan: int):
         """The adapter protocol currently leading the VLAN's AMG (or None)."""
         from repro.gulfstream.adapter_proto import AdapterState

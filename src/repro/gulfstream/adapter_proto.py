@@ -130,7 +130,7 @@ _KINDS: Dict[type, _Route] = {
 }
 
 #: ``_later`` callback -> the states it still applies in; fired in any other
-#: state, or after a restart, it does nothing
+#: state (STOPPED included), it does nothing
 _TIMERS: Dict[str, _States] = {
     "_end_beacon_phase": _BEACONING,
     "_form_group": _BEACONING,
@@ -235,9 +235,6 @@ class AdapterProtocol:
         #: beacons received while not LEADER: charged to the OS model on
         #: arrival, folded in by :meth:`_absorb`
         self._backlog = _Backlog()
-        #: restart generation; scheduled callbacks from older generations
-        #: are ignored, making stop()/start() safe at any instant
-        self.gen = 0
         self.epoch = 0
         self.view: Optional[AMGView] = None
         self.hb = None
@@ -341,20 +338,24 @@ class AdapterProtocol:
         return self.nic.send(dst, payload, size=size or self.params.size_control)
 
     def _later(self, delay: float, fn, *args):
-        """Call ``fn(*args)`` after ``delay`` if this instance has not
-        restarted and is in one of ``fn``'s :data:`_TIMERS` states then."""
-        return self.sim.schedule(delay, self._guarded, self.gen, fn, args)
+        """Call ``fn(*args)`` after ``delay`` if this instance is in one of
+        ``fn``'s :data:`_TIMERS` states then."""
+        return self.sim.schedule(delay, self._guarded, fn, args)
 
-    def _guarded(self, gen: int, fn, args) -> None:
-        if gen == self.gen and self._state in _TIMERS[fn.__name__]:
+    def _guarded(self, fn, args) -> None:
+        if self._state in _TIMERS[fn.__name__]:
             fn(*args)
 
     # ------------------------------------------------------------------
     # lifecycle
     # ------------------------------------------------------------------
     def start(self) -> None:
-        """Begin the discovery protocol on this adapter."""
-        self.gen += 1
+        """Begin the discovery protocol on this adapter. Runs once per
+        instance: a daemon builds new instances on every boot, so no timer
+        of an earlier run can reach this one (:meth:`_guarded` checks the
+        state alone)."""
+        if self._state is not AdapterState.BOOT:
+            raise RuntimeError(f"{self!r} started twice: a daemon boot builds new instances")
         self.state = AdapterState.BEACONING
         self.peers.clear()
         self.epoch = 0
@@ -374,9 +375,8 @@ class AdapterProtocol:
 
     def stop(self) -> None:
         """Tear everything down (node crash or daemon shutdown)."""
-        self.gen += 1
         self.state = AdapterState.STOPPED
-        self._stand_down()  # the generation guard drops verification windows
+        self._stand_down()  # STOPPED is in no _TIMERS row: pending windows do nothing
         if self.hb is not None:
             self.hb.stop()
             self.hb = None

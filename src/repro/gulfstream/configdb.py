@@ -24,7 +24,6 @@ are connected to routers and switches").
 
 from __future__ import annotations
 
-import json
 from collections import Counter
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Set
@@ -118,35 +117,6 @@ class ConfigDatabase:
         return db
 
     # ------------------------------------------------------------------
-    # persistence
-    # ------------------------------------------------------------------
-    def to_json(self, indent: int = 2) -> str:
-        """Serialize the expected topology (the real system's central DB
-        would live outside the farm; this is its wire format)."""
-        rows = [
-            {
-                "ip": str(r.ip), "node": r.node, "switch": r.switch,
-                "port": r.port, "vlan": r.vlan, "router": r.router,
-            }
-            for r in self._rows.values()
-        ]
-        return json.dumps(sorted(rows, key=lambda r: r["ip"]), indent=indent)
-
-    @classmethod
-    def from_json(cls, text: str) -> "ConfigDatabase":
-        """Load an expected topology previously serialized by :meth:`to_json`."""
-        db = cls()
-        for row in json.loads(text):
-            db.add(
-                ExpectedAdapter(
-                    ip=IPAddress(row["ip"]), node=row["node"],
-                    switch=row["switch"], port=int(row["port"]),
-                    vlan=int(row["vlan"]), router=row.get("router"),
-                )
-            )
-        return db
-
-    # ------------------------------------------------------------------
     # queries
     # ------------------------------------------------------------------
     def expected(self, ip: IPAddress) -> Optional[ExpectedAdapter]:
@@ -156,18 +126,6 @@ class ConfigDatabase:
     def all_expected(self) -> List[ExpectedAdapter]:
         self.reads += 1
         return list(self._rows.values())
-
-    def adapters_of_node(self, node: str) -> List[ExpectedAdapter]:
-        self.reads += 1
-        return [r for r in self._rows.values() if r.node == node]
-
-    def adapters_of_switch(self, switch: str) -> List[ExpectedAdapter]:
-        self.reads += 1
-        return [r for r in self._rows.values() if r.switch == switch]
-
-    def switches(self) -> Set[str]:
-        self.reads += 1
-        return {r.switch for r in self._rows.values()}
 
     def __len__(self) -> int:
         return len(self._rows)

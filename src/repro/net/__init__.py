@@ -3,9 +3,10 @@
 This package stands in for the paper's physical testbed: Cisco-6509-style
 switches with per-port VLAN assignment, one broadcast segment per VLAN,
 network adapters (NICs) with the distinct failure modes the paper reasons
-about (send-only failure, receive-only failure, full failure), configurable
-latency/loss per segment, and an SNMP-like management console through which
-GulfStream Central reconfigures VLAN membership.
+about (send-only failure, receive-only failure, full failure), a fixed
+per-receiver loss probability and latency per segment, and an SNMP-like
+management console through which GulfStream Central reconfigures VLAN
+membership.
 
 The semantics the GulfStream protocols rely on are modelled exactly:
 
@@ -17,7 +18,7 @@ The semantics the GulfStream protocols rely on are modelled exactly:
 
 from repro.net.addressing import IPAddress, MULTICAST
 from repro.net.packet import Frame
-from repro.net.loss import LinkQuality, LoadDependentLoss, PerfectLink
+from repro.net.loss import LinkQuality, PerfectLink
 from repro.net.nic import NIC, NicState
 from repro.net.router import Router
 from repro.net.switch import Port, Switch
@@ -30,7 +31,6 @@ __all__ = [
     "Frame",
     "IPAddress",
     "LinkQuality",
-    "LoadDependentLoss",
     "MULTICAST",
     "NIC",
     "NicState",

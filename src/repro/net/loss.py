@@ -1,14 +1,11 @@
 """Link-quality models: latency and loss.
 
-The paper analyses beaconing under load: "if p is the probability of losing
-a message ... the probability of losing k BEACON messages is p^k". To
-reproduce that experiment the segment needs (1) a fixed-probability loss
-model and (2) a load-dependent model where loss rises with the offered
-message rate — the simulator's stand-in for network congestion.
+The paper analyses beaconing under loss: "if p is the probability of losing
+a message ... the probability of losing k BEACON messages is p^k". A link is
+that one fixed per-receiver loss probability p plus a uniform latency.
 
-All models share one interface: :meth:`LinkQuality.sample` returns
-``(delivered, latency)`` for one receiver of one frame, drawing from the
-segment's RNG stream.
+:meth:`LinkQuality.sample` returns ``(delivered, latency)`` for one receiver
+of one frame, drawing from the segment's RNG stream.
 """
 
 from __future__ import annotations
@@ -17,7 +14,7 @@ from typing import Any, Optional, Tuple
 
 import numpy as np
 
-__all__ = ["LinkQuality", "PerfectLink", "LoadDependentLoss"]
+__all__ = ["LinkQuality", "PerfectLink"]
 
 
 class LinkQuality:
@@ -53,21 +50,18 @@ class LinkQuality:
         self.loss_probability = loss_probability
         self.latency = latency
         self.jitter = jitter
-        #: the constant delivery latency when this link can neither drop nor jitter
-        #: at any load, else ``None`` — as whenever a subclass overrides a sampler
-        cls = type(self)
-        fixed = not loss_probability and not jitter and (
-            cls.effective_loss, cls.sample, cls.sample_batch
-        ) == (LinkQuality.effective_loss, LinkQuality.sample, LinkQuality.sample_batch)
+        #: the constant delivery latency when this link can neither drop nor
+        #: jitter, else ``None``
+        fixed = not loss_probability and not jitter
         self.fixed_latency = max(self.MIN_LATENCY, latency) if fixed else None
 
-    def sample(self, rng: np.random.Generator, load: float = 0.0) -> Tuple[bool, float]:
+    def sample(self, rng: np.random.Generator) -> Tuple[bool, float]:
         """One delivery decision: ``(delivered, latency_seconds)``.
 
         Loss-free, jitter-free models (e.g. :class:`PerfectLink`) never
         touch the RNG, so the functional-test fast path costs no draws.
         """
-        p = self.effective_loss(load)
+        p = self.loss_probability
         if p > 0.0 and rng.random() < p:
             return False, 0.0
         if self.jitter > 0.0:
@@ -76,9 +70,7 @@ class LinkQuality:
             lat = self.latency
         return True, max(self.MIN_LATENCY, lat)
 
-    def sample_batch(
-        self, rng: np.random.Generator, load: float, n: int
-    ) -> Tuple[Optional[np.ndarray], Any]:
+    def sample_batch(self, rng: np.random.Generator, n: int) -> Tuple[Optional[np.ndarray], Any]:
         """Vectorised :meth:`sample` for the ``n`` receivers of one frame.
 
         Returns ``(delivered, latencies)`` where ``delivered`` is ``None``
@@ -87,17 +79,13 @@ class LinkQuality:
         or a float array. One RNG call per frame replaces one Python-level
         call per receiver — the multicast delivery hot path.
         """
-        p = self.effective_loss(load)
+        p = self.loss_probability
         delivered = rng.random(n) >= p if p > 0.0 else None
         if self.jitter > 0.0:
             lats = rng.uniform(self.latency - self.jitter, self.latency + self.jitter, n)
             np.maximum(lats, self.MIN_LATENCY, out=lats)
             return delivered, lats
         return delivered, max(self.MIN_LATENCY, self.latency)
-
-    def effective_loss(self, load: float) -> float:
-        """Loss probability at the given offered load (msgs/sec). Constant here."""
-        return self.loss_probability
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (
@@ -112,39 +100,3 @@ class PerfectLink(LinkQuality):
     def __init__(self, latency: float = 0.0005) -> None:
         super().__init__(loss_probability=0.0, latency=latency, jitter=0.0)
 
-
-class LoadDependentLoss(LinkQuality):
-    """Loss that grows with offered load beyond a capacity knee.
-
-    Below ``capacity`` messages/sec the link behaves like the base model; at
-    higher loads the loss probability climbs linearly with the overload
-    fraction, capped at ``max_loss``. This is a deliberately simple
-    congestion stand-in: the experiments only need "a heavily loaded network
-    loses more beacons", not a queueing-theoretic model.
-    """
-
-    def __init__(
-        self,
-        base_loss: float = 0.0,
-        capacity: float = 5000.0,
-        overload_slope: float = 0.5,
-        max_loss: float = 0.95,
-        latency: float = 0.0005,
-        jitter: float = 0.0002,
-    ) -> None:
-        super().__init__(loss_probability=base_loss, latency=latency, jitter=jitter)
-        if capacity <= 0:
-            raise ValueError("capacity must be positive")
-        if overload_slope < 0:
-            raise ValueError("overload_slope must be non-negative")
-        if not 0.0 <= max_loss <= 1.0:
-            raise ValueError("max_loss out of [0,1]")
-        self.capacity = capacity
-        self.overload_slope = overload_slope
-        self.max_loss = max_loss
-
-    def effective_loss(self, load: float) -> float:
-        if load <= self.capacity:
-            return self.loss_probability
-        overload = (load - self.capacity) / self.capacity
-        return min(self.max_loss, self.loss_probability + self.overload_slope * overload)

@@ -2,10 +2,10 @@
 
 A :class:`Segment` is the delivery engine for one broadcast domain. It keeps
 the set of attached adapters, applies the link-quality model independently
-per receiver (a multicast can reach some members and miss others), measures
-offered load for the congestion model, and supports *partitioning* — the
-paper's AMG-merge logic exists precisely because network partitions can form
-and heal, leaving independently formed groups that must merge.
+per receiver (a multicast can reach some members and miss others), and
+supports *partitioning* — the paper's AMG-merge logic exists precisely
+because network partitions can form and heal, leaving independently formed
+groups that must merge.
 
 A multicast on a healthy, loss-free fixed-latency segment whose payload says
 ``lazy_multicast`` (receivers that are not eager only ever collect or ignore
@@ -59,8 +59,6 @@ class Segment:
         Link-quality model applied per delivery. Defaults to a perfect link.
     """
 
-    #: width of the load-measurement bucket in seconds
-    LOAD_WINDOW = 1.0
     #: records the multicast log may gain before the ones every lazy member
     #: has taken are dropped (it empties by itself whenever nobody lags)
     LOG_TRIM = 64
@@ -70,16 +68,9 @@ class Segment:
         self.vlan = vlan
         self.quality = quality if quality is not None else PerfectLink()
         self.members: Dict[IPAddress, "NIC"] = {}
-        #: extra offered load (msgs/sec) injected by the scenario, modelling
-        #: application traffic sharing the segment
-        self.ambient_load = 0.0
         # islands: None means unpartitioned; otherwise ip -> island id, and
         # delivery only happens within an island
         self._islands: Optional[Dict[IPAddress, int]] = None
-        # measured-load bucket
-        self._bucket_start = 0.0
-        self._bucket_count = 0
-        self._last_rate = 0.0
         # per-segment RNG stream, resolved once (stream lookup by name costs
         # an f-string + dict probe per frame otherwise)
         self._rng = None
@@ -215,23 +206,6 @@ class Segment:
         return self._islands.get(a) == self._islands.get(b)
 
     # ------------------------------------------------------------------
-    # load measurement
-    # ------------------------------------------------------------------
-    def _note_send(self) -> None:
-        now = self.fabric.sim.now
-        if now - self._bucket_start >= self.LOAD_WINDOW:
-            elapsed = max(now - self._bucket_start, self.LOAD_WINDOW)
-            self._last_rate = self._bucket_count / elapsed
-            self._bucket_start = now
-            self._bucket_count = 0
-        self._bucket_count += 1
-
-    @property
-    def offered_load(self) -> float:
-        """Estimated offered load in messages/sec (measured + ambient)."""
-        return self._last_rate + self.ambient_load
-
-    # ------------------------------------------------------------------
     # delivery
     # ------------------------------------------------------------------
     def _deliver_later(self, latency: float, nic: "NIC", frame: Frame) -> None:
@@ -359,10 +333,6 @@ class Segment:
         now = sim.now
         trace = sim.trace
         trace_emit = trace.emit
-        if now - self._bucket_start >= self.LOAD_WINDOW:
-            self._note_send()  # rolls the bucket, then counts this send
-        else:
-            self._bucket_count += 1
         self.frames_sent += 1
         self.bytes_sent += frame.size
         if trace.wants("net.send"):
@@ -458,10 +428,9 @@ class Segment:
         rng = self._rng
         if rng is None:
             rng = self._rng = sim.rng.stream(f"segment/{self.vlan}")
-        load = self.offered_load
         if len(eligible) == 1:
             nic = eligible[0]
-            delivered, latency = self.quality.sample(rng, load)
+            delivered, latency = self.quality.sample(rng)
             if not delivered:
                 self.frames_lost += 1
                 self.drop_causes["loss"] += 1
@@ -472,7 +441,7 @@ class Segment:
             return True
         # multicast fan-out — one vectorised RNG draw per frame instead of
         # one Python-level draw per receiver
-        delivered, lats = self.quality.sample_batch(rng, load, len(eligible))
+        delivered, lats = self.quality.sample_batch(rng, len(eligible))
         scalar_lat = not isinstance(lats, np.ndarray)
         deliver_later = self._deliver_later
         for i, nic in enumerate(eligible):

@@ -39,12 +39,10 @@ class FaultPlan:
     """A scripted fault schedule, armed onto a simulator with :meth:`arm`.
 
     Arming is idempotent per simulator: re-arming onto the same simulator
-    is a no-op, so a plan shared between a scenario and a test harness
-    cannot double-fire its actions.
+    is a no-op, so a plan armed twice cannot double-fire its actions.
     """
 
     actions: List[_Action] = field(default_factory=list)
-    _armed: List = field(default_factory=list, init=False, repr=False, compare=False)
     _armed_on: Optional[Simulator] = field(default=None, init=False, repr=False, compare=False)
 
     # -- schedule builders ------------------------------------------------
@@ -102,18 +100,8 @@ class FaultPlan:
         if self._armed_on is sim:
             return
         self._armed_on = sim
-        self._armed = [
-            (act, sim.schedule_at(act.time, self._apply, act, fabric, hosts))
-            for act in self.actions
-        ]
-
-    def pending_actions(self) -> List[_Action]:
-        """Actions armed but not yet fired (scheduled past the run horizon).
-
-        Empty until :meth:`arm` is called; after a run, anything listed
-        here was part of the plan the scenario never exercised.
-        """
-        return [act for act, ev in self._armed if ev.pending]
+        for act in self.actions:
+            sim.schedule_at(act.time, self._apply, act, fabric, hosts)
 
     @staticmethod
     def _apply(act: _Action, fabric: Fabric, hosts: Dict[str, Host]) -> None:
@@ -177,8 +165,6 @@ class FaultInjector:
         self.repairs = 0
         self._armed = False
         self._stopped = False
-        #: node name -> (kind, Event) for the next crash/repair per host
-        self._pending: Dict[str, tuple] = {}
 
     def start(self) -> None:
         """Arm one failure clock per host."""
@@ -192,34 +178,16 @@ class FaultInjector:
         """No further faults will be injected (pending ones are dropped)."""
         self._stopped = True
 
-    def pending_faults(self) -> Dict[str, str]:
-        """Node name -> kind ("crash" | "repair") for armed-but-unfired events.
-
-        After a run ends, a "repair" entry means the node is still down with
-        its restart scheduled past the horizon — the usual cause of a
-        scenario that never restabilizes.
-        """
-        return {
-            node: kind
-            for node, (kind, ev) in self._pending.items()
-            if ev.pending
-        }
-
     def _schedule_crash(self, host: Host) -> None:
         delay = float(self.rng.exponential(self.mtbf))
-        self._pending[host.name] = (
-            "crash", self.sim.schedule(delay, self._crash, host)
-        )
+        self.sim.schedule(delay, self._crash, host)
 
     def _crash(self, host: Host) -> None:
         if self._stopped or host.crashed:
             return
         host.crash()
         self.crashes += 1
-        self._pending[host.name] = (
-            "repair",
-            self.sim.schedule(float(self.rng.exponential(self.mttr)), self._repair, host),
-        )
+        self.sim.schedule(float(self.rng.exponential(self.mttr)), self._repair, host)
 
     def _repair(self, host: Host) -> None:
         if self._stopped:

@@ -238,7 +238,3 @@ class OSModel:
     def handle(self, fn: Callable[..., Any], *args: Any) -> Event:
         """Run ``fn(*args)`` after the daemon gets CPU for it (:meth:`charge`)."""
         return self.sim.schedule(self.charge(), fn, *args)
-
-    def after_phase_lag(self, fn: Callable[..., Any], *args: Any) -> Event:
-        """Run ``fn(*args)`` after a phase-transition lag."""
-        return self.sim.schedule(self.phase_lag(), fn, *args)

@@ -16,7 +16,7 @@ Public surface:
 """
 
 from repro.sim.engine import Event, Simulator, SimulationError
-from repro.sim.process import Timer, delayed
+from repro.sim.process import Timer
 from repro.sim.rng import RngRegistry
 from repro.sim.trace import Trace, TraceRecord
 
@@ -28,5 +28,4 @@ __all__ = [
     "Timer",
     "Trace",
     "TraceRecord",
-    "delayed",
 ]

@@ -2,8 +2,7 @@
 
 Protocol code wants periodic, cancellable, optionally jittered timers
 (heartbeats, beacon intervals) rather than raw one-shot events. ``Timer``
-provides exactly that; ``delayed`` is sugar for a one-shot with the same
-cancellation surface.
+provides exactly that.
 """
 
 from __future__ import annotations
@@ -15,7 +14,7 @@ import numpy as np
 
 from repro.sim.engine import Event, Simulator
 
-__all__ = ["Timer", "delayed"]
+__all__ = ["Timer"]
 
 
 class Timer:
@@ -119,7 +118,3 @@ class Timer:
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"Timer(interval={self.interval}, fires={self.fires}, active={self.active})"
 
-
-def delayed(sim: Simulator, delay: float, fn: Callable[..., Any], *args: Any) -> Event:
-    """One-shot convenience wrapper; identical to ``sim.schedule``."""
-    return sim.schedule(delay, fn, *args)

@@ -19,8 +19,7 @@ accomplished with minimal service interruption"):
   headline capacity number is *moves per hour sustained without invariant
   violation* and the availability/latency SLOs are measured during churn.
 
-A case is one farm on one simulator, run as a
-:class:`~repro.farm.scenario.Scenario`.
+A case is one farm on one simulator.
 """
 
 from __future__ import annotations
@@ -38,7 +37,6 @@ from repro.checks.invariants import (
 from repro.farm.builder import ADMIN_VLAN, FREE_POOL_VLAN, Farm, FarmBuilder
 from repro.farm.domain import DISPATCH_VLAN, DOMAIN_VLAN_BASE
 from repro.farm.requests import TrafficSource, deploy_service
-from repro.farm.scenario import Scenario
 from repro.metrics.core import MetricsRegistry
 from repro.node.osmodel import OSParams
 from repro.runner import run_sweep
@@ -317,8 +315,8 @@ class TrafficRun:
 
 
 def run_sharded(farm_kwargs: Dict[str, Any], duration: float) -> TrafficRun:
-    """Build the traffic farm ``build_traffic_farm(**farm_kwargs)``, run it
-    to ``duration`` as a :class:`~repro.farm.scenario.Scenario`, and
+    """Build the traffic farm ``build_traffic_farm(**farm_kwargs)``, wait
+    for GSC stability until ``TRAFFIC_START``, run it to ``duration``, and
     snapshot what the row needs.
 
     The name is a seam for ``benchmarks/e2e``: its ``traffic`` workload
@@ -331,16 +329,19 @@ def run_sharded(farm_kwargs: Dict[str, Any], duration: float) -> TrafficRun:
     rather than left for whatever the caller allocates next.
     """
     farm = build_traffic_farm(trace=Trace(categories=TRAFFIC_TRACE_CATEGORIES), **farm_kwargs)
-    result = Scenario(farm, duration=duration, stability_timeout=TRAFFIC_START).run()
     sim = farm.sim
+    farm.start()
+    stable = farm.run_until_stable(timeout=TRAFFIC_START)
+    sim.run(until=duration)
+    gsc = farm.gsc()
     run = TrafficRun(
-        stable_time=result.stable_time,
-        duration=result.duration,
-        counters=result.counters,
+        stable_time=gsc.stable_time if gsc else stable,
+        duration=sim.now,
+        counters=dict(sim.trace.counters),
         metrics=MetricsRegistry.from_dump(sim.metrics.dump()),
         violations=sim.trace.select("traffic.violation"),
     )
-    del farm, sim, result
+    del farm, sim, gsc
     gc.collect()
     return run
 

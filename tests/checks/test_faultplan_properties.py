@@ -78,22 +78,6 @@ def test_rearming_same_simulator_is_a_noop(actions):
     assert len(log) == len(actions)
 
 
-@given(action_lists, st.integers(min_value=0, max_value=100))
-def test_pending_actions_are_exactly_those_past_the_horizon(actions, h):
-    horizon = h * 0.5 + 0.25
-    sim = Simulator(seed=0)
-    log = []
-    plan, hosts = _build(actions, sim, log)
-    assert plan.pending_actions() == [], "nothing pends before arming"
-    plan.arm(sim, None, hosts)
-    assert len(plan.pending_actions()) == len(actions)
-    sim.run(until=horizon)
-    assert all(t <= horizon for t, _, _ in log)
-    pending = plan.pending_actions()
-    assert all(act.time > horizon for act in pending)
-    assert len(pending) + len(log) == len(actions)
-
-
 @settings(max_examples=25, deadline=None)
 @given(
     st.lists(
@@ -125,4 +109,3 @@ def test_fail_repair_sequences_are_idempotent_on_a_real_nic(ops):
     plan.arm(sim, fab, {h.name: h for h in hosts})
     sim.run(until=len(ops) + 5.0)
     assert fab.nics[IPAddress(ip)].state is NicState.OK
-    assert plan.pending_actions() == []

@@ -125,9 +125,3 @@ def test_leader_of_vlan_helper():
     assert leader is not None
     assert leader.nic.port.vlan == 10
 
-
-def test_adapters_on_vlan_sorted():
-    farm = build_testbed(4, seed=9, params=FAST)
-    ips = farm.adapters_on_vlan(ADMIN_VLAN)
-    assert len(ips) == 4
-    assert [int(i) for i in ips] == sorted(int(i) for i in ips)

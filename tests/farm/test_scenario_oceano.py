@@ -1,59 +1,14 @@
-"""Scenario runner and the reallocation controller on a synthetic load curve."""
+"""The reallocation controller on a synthetic load curve."""
 
 
-from repro.farm.builder import build_farm, build_testbed, FREE_POOL_VLAN
+from repro.farm.builder import build_farm, FREE_POOL_VLAN
 from repro.farm.domain import DomainSpec, FarmSpec
-from repro.farm.scenario import Scenario
-from repro.node.faults import FaultPlan
 from repro.workload import Autoscaler, DomainLoadModel
 
 from tests.conftest import FAST
 
 HB = FAST.derive(hb_interval=0.5, probe_timeout=0.5, orphan_timeout=2.5,
                  takeover_stagger=0.5, suspect_retry_interval=0.5)
-
-
-def test_scenario_runs_and_collects():
-    farm = build_testbed(4, seed=1, params=HB)
-    plan = FaultPlan().crash_node(20.0, "node-01")
-    result = Scenario(farm, plan=plan, duration=50.0).run()
-    assert result.stable_time is not None
-    assert result.count("node_failed") == 1
-    assert result.counters["gs.2pc.commit"] > 0
-    assert 1 in result.segment_stats
-    assert result.segment_stats[1]["frames_sent"] > 0
-
-
-def test_scenario_ambient_load_applied():
-    farm = build_testbed(3, seed=2, params=HB)
-    Scenario(farm, duration=10.0, ambient_load={1: 500.0}).run()
-    assert farm.fabric.segments[1].ambient_load == 500.0
-
-
-def test_scenario_churn_produces_notifications():
-    farm = build_testbed(8, seed=3, params=HB)
-    sc = Scenario(farm, churn={"mtbf": 60.0, "mttr": 10.0, "start": 30.0}, duration=240.0)
-    result = sc.run()
-    assert sc.injector is not None and sc.injector.crashes > 0
-    assert result.count("node_failed") > 0
-    # recoveries observed too
-    assert result.count("node_recovered") > 0
-
-
-def test_scenario_stability_timeout_defaults_and_overrides():
-    farm = build_testbed(3, seed=9, params=HB)
-    assert Scenario(farm, duration=50.0).stability_timeout == 50.0
-    assert Scenario(farm, duration=900.0).stability_timeout == 300.0
-    assert Scenario(farm, duration=900.0,
-                    stability_timeout=42.0).stability_timeout == 42.0
-
-
-def test_scenario_custom_stability_timeout_bounds_the_wait():
-    # a timeout far too short for discovery: run() must give up waiting
-    # at that budget instead of the old hardcoded min(duration, 300)
-    farm = build_testbed(3, seed=10, params=HB)
-    result = Scenario(farm, duration=1.0, stability_timeout=0.5).run()
-    assert result.stable_time is None
 
 
 def test_workload_is_deterministic_and_nonnegative():

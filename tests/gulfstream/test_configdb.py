@@ -38,17 +38,6 @@ def test_set_vlan_updates_row():
         db.set_vlan(IPAddress("10.0.0.9"), 7)
 
 
-def test_queries_by_node_and_switch():
-    db = db_with(
-        row("10.0.0.1", node="a", switch="s1"),
-        row("10.0.0.2", node="a", switch="s2", port=1),
-        row("10.0.0.3", node="b", switch="s1", port=1),
-    )
-    assert len(db.adapters_of_node("a")) == 2
-    assert len(db.adapters_of_switch("s1")) == 2
-    assert db.switches() == {"s1", "s2"}
-
-
 def test_verify_clean():
     db = db_with(row("10.0.0.1", vlan=1), row("10.0.0.2", vlan=1, port=1))
     issues = db.verify([[IPAddress("10.0.0.1"), IPAddress("10.0.0.2")]])
@@ -109,21 +98,3 @@ def test_from_fabric_snapshot():
     db = ConfigDatabase.from_fabric(fab)
     assert len(db) == 2
     assert db.expected(IPAddress("10.0.0.2")).vlan == 2
-
-
-def test_json_roundtrip():
-    db = db_with(
-        row("10.0.0.1", node="a", switch="s1", vlan=3),
-        row("10.0.0.2", node="b", switch="s2", port=4, vlan=7),
-    )
-    db2 = ConfigDatabase.from_json(db.to_json())
-    assert len(db2) == 2
-    r = db2.expected(IPAddress("10.0.0.2"))
-    assert (r.node, r.switch, r.port, r.vlan, r.router) == ("b", "s2", 4, 7, None)
-
-
-def test_json_preserves_router_column():
-    db = ConfigDatabase()
-    db.add(ExpectedAdapter(IPAddress("10.0.0.9"), "n", "sw", 0, 1, router="core"))
-    db2 = ConfigDatabase.from_json(db.to_json())
-    assert db2.expected(IPAddress("10.0.0.9")).router == "core"

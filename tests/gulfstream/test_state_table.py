@@ -120,3 +120,20 @@ def test_a_timer_outside_its_states_does_nothing(monkeypatch):
     member.sim.run(until=member.sim.now + 0.01)
     assert member.state is AdapterState.MEMBER
     assert member.pending_prepare is None
+
+
+def test_an_instance_starts_once(monkeypatch):
+    """``_guarded`` checks the state alone, so a second ``start()`` — which
+    would let the first run's timers reach the second — must raise. A
+    daemon's boot builds new instances instead."""
+    leader, member, _ = _group(monkeypatch)
+    with pytest.raises(RuntimeError, match="started twice"):
+        leader.start()
+    member.stop()
+    with pytest.raises(RuntimeError, match="started twice"):
+        member.start()
+    # a stopped instance's pending timers reach no callback
+    pending = member.pending_prepare = object()
+    member._later(0.0, member._clear_pending, pending)
+    member.sim.run(until=member.sim.now + 0.01)
+    assert member.pending_prepare is pending

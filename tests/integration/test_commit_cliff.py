@@ -20,6 +20,12 @@ cases pin that as strict xfails: they start passing, and so must be turned
 into plain tests, in the change that bounds the beacon phase's load. The
 300-host twins, below both cliffs, must keep passing.
 
+The backlog does harm after the formation too: on a fault-free 450-host
+VLAN the formation keeps all 450 members (9.0 sim s), and then a live
+member is committed out as a ``death`` (15.67 sim s) — a false suspicion
+born of the same backlog. That case is a strict xfail as well, for the
+same change to turn into a plain test.
+
 The same farms pin what the defect costs: admin 2PC rounds (each
 ``gs.2pc.prepare``) per cold discovery. Below the cliff one round carries
 the VLAN to stability; at 512 hosts the dropped members rejoin through
@@ -84,6 +90,24 @@ def test_formation_commit_keeps_every_member_at_512_hosts():
     commit = _first_commit(512)
     assert commit["reason"] == "formation"
     assert commit["dropped"] == 0
+
+
+#: the fault-free 450-host VLAN commits its false ``death`` at 15.67 sim s
+FALSE_DEATH_HORIZON_SIM_S = 16.0
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="ROADMAP item 10: the beacon phase's backlog gets a live member of a "
+    "fault-free 450-host VLAN committed out as a death",
+)
+def test_no_member_of_a_fault_free_vlan_is_committed_dead_at_450_hosts():
+    sim = _farm(450, "gs.2pc.commit").sim
+    deaths = []
+    while not deaths and sim.now < FALSE_DEATH_HORIZON_SIM_S:
+        sim.run(until=sim.now + 0.25)
+        deaths = [r.data for r in sim.trace.records if r.data["reason"] == "death"]
+    assert deaths == []
 
 
 def _rounds_to_stability(hosts: int) -> int:

@@ -29,7 +29,6 @@ from repro.checks import InvariantMonitor
 from repro.checks.campaign import CHAOS_PARAMS, ChaosInjector, oceano_spec
 from repro.checks.invariants import CheckWindows
 from repro.farm.builder import build_farm, build_zoned_farm
-from repro.farm.scenario import Scenario
 from repro.gulfstream.adapter_proto import AdapterProtocol, AdapterState
 from repro.gulfstream.amg import AMGView
 from repro.gulfstream.daemon import GulfStreamDaemon
@@ -232,14 +231,20 @@ def _compile(program):
 
 
 def _zoned_run(plan, duration=21.0, **overrides):
-    """The ZONED farm through ``Scenario(farm).run()``: ``(farm, result)``."""
+    """The ZONED farm with ``plan`` armed, waited on for GSC stability and
+    run to ``duration``: ``(farm, stability time)``."""
     farm = build_zoned_farm(**{**ZONED, **overrides})
-    return farm, Scenario(farm, plan=plan, duration=duration).run()
+    plan.arm(farm.sim, farm.fabric, farm.hosts)
+    farm.start()
+    stable = farm.run_until_stable(timeout=duration)
+    farm.sim.run(until=duration)
+    gsc = farm.gsc()
+    return farm, gsc.stable_time if gsc else stable
 
 
 def _zoned_print(os_name, plan, duration=21.0):
-    farm, res = _zoned_run(plan, duration, os_params=OS[os_name])
-    return _farm_print(farm, stable=res.stable_time, unfired=res.unfired_faults)
+    farm, stable = _zoned_run(plan, duration, os_params=OS[os_name])
+    return _farm_print(farm, stable=stable)
 
 
 @pytest.mark.slow

@@ -16,12 +16,8 @@ from __future__ import annotations
 import json
 import pathlib
 
-import pytest
-
 from repro.farm.builder import build_testbed
 from repro.gulfstream.params import GSParams
-
-pytestmark = pytest.mark.slow
 
 GOLDEN = pathlib.Path(__file__).parent / "golden_oceano_metrics.json"
 

@@ -164,8 +164,8 @@ def test_chaos_corpus(monkeypatch, mix, seed):
 
 
 def _zoned_print(plan, duration=21.0):
-    farm, res = _zoned_run(plan, duration)
-    return _full_print(farm, stable=res.stable_time, unfired=res.unfired_faults)
+    farm, stable = _zoned_run(plan, duration)
+    return _full_print(farm, stable=stable)
 
 
 @pytest.mark.slow

@@ -1,11 +1,9 @@
-"""Link-quality models: loss probabilities, latency bounds, congestion knee."""
+"""Link-quality models: loss probabilities and latency bounds."""
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from repro.net.loss import LinkQuality, LoadDependentLoss, PerfectLink
+from repro.net.loss import LinkQuality, PerfectLink
 
 
 def test_perfect_link_never_drops():
@@ -55,50 +53,6 @@ def test_invalid_quality_params_rejected(kwargs):
         LinkQuality(**kwargs)
 
 
-def test_load_dependent_flat_below_capacity():
-    q = LoadDependentLoss(base_loss=0.01, capacity=1000.0, overload_slope=0.5)
-    assert q.effective_loss(0.0) == 0.01
-    assert q.effective_loss(999.0) == 0.01
-
-
-def test_load_dependent_rises_above_capacity():
-    q = LoadDependentLoss(base_loss=0.0, capacity=1000.0, overload_slope=0.5)
-    assert q.effective_loss(2000.0) == pytest.approx(0.5)
-    assert q.effective_loss(1500.0) == pytest.approx(0.25)
-
-
-def test_load_dependent_caps_at_max_loss():
-    q = LoadDependentLoss(base_loss=0.0, capacity=100.0, overload_slope=1.0, max_loss=0.9)
-    assert q.effective_loss(1e9) == 0.9
-
-
-@pytest.mark.parametrize(
-    "kwargs",
-    [{"capacity": 0.0}, {"overload_slope": -1.0}, {"max_loss": 1.5}],
-)
-def test_invalid_load_dependent_params(kwargs):
-    with pytest.raises(ValueError):
-        LoadDependentLoss(**kwargs)
-
-
-@settings(max_examples=50, deadline=None)
-@given(
-    st.floats(min_value=0.0, max_value=1.0),
-    st.floats(min_value=0.0, max_value=1e6, allow_nan=False),
-)
-def test_property_effective_loss_in_unit_interval(p, load):
-    q = LoadDependentLoss(base_loss=p * 0.5, capacity=100.0, overload_slope=0.7)
-    assert 0.0 <= q.effective_loss(load) <= 1.0
-
-
-class _SpikyLoss(LinkQuality):
-    """A test-local model that answers for itself: lossless by its fields,
-    lossy by its override."""
-
-    def effective_loss(self, load):
-        return 0.5 if load > 10 else 0.0
-
-
 @pytest.mark.parametrize(
     "quality, expected",
     [
@@ -108,9 +62,6 @@ class _SpikyLoss(LinkQuality):
         (LinkQuality(latency=0.001, jitter=0.0), 0.001),
         (LinkQuality(latency=0.001, jitter=0.0002), None),
         (LinkQuality(loss_probability=0.1, latency=0.001, jitter=0.0), None),
-        (LoadDependentLoss(jitter=0.0), None),
-        (LoadDependentLoss(), None),
-        (_SpikyLoss(latency=0.001, jitter=0.0), None),
     ],
 )
 def test_fixed_latency_is_set_only_when_the_link_can_neither_drop_nor_jitter(quality, expected):
@@ -119,6 +70,6 @@ def test_fixed_latency_is_set_only_when_the_link_can_neither_drop_nor_jitter(qua
         # ... and then it is what every sample would have said, RNG untouched
         rng = np.random.default_rng(0)
         state = rng.bit_generator.state
-        assert quality.sample(rng, load=1e9) == (True, expected)
-        assert quality.sample_batch(rng, 1e9, 5) == (None, expected)
+        assert quality.sample(rng) == (True, expected)
+        assert quality.sample_batch(rng, 5) == (None, expected)
         assert rng.bit_generator.state == state

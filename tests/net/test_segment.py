@@ -173,27 +173,6 @@ def test_counters_and_bytes():
     assert seg.frames_delivered == 3  # 2 multicast receivers + 1 unicast
 
 
-def test_offered_load_tracks_rate():
-    sim, fab, nics = make_segment(2)
-    seg = fab.segments[1]
-
-    def burst():
-        for _ in range(50):
-            nics[0].send(nics[1].ip, "x")
-
-    for t in range(5):
-        sim.schedule_at(float(t), burst)
-    sim.run()
-    assert seg.offered_load > 10
-
-
-def test_ambient_load_adds_to_offered():
-    sim, fab, nics = make_segment(2)
-    seg = fab.segments[1]
-    seg.ambient_load = 123.0
-    assert seg.offered_load >= 123.0
-
-
 def test_duplicate_ip_on_segment_rejected():
     sim = Simulator()
     fab = Fabric(sim)

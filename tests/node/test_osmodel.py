@@ -69,15 +69,6 @@ def test_handle_ideal_is_immediate_but_ordered():
     assert done == [1, 2]
 
 
-def test_after_phase_lag_schedules():
-    sim = Simulator()
-    os = OSModel(sim, "h", OSParams(phase_lag=(0.5, 0.5)))
-    done = []
-    os.after_phase_lag(lambda: done.append(sim.now))
-    sim.run()
-    assert done == [0.5]
-
-
 @settings(max_examples=30, deadline=None)
 @given(st.integers(min_value=1, max_value=20))
 def test_property_serialized_total_time(n):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.sim.engine import Simulator
-from repro.sim.process import Timer, delayed
+from repro.sim.process import Timer
 
 
 def test_timer_fires_periodically():
@@ -125,11 +125,3 @@ def test_timer_reuse_with_jitter_keeps_rng_stream():
     sim2.run()
     assert ticks_a == ticks_b  # same rng seed -> identical jittered schedule
 
-
-def test_delayed_one_shot():
-    sim = Simulator()
-    fired = []
-    delayed(sim, 2.0, fired.append, "x")
-    sim.run()
-    assert fired == ["x"]
-    assert sim.now == 2.0
