@@ -26,7 +26,6 @@ from _common import bench_jobs, emit, once
 CASES = 3
 DURATION = 30.0
 RATE = 120.0
-USERS = 100_000
 #: redundant front ends per domain: the dispatcher's failover retry is
 #: part of what the availability floor measures
 FRONT_ENDS = 2
@@ -36,7 +35,7 @@ MIX = "mixed"
 def run_campaign():
     rows = run_traffic_campaign(
         cases=CASES, jobs=bench_jobs(), base_seed=0,
-        duration=DURATION, rate=RATE, n_users=USERS, mix=MIX,
+        duration=DURATION, rate=RATE, mix=MIX,
         front_ends=FRONT_ENDS,
     )
     report = build_traffic_report(rows, base_seed=0, mix=MIX)

@@ -375,10 +375,9 @@ def cmd_chaos(args) -> int:
 
 
 def cmd_workload(args) -> int:
-    from repro.checks import MIXES
+    from repro.checks import MIXES, write_report
     from repro.workload.traffic import (
         build_traffic_report, render_traffic_report, run_traffic_campaign,
-        write_report,
     )
 
     mix = None if args.mix in (None, "none") else args.mix
@@ -400,7 +399,6 @@ def cmd_workload(args) -> int:
         spares=args.spares,
         rate=args.rate,
         duration=args.duration,
-        n_users=args.users,
         mix=mix,
         profile=args.profile,
     )
@@ -573,10 +571,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="peak aggregate arrival rate, requests/sec")
     p.add_argument("--duration", type=float, default=30.0,
                    help="request-stream window per case, simulated seconds")
-    p.add_argument("--users", type=int, default=100_000,
-                   help="simulated user population (Zipf-distributed); the "
-                        "farm routes requests by domain alone, so no report "
-                        "value depends on it")
     p.add_argument("--mix", default="none",
                    help="chaos mix to run under the traffic (none, crash, "
                         "adapters, partition, leader, mixed)")

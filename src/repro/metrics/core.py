@@ -344,11 +344,9 @@ class MetricsRegistry:
     def dump(self) -> List[Dict[str, Any]]:
         """Collect, then export every instrument as a plain-data record.
 
-        The record list is picklable and registry-free (instruments hold
-        closures via collectors, and a live registry holds its simulator's
-        clock): ``from_dump(dump())`` is a snapshot that keeps no farm
-        alive. Order is the registry's iteration order (sorted by key), so
-        the dump is deterministic. Rebuild with :meth:`from_dump`.
+        The record list is picklable and registry-free. Order is the
+        registry's iteration order (sorted by key), so the dump is
+        deterministic.
         """
         self.collect()
         out: List[Dict[str, Any]] = []
@@ -370,28 +368,18 @@ class MetricsRegistry:
             out.append(record)
         return out
 
-    @staticmethod
-    def from_dump(dump: Sequence[Dict[str, Any]]) -> "MetricsRegistry":
-        """Rebuild a clock-less registry from a :meth:`dump` record list."""
-        reg = MetricsRegistry()
-        for record in dump:
-            kind = record["kind"]
-            name = record["name"]
-            labels: Dict[str, Any] = record["labels"]
-            if kind == "counter":
-                reg.counter(name, **labels).inc(record["value"])
-            elif kind == "gauge":
-                reg.gauge(name, **labels).set(record["value"])
-            elif kind == "histogram":
-                hist = reg.histogram(name, buckets=record["bounds"], **labels)
-                hist.bucket_counts = list(record["bucket_counts"])
-                hist.count = record["count"]
-                hist.sum = record["sum"]
-                hist.min = record["min"]
-                hist.max = record["max"]
-            else:
-                raise ValueError(f"unknown metric kind {kind!r} in dump")
-        return reg
+    def detach(self) -> "MetricsRegistry":
+        """Collect once more, then drop the collectors and the clock.
+
+        Both hold the simulator (collectors are closures over its segments,
+        NICs and engine; the clock is its ``now``). A detached registry
+        holds only its instruments' values, so it outlives the farm it
+        measured without keeping the farm alive. Returns the registry.
+        """
+        self.collect()
+        self._collectors = []
+        self.clock = None
+        return self
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"MetricsRegistry(metrics={len(self._metrics)}, samples={len(self.samples)})"

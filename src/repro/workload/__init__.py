@@ -1,13 +1,13 @@
 """Seed-deterministic user-request workloads and the traffic plane.
 
 The package the paper's motivation calls for: simulated hosted-web
-traffic — Poisson arrivals, truncated-Zipf customer/user popularity,
+traffic — Poisson arrivals, truncated-Zipf customer-domain popularity,
 diurnal modulation — streamed as real request frames into the farm's
 dispatcher/front-end/back-end plane (:mod:`repro.farm.requests`), with an
 autoscaler translating the measured load into live GSC/SNMP domain moves.
 
-* :mod:`repro.workload.generators` — iterator request streams (Icarus
-  idiom: no in-RAM schedules).
+* :mod:`repro.workload.generators` — iterator request streams of
+  ``(time, domain)`` arrivals (Icarus idiom: no in-RAM schedules).
 * :mod:`repro.workload.profiles` — deterministic rate profiles (diurnal,
   flash crowds, the Océano sinusoid model).
 * :mod:`repro.workload.autoscaler` — the grow/shrink controller (measured
@@ -18,7 +18,6 @@ autoscaler translating the measured load into live GSC/SNMP domain moves.
 
 from repro.workload.autoscaler import Autoscaler, ScalerMove
 from repro.workload.generators import (
-    RequestEvent,
     RequestStream,
     TruncatedZipf,
     constant_rate,
@@ -43,7 +42,6 @@ __all__ = [
     "Autoscaler",
     "DiurnalProfile",
     "DomainLoadModel",
-    "RequestEvent",
     "RequestStream",
     "ScalerMove",
     "SpikeSchedule",

@@ -10,7 +10,7 @@ accomplished with minimal service interruption"):
   :class:`~repro.workload.generators.RequestStream` (Poisson arrivals,
   truncated-Zipf domains, diurnal modulation): real ``Request``
   frames to the domains' front ends, one pending arrival at a time —
-  millions of simulated users, constant memory.
+  millions of requests, constant memory.
 * An :class:`~repro.workload.autoscaler.Autoscaler` watching measured
   per-domain arrivals and moving spare servers between the free pool and
   the domains through GSC/SNMP reconfig, live, while requests flow.
@@ -19,48 +19,38 @@ accomplished with minimal service interruption"):
   headline capacity number is *moves per hour sustained without invariant
   violation* and the availability/latency SLOs are measured during churn.
 
-A case is one farm on one simulator.
+A case is one farm on one simulator; :func:`run_sharded` runs it and hands
+over what it ran: the registry, the trace counters, the monitor's checks,
+waivers and violations, and the faults the chaos mix planned.
 """
 
 from __future__ import annotations
 
 import gc
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Sequence, Union
+from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
-from repro.checks.campaign import CHAOS_PARAMS, MIXES, ChaosInjector, write_report
-from repro.checks.invariants import (
-    MONITOR_TRACE_CATEGORIES,
-    CheckWindows,
-    InvariantMonitor,
-)
+from repro.checks.campaign import CHAOS_PARAMS, MIXES, ChaosInjector
+from repro.checks.invariants import CheckWindows, InvariantMonitor, monitor_trace
 from repro.farm.builder import ADMIN_VLAN, FREE_POOL_VLAN, Farm, FarmBuilder
 from repro.farm.domain import DISPATCH_VLAN, DOMAIN_VLAN_BASE
 from repro.farm.requests import TrafficSource, deploy_service
 from repro.metrics.core import MetricsRegistry
 from repro.node.osmodel import OSParams
 from repro.runner import run_sweep
-from repro.sim.trace import Trace, TraceRecord
 from repro.workload.autoscaler import Autoscaler
 from repro.workload.generators import STREAM_NAMES, RequestStream
 from repro.workload.profiles import WORKLOAD_PROFILES, DiurnalProfile, SpikeSchedule
 
 __all__ = [
-    "TRAFFIC_PARAMS",
     "TRAFFIC_START",
-    "TRAFFIC_TRACE_CATEGORIES",
     "build_traffic_farm",
     "build_traffic_report",
     "render_traffic_report",
     "run_traffic_campaign",
     "run_traffic_case",
     "traffic_horizon",
-    "write_report",
 ]
-
-#: protocol parameters for traffic runs — the chaos campaign's fast-but-
-#: complete timing, so stabilization and settle windows stay benchable
-TRAFFIC_PARAMS = CHAOS_PARAMS
 
 #: simulated time the request stream opens; the farm must have discovered
 #: and stabilized by then (CHAOS_PARAMS farms stabilize in ~10 s)
@@ -77,21 +67,6 @@ REQUEST_TIMEOUT = 1.5
 DIURNAL_PERIOD = 60.0
 DIURNAL_TROUGH = 0.25
 
-#: trace categories a traffic case stores: what the monitor consumes,
-#: plus the events the SLO report is built from. Everything else stays on
-#: the counter-only fast path — a million requests leave no records.
-TRAFFIC_TRACE_CATEGORIES = tuple(
-    sorted(
-        MONITOR_TRACE_CATEGORIES
-        | {
-            "checks.violation",
-            "traffic.violation",
-            "autoscaler.grow",
-            "autoscaler.shrink",
-        }
-    )
-)
-
 _DOMAIN_BASENAMES = ("alpha", "bravo", "charlie", "delta", "echo", "foxtrot")
 
 
@@ -104,7 +79,7 @@ def _domain_names(n: int) -> List[str]:
 def _settle(mix: Optional[str]) -> float:
     if mix is None:
         return TRAFFIC_SETTLE
-    windows = CheckWindows.from_params(TRAFFIC_PARAMS, OSParams.fast())
+    windows = CheckWindows.from_params(CHAOS_PARAMS, OSParams.fast())
     return windows.settle_time
 
 
@@ -169,42 +144,20 @@ class _TrafficChaos(ChaosInjector):
 # ----------------------------------------------------------------------
 # the farm
 # ----------------------------------------------------------------------
-def _finalize_checks(monitor: InvariantMonitor, farm: Farm) -> None:
-    """Quiescence checks, folded into metrics/trace so the case's snapshot
-    holds them: counts as ``checks.count{invariant=}`` counters, every
-    violation as one ``traffic.violation`` record carrying the full
-    detail."""
-    monitor.finalize()
-    reg = farm.sim.metrics
-    for name, count in monitor.checks.items():
-        reg.counter("checks.count", invariant=name).set_total(count)
-    reg.counter("checks.waived").set_total(monitor.waived)
-    reg.counter("checks.violations").set_total(len(monitor.violations))
-    for v in monitor.violations:
-        farm.sim.trace.emit(
-            farm.sim.now,
-            "traffic.violation",
-            v.subject,
-            at=round(v.time, 6),
-            invariant=v.invariant,
-            detail=v.detail,
-        )
-
-
-def build_traffic_farm(
+def _build_case(
     domains: int = 2,
     front_ends: int = 1,
     back_ends: int = 3,
     spares: int = 2,
     rate: float = 120.0,
     duration: float = 30.0,
-    n_users: int = 1_000_000,
     mix: Optional[str] = None,
     profile: str = "diurnal",
     seed: int = 0,
     trace: Any = None,
-) -> Farm:
-    """An Océano farm with the whole traffic plane scheduled onto it.
+) -> Tuple[Farm, InvariantMonitor, Dict[str, int]]:
+    """An Océano farm with the whole traffic plane scheduled onto it, its
+    invariant monitor, and the faults the chaos mix planned, by kind.
 
     Layout: the dispatcher node ``dispatch-0`` (admin + dispatch VLANs),
     ``site-0`` (the only GSC-eligible node, parked on the free pool), and
@@ -213,11 +166,6 @@ def build_traffic_farm(
     movable spares. Everything the case does (stream start/stop,
     autoscaler ticks, chaos faults, monitor start/finalize) is scheduled
     here at fixed simulated times, so the build fully determines the run.
-
-    The source reads the stream's
-    :meth:`~repro.workload.generators.RequestStream.arrivals`: requests are
-    routed by domain alone, so the run ranks no user, and ``n_users`` moves
-    no simulated byte and builds no rank table.
     """
     if mix is not None and mix not in MIXES:
         raise ValueError(f"unknown mix {mix!r}: choose from {sorted(MIXES)}")
@@ -228,7 +176,7 @@ def build_traffic_farm(
         )
     names = _domain_names(domains)
     b = FarmBuilder(
-        seed=seed, params=TRAFFIC_PARAMS, os_params=OSParams.fast(), trace=trace
+        seed=seed, params=CHAOS_PARAMS, os_params=OSParams.fast(), trace=trace
     ).switches(2)
     farm = b._farm
     b.add_node("dispatch-0", [ADMIN_VLAN, DISPATCH_VLAN])
@@ -264,13 +212,12 @@ def build_traffic_farm(
         names,
         base_rate=rate,
         duration=duration,
-        n_users=n_users,
         profile=rate_profile,
         peak_factor=peak_factor,
         rngs=rngs,
     )
     TrafficSource(
-        farm.hosts["dispatch-0"], fe_ips, stream.arrivals(), start_at=TRAFFIC_START,
+        farm.hosts["dispatch-0"], fe_ips, stream, start_at=TRAFFIC_START,
         timeout=REQUEST_TIMEOUT,
     )
 
@@ -280,6 +227,7 @@ def build_traffic_farm(
     monitor = InvariantMonitor(farm, windows=windows, vlan_scope=scope)
     sim.schedule_at(TRAFFIC_START, monitor.start)
     Autoscaler(farm, names, start_at=TRAFFIC_START, stop_at=traffic_end).start()
+    faults: Dict[str, int] = {}
     if mix is not None:
         chaos = _TrafficChaos(
             farm, mix,
@@ -288,10 +236,21 @@ def build_traffic_farm(
             vlans=sorted(farm.domain_vlans.values()),
         )
         chaos.plan(start=TRAFFIC_START, duration=duration)
-        for kind, count in sorted(chaos.counts.items()):
-            sim.metrics.counter("chaos.faults", kind=kind).set_total(count)
-    sim.schedule_at(traffic_end + _settle(mix), _finalize_checks, monitor, farm)
-    return farm
+        faults = dict(sorted(chaos.counts.items()))
+    sim.schedule_at(traffic_end + _settle(mix), monitor.finalize)
+    return farm, monitor, faults
+
+
+def build_traffic_farm(n_users: int = 1_000_000, **case: Any) -> Farm:
+    """The traffic farm of one case: :func:`_build_case`'s farm for the
+    same keywords (``domains``, ``front_ends``, ``back_ends``, ``spares``,
+    ``rate``, ``duration``, ``mix``, ``profile``, ``seed``, ``trace``).
+
+    ``n_users`` is ignored: the farm routes a request by its domain alone,
+    so no run ranks a user. ``benchmarks/e2e`` passes it, and it goes with
+    ROADMAP item 5's ``[benchmark]`` PR.
+    """
+    return _build_case(**case)[0]
 
 
 # ----------------------------------------------------------------------
@@ -306,18 +265,23 @@ class TrafficRun:
     duration: float
     #: the trace's per-category counts
     counters: Dict[str, int]
-    #: the simulator's registry, rebuilt from its dump
+    #: the simulator's registry, detached from the simulator
     metrics: MetricsRegistry
-    #: the run's ``traffic.violation`` records
-    violations: List[TraceRecord]
+    #: the monitor's checks per invariant, and its waived obligations
+    checks: Dict[str, int]
+    waived: int
+    #: the monitor's violations, as :meth:`Violation.as_dict` rows
+    violations: List[Dict[str, Any]]
+    #: the faults the chaos mix planned, by kind (empty without a mix)
+    faults: Dict[str, int]
     #: always 0 (one simulator, nothing crosses between simulators)
     cross_messages: int = 0
 
 
 def run_sharded(farm_kwargs: Dict[str, Any], duration: float) -> TrafficRun:
-    """Build the traffic farm ``build_traffic_farm(**farm_kwargs)``, wait
-    for GSC stability until ``TRAFFIC_START``, run it to ``duration``, and
-    snapshot what the row needs.
+    """Build the traffic case ``_build_case(**farm_kwargs)``, wait for GSC
+    stability until ``TRAFFIC_START``, run it to ``duration``, and hand
+    over what it ran.
 
     The name is a seam for ``benchmarks/e2e``: its ``traffic`` workload
     replaces ``repro.workload.traffic.run_sharded`` with a wrapper that
@@ -328,7 +292,7 @@ def run_sharded(farm_kwargs: Dict[str, Any], duration: float) -> TrafficRun:
     the farm is one web of reference cycles (sim <-> hosts), freed here
     rather than left for whatever the caller allocates next.
     """
-    farm = build_traffic_farm(trace=Trace(categories=TRAFFIC_TRACE_CATEGORIES), **farm_kwargs)
+    farm, monitor, faults = _build_case(trace=monitor_trace(), **farm_kwargs)
     sim = farm.sim
     farm.start()
     stable = farm.run_until_stable(timeout=TRAFFIC_START)
@@ -338,10 +302,13 @@ def run_sharded(farm_kwargs: Dict[str, Any], duration: float) -> TrafficRun:
         stable_time=gsc.stable_time if gsc else stable,
         duration=sim.now,
         counters=dict(sim.trace.counters),
-        metrics=MetricsRegistry.from_dump(sim.metrics.dump()),
-        violations=sim.trace.select("traffic.violation"),
+        metrics=sim.metrics.detach(),
+        checks=dict(monitor.checks),
+        waived=monitor.waived,
+        violations=[v.as_dict() for v in monitor.violations],
+        faults=faults,
     )
-    del farm, sim, gsc
+    del farm, sim, gsc, monitor
     gc.collect()
     return run
 
@@ -365,10 +332,9 @@ def run_traffic_case(
 
     ``case`` and ``rep`` only differentiate the derived task seed when
     fanned out by :func:`run_traffic_campaign` (``rep`` is the replicate
-    index of the same case). ``n_users`` leaves the row unchanged (the farm
-    routes by domain, see :func:`build_traffic_farm`); it is kept as an
-    argument, and so in the result-cache key. ``shards`` must be 1:
-    ``benchmarks/e2e`` passes it, and it goes with ROADMAP item 5's
+    index of the same case). ``n_users`` is ignored (the farm routes by
+    domain, see :func:`build_traffic_farm`) and ``shards`` must be 1:
+    ``benchmarks/e2e`` passes both, and they go with ROADMAP item 5's
     ``[benchmark]`` PR.
     """
     if shards != 1:
@@ -380,7 +346,6 @@ def run_traffic_case(
         spares=spares,
         rate=rate,
         duration=duration,
-        n_users=n_users,
         mix=mix,
         profile=profile,
         seed=seed,
@@ -422,31 +387,7 @@ def run_traffic_case(
         "p99": round(hist.percentile(99), 6),
         "mean": round(hist.sum / hist.count, 6) if hist.count else 0.0,
     }
-    violations = [
-        {
-            "time": rec.data["at"],
-            "invariant": rec.data["invariant"],
-            "subject": rec.source,
-            "detail": rec.data["detail"],
-        }
-        for rec in res.violations
-    ]
-    checks = {
-        name: int(reg.counter("checks.count", invariant=name).value)
-        for name in (
-            "single_leader",
-            "membership_agreement",
-            "detection_latency",
-            "no_lost_adapter",
-            "verify_topology",
-        )
-    }
     total_moves = moves["grow"] + moves["shrink"]
-    faults = {
-        dict(m.labels)["kind"]: int(m.value)
-        for m in reg
-        if m.name == "chaos.faults"
-    }
     return {
         "seed": seed,
         "mix": mix,
@@ -460,12 +401,12 @@ def run_traffic_case(
         "domains": per_domain,
         "moves": {**moves, "total": total_moves},
         "moves_per_hour": (
-            round(total_moves * 3600.0 / duration, 6) if not violations else 0.0
+            round(total_moves * 3600.0 / duration, 6) if not res.violations else 0.0
         ),
-        "checks": checks,
-        "waived": int(reg.counter("checks.waived").value),
-        "violations": violations,
-        "faults": faults,
+        "checks": res.checks,
+        "waived": res.waived,
+        "violations": res.violations,
+        "faults": res.faults,
         # constant; benchmarks/e2e hashes the whole row (ROADMAP item 5)
         "n_islands": 1,
         "cross_messages": 0,

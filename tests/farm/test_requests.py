@@ -6,7 +6,7 @@ from repro.farm import DomainSpec, FarmSpec, build_farm
 from repro.farm.requests import BackEndApp, TrafficSource, deploy_service
 from repro.gulfstream import GSParams
 from repro.node.osmodel import OSParams
-from repro.workload.generators import RequestEvent, constant_rate
+from repro.workload.generators import Arrival, constant_rate
 
 PARAMS = GSParams(beacon_duration=1.5, beacon_interval=0.5, amg_stable_wait=1.5,
                   gsc_stable_wait=3.0, hb_interval=0.5, probe_timeout=0.5,
@@ -149,8 +149,7 @@ def test_retry_fails_over_inside_the_requests_own_domain():
     farm.hosts["acme-fe-1"].crash()
     farm.sim.run(until=farm.sim.now + 10.0)  # past the detection window
     # one request every 2.5 s (slower than the timeout), domains alternating
-    events = [RequestEvent(time=2.5 * k, domain=("acme", "globex")[k % 2], user=0)
-              for k in range(16)]
+    events = [Arrival(2.5 * k, ("acme", "globex")[k % 2]) for k in range(16)]
     source = issuer(farm, fe_ips, events)
     farm.sim.run(until=farm.sim.now + 50.0)
     for domain in ("acme", "globex"):

@@ -1,5 +1,5 @@
-"""The metrics primitives: instruments, keys, sampling, and the plain-data
-snapshot."""
+"""The metrics primitives: instruments, keys, sampling, and detaching a
+registry from its simulator."""
 
 import pytest
 
@@ -158,28 +158,29 @@ def test_clockless_registry_numbers_its_samples():
 
 
 # ----------------------------------------------------------------------
-# the plain-data snapshot
+# detaching from the simulator
 # ----------------------------------------------------------------------
-def _replica(counter_value, gauge_value, observations):
-    reg = MetricsRegistry()
-    reg.counter("c", vlan=10).inc(counter_value)
-    reg.gauge("g").set(gauge_value)
+def test_detach_keeps_the_values_and_drops_the_collectors_and_the_clock():
+    """A traffic case's registry outlives its farm this way: one last
+    collect, then nothing in it reaches the simulator."""
+    tally = {"frames": 0}
+    reg = MetricsRegistry(clock=lambda: 42.0)
+    reg.register_collector(lambda: reg.counter("pulled").set_total(tally["frames"]))
+    reg.counter("c", vlan=10).inc(3)
+    reg.gauge("g").set(10.0)
     h = reg.histogram("h", buckets=(1.0, 2.0))
-    for v in observations:
+    for v in (0.5, 1.5, 3.0):
         h.observe(v)
-    return reg
-
-
-def test_dump_roundtrips_every_instrument_kind():
-    """dump() -> from_dump() preserves the full snapshot, including
-    histogram bucket placement — a traffic case's registry outlives its
-    farm this way."""
-    reg = _replica(3, 10.0, [0.5, 1.5, 3.0])
-    rebuilt = MetricsRegistry.from_dump(reg.dump())
-    original = {m.key: m.value_dict() for m in reg}
-    assert {m.key: m.value_dict() for m in rebuilt} == original
-
-
-def test_from_dump_rejects_unknown_kind():
-    with pytest.raises(ValueError, match="thermometer"):
-        MetricsRegistry.from_dump([{"kind": "thermometer", "name": "t", "labels": {}}])
+    tally["frames"] = 7
+    assert reg.detach() is reg
+    assert reg.clock is None and reg._collectors == []
+    assert {m.key: m.value_dict() for m in reg} == {
+        "c{vlan=10}": {"value": 3},
+        "g": {"value": 10.0},
+        "h": h.value_dict(),
+        "pulled": {"value": 7},
+    }
+    assert h.bucket_counts == [1, 1, 1] and (h.count, h.sum) == (3, 5.0)
+    tally["frames"] = 9
+    reg.collect()  # no collector left to run
+    assert reg.counter("pulled").value == 7

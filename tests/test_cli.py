@@ -156,7 +156,7 @@ def test_fig5_jobs_matches_serial_through_real_cli(capsys):
 
 def test_workload_smoke(capsys):
     code, out = run(capsys, "workload", "--cases", "1", "--duration", "5",
-                    "--rate", "40", "--users", "1000")
+                    "--rate", "40")
     assert code == 0
     assert "workload campaign: cases=1" in out
     assert "moves/hour sustained" in out
@@ -165,7 +165,7 @@ def test_workload_smoke(capsys):
 
 def test_workload_replicates_fold_into_the_report(capsys):
     code, out = run(capsys, "workload", "--cases", "1", "--replicates", "2",
-                    "--duration", "5", "--rate", "40", "--users", "1000")
+                    "--duration", "5", "--rate", "40")
     assert code == 0
     assert "replicates=2" in out
 
@@ -176,8 +176,7 @@ def test_workload_unknown_mix_exits_2(capsys):
 
 
 #: the smallest workload run that still issues requests
-TINY_WORKLOAD = ("workload", "--cases", "1", "--duration", "5", "--rate", "40",
-                 "--users", "1000")
+TINY_WORKLOAD = ("workload", "--cases", "1", "--duration", "5", "--rate", "40")
 
 
 def test_workload_profile_flag_reaches_the_case(capsys):

@@ -23,7 +23,6 @@ from scipy import stats
 from repro.workload.generators import (
     STREAM_NAMES,
     Arrival,
-    RequestEvent,
     RequestStream,
     TruncatedZipf,
     default_streams,
@@ -176,31 +175,12 @@ def test_domain_shares_follow_zipf_weights():
         assert observed[d] / len(ev) == pytest.approx(z.pmf(rank), abs=0.01)
 
 
-def test_user_popularity_is_zipf_over_the_population():
-    ev = take(RequestStream(["acme"], base_rate=100.0, n_users=1000,
-                            user_alpha=1.0, rngs=default_streams(7)), 50_000)
-    users = np.array([e.user for e in ev])
-    assert users.min() >= 1 and users.max() <= 1000
-    z = TruncatedZipf(1000, alpha=1.0)
-    top1 = np.mean(users == 1)
-    assert top1 == pytest.approx(z.pmf(1), rel=0.1)
-
-
 def test_duration_bounds_the_stream():
     ev = list(RequestStream(["acme"], base_rate=30.0, duration=10.0,
                             rngs=default_streams(8)))
     assert ev, "empty stream"
     assert all(e.time < 10.0 for e in ev)
     assert len(ev) == pytest.approx(300, rel=0.2)
-
-
-def test_million_user_stream_is_lazy():
-    """A million-user stream yields immediately — nothing precomputed per
-    event beyond the CDF table, built at the first user read."""
-    stream = RequestStream(["acme"], base_rate=1000.0, n_users=1_000_000,
-                           rngs=default_streams(9))
-    first = next(iter(stream))
-    assert first.time > 0.0 and 1 <= first.user <= 1_000_000
 
 
 def test_stream_validation():
@@ -211,8 +191,8 @@ def test_stream_validation():
     with pytest.raises(ValueError):
         RequestStream(["a"], base_rate=10.0, peak_factor=0.0)
     rngs = default_streams(0)
-    del rngs["users"]
-    with pytest.raises(ValueError, match="users"):
+    del rngs["domains"]
+    with pytest.raises(ValueError, match="domains"):
         RequestStream(["a"], base_rate=10.0, rngs=rngs)
 
 
@@ -235,10 +215,10 @@ def test_different_seeds_differ():
 
 def test_default_streams_are_independent_per_purpose():
     s = default_streams(42)
-    assert set(s) == {"arrivals", "domains", "users"}
+    assert set(s) == {"arrivals", "domains"}
     draws = {name: rng.random(8).tolist() for name, rng in s.items()}
-    assert draws["arrivals"] != draws["domains"] != draws["users"]
-    # and stable: the same seed rebuilds the same three bit streams
+    assert draws["arrivals"] != draws["domains"]
+    # and stable: the same seed rebuilds the same two bit streams
     again = {n: r.random(8).tolist() for n, r in default_streams(42).items()}
     assert draws == again
 
@@ -246,14 +226,13 @@ def test_default_streams_are_independent_per_purpose():
 # ----------------------------------------------------------------------
 # exactness: the block-evaluated stream ≡ the scalar reference
 # ----------------------------------------------------------------------
-def _reference_stream(domains, base_rate, *, rngs, duration=None, n_users=1_000_000,
-                      user_alpha=0.9, domain_alpha=0.8, profile=None, peak_factor=None):
+def _reference_stream(domains, base_rate, *, rngs, duration=None, domain_alpha=0.8,
+                      profile=None, peak_factor=None):
     """The one-candidate-at-a-time generator, as the stream was first written.
 
     Every candidate draws one exponential and (unless it ends the stream)
-    one domain uniform from 4096-draw buffers, calls the profile once per
-    domain, and every accepted event draws one user rank by a scalar
-    ``searchsorted``. The only edit is ``total``: an explicit left-to-right
+    one domain uniform from 4096-draw buffers and calls the profile once
+    per domain. The only edit is ``total``: an explicit left-to-right
     loop, which is what ``sum`` does on CPython 3.11 and what the block
     generator does on every version (3.12's ``sum`` compensates).
     """
@@ -261,7 +240,6 @@ def _reference_stream(domains, base_rate, *, rngs, duration=None, n_users=1_000_
     peak = base_rate * (1.0 if peak_factor is None else peak_factor)
     zipf = TruncatedZipf(len(domains), domain_alpha)
     weights = [zipf.pmf(r) for r in range(1, len(domains) + 1)]
-    users = TruncatedZipf(n_users, user_alpha)
 
     def buffered(draw):
         buf, i = draw(), 0
@@ -276,10 +254,6 @@ def _reference_stream(domains, base_rate, *, rngs, duration=None, n_users=1_000_
     first = domain_rng.random(4096)  # drawn when the stream is built
     uniforms = buffered(lambda: domain_rng.random(4096))
     uniforms = itertools.chain((float(x) for x in first), uniforms)
-    user_rng = rngs["users"]
-    first_users = user_rng.random(4096)  # drawn when the stream is built
-    user_uniforms = itertools.chain((float(x) for x in first_users),
-                                    buffered(lambda: user_rng.random(4096)))
 
     def events():
         t = 0.0
@@ -307,29 +281,37 @@ def _reference_stream(domains, base_rate, *, rngs, duration=None, n_users=1_000_
                 if u < acc:
                     domain = d
                     break
-            yield RequestEvent(time=t, domain=domain,
-                               user=_scalar_rank(users, next(user_uniforms)))
+            yield Arrival(t, domain)
 
     return events()
 
 
+def _rngs(seed, shared):
+    """Two generators for ``seed``, or one serving both purposes."""
+    if shared:
+        rng = np.random.default_rng(seed)
+        return {name: rng for name in STREAM_NAMES}
+    return default_streams(seed)
+
+
 def _record(events, limit=None):
-    """``(time as float.hex, domain, user)`` per event, then the error
-    message the stream ended with (``None`` for a clean end)."""
+    """``(time as float.hex, domain)`` per event, then the error message
+    the stream ended with (``None`` for a clean end)."""
     out = []
     try:
         for ev in itertools.islice(events, limit):
-            assert type(ev.time) is float and type(ev.user) is int
-            out.append((ev.time.hex(), ev.domain, ev.user))
+            assert type(ev) is Arrival and type(ev.time) is float
+            out.append((ev.time.hex(), ev.domain))
     except ValueError as exc:
         return out, str(exc)
     return out, None
 
 
-def _assert_block_matches_reference(domains, base_rate, seed=0, limit=None, **kwargs):
-    block = _record(iter(RequestStream(domains, base_rate, rngs=default_streams(seed),
+def _assert_block_matches_reference(domains, base_rate, seed=0, limit=None, shared=False,
+                                    **kwargs):
+    block = _record(iter(RequestStream(domains, base_rate, rngs=_rngs(seed, shared),
                                        **kwargs)), limit)
-    reference = _record(_reference_stream(domains, base_rate, rngs=default_streams(seed),
+    reference = _record(_reference_stream(domains, base_rate, rngs=_rngs(seed, shared),
                                           **kwargs), limit)
     assert block == reference
     return block
@@ -344,8 +326,7 @@ def test_block_stream_is_the_scalar_stream_for_every_traffic_shape(shape):
     its flat and flash siblings), event for event and bit for bit."""
     profile, peak_factor = _resolve_profile(shape, E2E_NAMES, 60.0)
     events, error = _assert_block_matches_reference(
-        E2E_NAMES, 600.0, seed=1, duration=60.0, n_users=1_000_000,
-        profile=profile, peak_factor=peak_factor,
+        E2E_NAMES, 600.0, seed=1, duration=60.0, profile=profile, peak_factor=peak_factor,
     )
     assert error is None and len(events) > 2 * 4096
 
@@ -376,13 +357,13 @@ def test_block_stream_is_the_scalar_stream_for_negative_and_nan_profiles():
 
 def test_block_stream_is_the_scalar_stream_for_the_default_profile():
     events, error = _assert_block_matches_reference(
-        ["a", "b", "c"], 50.0, seed=4, duration=200.0, n_users=5000,
+        ["a", "b", "c"], 50.0, seed=4, duration=200.0,
     )
     assert error is None and len(events) > 4096
 
 
 def test_unbounded_block_stream_reads_through_block_boundaries():
-    """``duration=None``: > 3 candidate blocks and > 3 user blocks."""
+    """``duration=None``: > 3 candidate blocks."""
     prof = DiurnalProfile(period=50.0, trough=0.5, domains=["x", "y"], stagger=True)
     events, error = _assert_block_matches_reference(
         ["x", "y"], 200.0, seed=5, limit=3 * 4096 + 1500, profile=prof,
@@ -393,13 +374,15 @@ def test_unbounded_block_stream_reads_through_block_boundaries():
 @pytest.mark.parametrize("crossing", [30.0, 50.0])
 def test_peak_violation_raises_at_the_same_candidate(crossing):
     """Same events before the raise (in the first block and in a later
-    one), then the same message."""
-    events, error = _assert_block_matches_reference(
-        ["a", "b"], 100.0, seed=6, duration=80.0,
-        profile=lambda d, t: 2.0 if t > crossing else 0.5,
-    )
-    assert error is not None and "peak_factor" in error
-    assert events and float.fromhex(events[-1][0]) <= crossing
+    one), then the same message, with two generators or one shared by
+    both purposes."""
+    for shared in (False, True):
+        events, error = _assert_block_matches_reference(
+            ["a", "b"], 100.0, seed=6, duration=80.0, shared=shared,
+            profile=lambda d, t: 2.0 if t > crossing else 0.5,
+        )
+        assert error is not None and "peak_factor" in error
+        assert events and float.fromhex(events[-1][0]) <= crossing
 
 
 @settings(max_examples=25, deadline=None, derandomize=True)
@@ -407,108 +390,26 @@ def test_peak_violation_raises_at_the_same_candidate(crossing):
     seed=st.integers(min_value=0, max_value=2**32 - 1),
     n_domains=st.integers(min_value=1, max_value=5),
     rate=st.sampled_from([7.0, 45.0, 130.0]),
+    shared=st.booleans(),
 )
-def test_block_stream_is_the_scalar_stream_over_seeds(seed, n_domains, rate):
+def test_block_stream_is_the_scalar_stream_over_seeds(seed, n_domains, rate, shared):
+    """With two generators or one shared by both purposes."""
     names = [f"d{k}" for k in range(n_domains)]
     prof = DiurnalProfile(period=17.0, trough=0.1, domains=names, stagger=True)
     _assert_block_matches_reference(
-        names, rate, seed=seed, duration=5000.0 / rate, n_users=999,
+        names, rate, seed=seed, duration=5000.0 / rate, shared=shared,
         profile=prof, peak_factor=prof.peak,
     )
 
 
-# ----------------------------------------------------------------------
-# arrivals() ≡ the (time, domain) projection of the events
-# ----------------------------------------------------------------------
-def _rngs(seed, shared):
-    """Three generators for ``seed``, or one serving all three purposes."""
-    if shared:
-        rng = np.random.default_rng(seed)
-        return {name: rng for name in STREAM_NAMES}
-    return default_streams(seed)
-
-
-def _pairs(events, limit=None):
-    """``(time as float.hex, domain)`` per event, then the stream's error."""
-    out = []
-    try:
-        for ev in itertools.islice(events, limit):
-            assert type(ev.time) is float
-            out.append((ev.time.hex(), ev.domain))
-    except ValueError as exc:
-        return out, str(exc)
-    return out, None
-
-
-def _assert_arrivals_are_the_projection(domains, base_rate, seed, shared, limit=None,
-                                        **kwargs):
-    def stream():
-        return RequestStream(domains, base_rate, rngs=_rngs(seed, shared), **kwargs)
-
-    arrivals = _pairs(stream().arrivals(), limit)
-    events, error = _record(iter(stream()), limit)
-    reference = _record(_reference_stream(domains, base_rate, rngs=_rngs(seed, shared),
-                                          **kwargs), limit)
-    assert (events, error) == reference  # __iter__ keeps its user ranks
-    assert arrivals == ([(time, domain) for time, domain, _user in events], error)
-    return arrivals
-
-
 def test_an_arrival_is_a_time_domain_pair():
-    first = next(RequestStream(["acme"], base_rate=10.0, seed=1).arrivals())
+    first = next(iter(RequestStream(["acme"], base_rate=10.0, seed=1)))
     assert type(first) is Arrival
     assert first == (first.time, "acme") and first.time > 0.0
 
 
-@settings(max_examples=30, deadline=None, derandomize=True)
-@given(
-    seed=st.integers(min_value=0, max_value=2**32 - 1),
-    shape=st.sampled_from(["flat", "diurnal", "flash"]),
-    bounded=st.booleans(),
-    n_users=st.sampled_from([1, 999, 1_000_000]),
-    shared=st.booleans(),
-)
-def test_arrivals_are_the_events_without_users(seed, shape, bounded, n_users, shared):
-    """Bit for bit, across candidate and user block boundaries, with three
-    generators or one shared by all three purposes."""
-    profile, peak_factor = _resolve_profile(shape, E2E_NAMES, 30.0)
-    arrivals, error = _assert_arrivals_are_the_projection(
-        E2E_NAMES, 300.0, seed, shared, limit=None if bounded else 4096 + 700,
-        duration=30.0 if bounded else None, n_users=n_users,
-        profile=profile, peak_factor=peak_factor,
-    )
-    assert error is None and len(arrivals) > 4096
-
-
-@pytest.mark.parametrize("shared", [False, True])
-@pytest.mark.parametrize("crossing", [30.0, 50.0])
-def test_arrivals_raise_the_peak_violation_after_the_same_prefix(crossing, shared):
-    arrivals, error = _assert_arrivals_are_the_projection(
-        ["a", "b"], 100.0, 6, shared, duration=80.0,
-        profile=lambda d, t: 2.0 if t > crossing else 0.5,
-    )
-    assert error is not None and "peak_factor" in error
-    assert arrivals and float.fromhex(arrivals[-1][0]) <= crossing
-
-
-def test_arrivals_build_no_user_table(monkeypatch):
-    built = []
-    init = TruncatedZipf.__init__
-
-    def counting_init(self, n, alpha=0.9):
-        built.append(n)
-        init(self, n, alpha)
-
-    monkeypatch.setattr(TruncatedZipf, "__init__", counting_init)
-    stream = RequestStream(["a", "b"], base_rate=100.0, duration=100.0, seed=3)
-    assert sum(1 for _ in stream.arrivals()) > 4096
-    assert built == [2]  # the domain table only
-    next(iter(stream))
-    assert built == [2, 1_000_000]  # built at the first user read
-
-
 def test_traffic_rows_do_not_depend_on_the_user_population():
-    """No simulated byte reads a user: the farm routes by domain alone."""
+    """``n_users`` is accepted and ignored: the farm routes by domain alone."""
     few = run_traffic_case(case=0, seed=7, **{**QUICK, "n_users": 10})
     many = run_traffic_case(case=0, seed=7, **{**QUICK, "n_users": 1_000_000})
     assert few["requests"]["issued"] > 500

@@ -6,11 +6,14 @@ at any ``--jobs`` value, and the folded report is canonical JSON.
 
 from __future__ import annotations
 
+import dataclasses
 import gc
 import json
 
 import pytest
 
+from repro.checks.campaign import write_report
+from repro.checks.invariants import InvariantMonitor
 from repro.farm.builder import Farm
 from repro.workload import traffic
 from repro.workload.traffic import (
@@ -21,7 +24,6 @@ from repro.workload.traffic import (
     run_traffic_campaign,
     run_traffic_case,
     traffic_horizon,
-    write_report,
 )
 
 #: small-but-live case: the autoscaler must actually move under it
@@ -98,6 +100,30 @@ def test_autoscaler_moves_under_load_and_counts_them():
     assert row["moves_per_hour"] == pytest.approx(
         row["moves"]["total"] * 3600.0 / CASE["duration"]
     )
+
+
+def test_a_violation_reaches_the_row_and_voids_the_moves(monkeypatch):
+    """No golden row holds a violation. A 0 s merge bound turns the
+    two-leader moment of a live move into a ``single_leader`` violation:
+    each reaches the row as the monitor's ``Violation.as_dict()``, and the
+    row's moves are not sustained without violation."""
+    seen = []
+
+    class StrictMonitor(InvariantMonitor):
+        def __init__(self, farm, windows, vlan_scope):
+            strict = dataclasses.replace(windows, merge_bound=0.0)
+            super().__init__(farm, windows=strict, vlan_scope=vlan_scope)
+
+        def finalize(self):
+            violations = super().finalize()
+            seen.extend(violations)
+            return violations
+
+    monkeypatch.setattr(traffic, "InvariantMonitor", StrictMonitor)
+    row = run_traffic_case(case=0, seed=0, **CASE)
+    assert seen and row["violations"] == [v.as_dict() for v in seen]
+    assert {v["invariant"] for v in row["violations"]} == {"single_leader"}
+    assert row["moves"]["total"] > 0 and row["moves_per_hour"] == 0.0
 
 
 def test_case_is_deterministic():
