@@ -16,6 +16,7 @@ farm grows, and the delta-vs-full report ablation.
 
 from repro.analysis import format_table
 from repro.farm.builder import build_testbed
+from repro.gulfstream.messages import SIZE_CONTROL, membership_msg_size
 from repro.gulfstream.params import GSParams
 from repro.node.faults import FaultInjector
 from repro.node.osmodel import OSParams
@@ -110,9 +111,7 @@ def run_delta_vs_full():
         delta_bytes = m_bytes.value - b0
         # full-membership reporting would resend every member of each of
         # the 3 affected groups
-        full_bytes = sum(
-            PARAMS.membership_msg_size(n - 1) for _ in range(3)
-        )
+        full_bytes = sum(membership_msg_size(n - 1) for _ in range(3))
         rows.append({"nodes": n, "delta_bytes": delta_bytes, "full_bytes": full_bytes,
                      "saving": 1.0 - delta_bytes / full_bytes})
     return rows
@@ -131,5 +130,5 @@ def test_delta_vs_full_reporting(benchmark):
     emit("gsc_delta_vs_full", table)
     # deltas stay constant-size; fulls grow with the group
     deltas = [r["delta_bytes"] for r in rows]
-    assert max(deltas) - min(deltas) <= 2 * PARAMS.size_control
+    assert max(deltas) - min(deltas) <= 2 * SIZE_CONTROL
     assert rows[-1]["saving"] > 0.5

@@ -12,12 +12,15 @@ from typing import List
 
 __all__ = ["summarize_farm"]
 
+#: how many of the latest notifications a summary lists
+RECENT_NOTES = 10
+
 
 def _section(title: str) -> str:
     return f"\n{title}\n{'-' * len(title)}"
 
 
-def summarize_farm(farm, recent_notes: int = 10) -> str:
+def summarize_farm(farm) -> str:
     """A multi-section plain-text summary of a farm's current state."""
     lines: List[str] = []
     sim = farm.sim
@@ -56,8 +59,8 @@ def summarize_farm(farm, recent_notes: int = 10) -> str:
             lines.append(f"  switch {sw_name:<16} {word}")
 
     if farm.bus.history:
-        lines.append(_section(f"Last {recent_notes} notifications"))
-        for note in farm.bus.history[-recent_notes:]:
+        lines.append(_section(f"Last {RECENT_NOTES} notifications"))
+        for note in farm.bus.history[-RECENT_NOTES:]:
             lines.append(f"  {note}")
 
     lines.append(_section("Segment traffic"))

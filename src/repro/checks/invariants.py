@@ -44,7 +44,7 @@ from typing import Dict, List, Optional, Set, Tuple
 from repro.farm.builder import Farm
 from repro.gulfstream.adapter_proto import AdapterState
 from repro.gulfstream.notify import Notification
-from repro.gulfstream.params import GSParams
+from repro.gulfstream.params import CONSENSUS_WINDOW, REPORT_COALESCE, GSParams
 from repro.net.addressing import IPAddress
 from repro.net.nic import NicState
 from repro.node.osmodel import OSParams
@@ -65,6 +65,9 @@ __all__ = [
 MONITOR_TRACE_CATEGORIES = frozenset(
     {"net.nic.fail", "net.nic.repair", "gsc.activate"}
 )
+
+#: the factor every :class:`CheckWindows` term is scaled by
+SAFETY = 2.0
 
 
 def monitor_trace(store: bool = False) -> Trace:
@@ -101,7 +104,7 @@ class CheckWindows:
     term the paper measures as the gap between configured and observed
     times (§4.1). ``obligation_bound`` additionally allows for a leader
     takeover chain (the dead adapter may *be* a leader) and the orphan
-    self-promotion fallback. Everything is scaled by ``safety``.
+    self-promotion fallback. Everything is scaled by :data:`SAFETY`.
 
     A commit's term is ``twopc_timeout``, although a commit may end later:
     a deadline that finds acks still queued at the coordinator resolves
@@ -123,11 +126,7 @@ class CheckWindows:
     sweep_interval: float
 
     @staticmethod
-    def from_params(
-        params: GSParams,
-        os_params: Optional[OSParams] = None,
-        safety: float = 2.0,
-    ) -> "CheckWindows":
+    def from_params(params: GSParams, os_params: Optional[OSParams] = None) -> "CheckWindows":
         osp = os_params if os_params is not None else OSParams()
         # δ: phase lags at the transitions on the detection path plus a
         # generous allowance for serialized per-event handling (§4.1)
@@ -142,10 +141,10 @@ class CheckWindows:
         if params.verify_probe:
             probing = (params.probe_retries + 1) * params.probe_timeout
         else:
-            probing = params.consensus_window
+            probing = CONSENSUS_WINDOW
         commit = params.twopc_timeout
-        report = params.report_coalesce + params.report_retry_interval
-        detection = safety * (
+        report = REPORT_COALESCE + params.report_retry_interval
+        detection = SAFETY * (
             hb_window + checker + suspect + probing + commit + report + delta
         )
         # the dead adapter may lead its AMG: the successor must detect the
@@ -156,18 +155,18 @@ class CheckWindows:
             + params.twopc_timeout
             + params.orphan_timeout
         )
-        obligation = detection + safety * takeover
+        obligation = detection + SAFETY * takeover
         # two live leaders merge through beaconing: a beacon must cross,
         # then MergeRequest/MergeInfo and an absorbing recommit; several
         # groups absorb one beacon round at a time
-        merge = safety * (
+        merge = SAFETY * (
             6.0 * params.beacon_interval
             + 4.0 * params.twopc_timeout
             + params.form_timeout
             + delta
         )
         # a GSC crash adds an admin-AMG takeover plus the resync round
-        failover = safety * (takeover + hb_window + report + delta)
+        failover = SAFETY * (takeover + hb_window + report + delta)
         sweep = max(0.25, min(params.hb_interval, 1.0))
         return CheckWindows(
             detection_bound=detection,

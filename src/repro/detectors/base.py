@@ -26,6 +26,9 @@ from repro.sim.engine import Simulator
 
 __all__ = ["Declaration", "DetectorHarness", "DetectorMember", "DetectorParams"]
 
+#: wire size of every detector message, for load accounting (bytes)
+MSG_SIZE = 40
+
 
 @dataclass(frozen=True)
 class DetectorParams:
@@ -39,8 +42,6 @@ class DetectorParams:
     timeout: float = 0.5
     #: number of indirect-probe proxies (gossip detector)
     proxies: int = 3
-    #: message size for load accounting
-    msg_size: int = 40
 
 
 @dataclass(frozen=True)
@@ -82,7 +83,7 @@ class DetectorMember:
 
     # -- services ----------------------------------------------------------
     def send(self, dst: IPAddress, payload) -> None:
-        self.nic.send(dst, payload, size=self.params.msg_size)
+        self.nic.send(dst, payload, size=MSG_SIZE)
 
     def declare(self, suspect: IPAddress) -> None:
         if suspect in self.declared:
@@ -120,10 +121,7 @@ class DetectorHarness:
         params: Optional[DetectorParams] = None,
         seed: int = 0,
         quality: Optional[LinkQuality] = None,
-        monitor_index: Optional[int] = None,
     ) -> None:
-        """``monitor_index`` designates the poller for centralized schemes
-        (defaults to the last member)."""
         if n < 2:
             raise ValueError("a detector needs at least two members")
         self.sim = Simulator(seed=seed)
@@ -132,7 +130,8 @@ class DetectorHarness:
         self.members: List[DetectorMember] = []
         self.dead: Dict[IPAddress, float] = {}
         self.declarations: List[Declaration] = []
-        self.monitor_index = monitor_index if monitor_index is not None else n - 1
+        #: the poller of centralized schemes: the last member
+        self.monitor_index = n - 1
         ips = [IPAddress(f"10.0.{i // 250}.{i % 250 + 1}") for i in range(n)]
         for i, ip in enumerate(ips):
             nic = NIC(ip, f"m{i}", index=0)

@@ -33,6 +33,9 @@ __all__ = ["Farm", "FarmBuilder", "build_farm", "build_testbed", "FREE_POOL_VLAN
 #: VLAN parking spare nodes' domain-facing adapters
 FREE_POOL_VLAN = 99
 
+#: simulated seconds :meth:`Farm.run_until_stable` runs between looks at GSC
+_STABLE_POLL = 0.5
+
 
 class Farm:
     """A built farm: simulator + network + hosts + daemons + bookkeeping."""
@@ -66,14 +69,14 @@ class Farm:
         for daemon in self.daemons.values():
             daemon.start()
 
-    def run_until_stable(self, timeout: float = 300.0, step: float = 0.5) -> Optional[float]:
+    def run_until_stable(self, timeout: float = 300.0) -> Optional[float]:
         """Run until GulfStream Central declares the discovery stable.
 
         Returns the stability time (the Figure 5 measurement) or ``None``
         on timeout.
         """
         while self.sim.now < timeout:
-            self.sim.run(until=min(self.sim.now + step, timeout))
+            self.sim.run(until=min(self.sim.now + _STABLE_POLL, timeout))
             g = self.gsc()
             if g is not None and g.stable_time is not None:
                 return g.stable_time

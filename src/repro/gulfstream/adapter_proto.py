@@ -43,6 +43,8 @@ from repro.gulfstream.amg import AMGView, choose_leader
 from repro.gulfstream.heartbeat import RingHeartbeat, hb_counters
 from repro.gulfstream.hierarchy import AggregatedReport
 from repro.gulfstream.messages import (
+    SIZE_BEACON,
+    SIZE_CONTROL,
     Beacon,
     Commit,
     GroupHint,
@@ -61,8 +63,11 @@ from repro.gulfstream.messages import (
     SubgroupPollAck,
     Suspect,
     SuspectAck,
+    membership_msg_size,
 )
-from repro.gulfstream.params import GSParams
+from repro.gulfstream.params import (
+    CONSENSUS_WINDOW, REBEACON_DURATION, REPORT_COALESCE, GSParams,
+)
 from repro.gulfstream.subgroups import SubgroupHeartbeat
 from repro.gulfstream.two_phase import CommitCoordinator
 from repro.sim.process import Timer
@@ -335,7 +340,7 @@ class AdapterProtocol:
         self.sim.trace.emit(self.sim.now, category, self.nic.name, **data)
 
     def send(self, dst: IPAddress, payload: Any, size: Optional[int] = None) -> bool:
-        return self.nic.send(dst, payload, size=size or self.params.size_control)
+        return self.nic.send(dst, payload, size=size or SIZE_CONTROL)
 
     def _later(self, delay: float, fn, *args):
         """Call ``fn(*args)`` after ``delay`` if this instance is in one of
@@ -413,7 +418,7 @@ class AdapterProtocol:
         else:
             return
         self._m_beacons.inc()
-        self.nic.multicast(msg, size=self.params.size_beacon)
+        self.nic.multicast(msg, size=SIZE_BEACON)
 
     def _end_beacon_phase(self) -> None:
         # thread-switch lag before the collected information is examined
@@ -444,7 +449,7 @@ class AdapterProtocol:
         self.trace("gs.form.timeout")
         self.state = AdapterState.BEACONING
         self.peers.clear()
-        self._later(self.params.rebeacon_duration, self._end_beacon_phase)
+        self._later(REBEACON_DURATION, self._end_beacon_phase)
 
     def _on_beacon(self, msg: Beacon) -> None:
         if self._state is not AdapterState.LEADER:
@@ -505,9 +510,7 @@ class AdapterProtocol:
 
     def _on_merge_request(self, msg: MergeRequest) -> None:
         reply = MergeInfo(sender=self.ip, epoch=self.epoch, members=self.view.members)
-        self.send(
-            msg.sender, reply, size=self.params.membership_msg_size(self.view.size)
-        )
+        self.send(msg.sender, reply, size=membership_msg_size(self.view.size))
 
     def _on_merge_info(self, msg: MergeInfo) -> None:
         new = [m for m in msg.members if not self.view.contains(m.ip)]
@@ -749,9 +752,7 @@ class AdapterProtocol:
             )
         else:
             if self._report_event is None:
-                self._report_event = self._later(
-                    self.params.report_coalesce, self._send_report
-                )
+                self._report_event = self._later(REPORT_COALESCE, self._send_report)
 
     def _declare_stable(self) -> None:
         self._declared_stable = True
@@ -1010,7 +1011,7 @@ class AdapterProtocol:
             self.send(
                 msg.reporter,
                 Commit.of_view(self.view, self.ip, "resync"),
-                size=self.params.membership_msg_size(self.view.size),
+                size=membership_msg_size(self.view.size),
             )
         if msg.suspect == self.ip or not self.view.contains(msg.suspect):
             return
@@ -1044,7 +1045,7 @@ class AdapterProtocol:
                 )
             else:
                 v.window_event = self._later(
-                    self.params.consensus_window, self._verification_expired, suspect
+                    CONSENSUS_WINDOW, self._verification_expired, suspect
                 )
         v.reporters.add(reporter)
         if not self.params.verify_probe and len(v.reporters) >= self._consensus_needed():

@@ -29,7 +29,7 @@ from typing import Dict, List, Optional, Set, TYPE_CHECKING
 from repro.net.addressing import IPAddress
 from repro.gulfstream.configdb import ConfigDatabase, Inconsistency
 from repro.gulfstream.correlation import CorrelationEngine
-from repro.gulfstream.messages import MemberInfo, MembershipReport
+from repro.gulfstream.messages import MemberInfo, MembershipReport, membership_msg_size
 from repro.gulfstream.notify import NotificationBus
 from repro.gulfstream.params import GSParams
 
@@ -187,7 +187,7 @@ class GulfStreamCentral:
         if not self.active:
             return
         self.reports_received += 1
-        report_bytes = self.params.membership_msg_size(
+        report_bytes = membership_msg_size(
             len(report.members) + len(report.added) + len(report.removed)
         )
         self.reports_bytes += report_bytes

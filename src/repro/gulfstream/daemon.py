@@ -27,7 +27,7 @@ from repro.gulfstream.adapter_proto import AdapterProtocol, AdapterState
 from repro.gulfstream.central import GulfStreamCentral
 from repro.gulfstream.configdb import ConfigDatabase
 from repro.gulfstream.hierarchy import AggregatedReport, ZoneAggregator, ZoneConfig
-from repro.gulfstream.messages import MembershipReport, ReportAck
+from repro.gulfstream.messages import MembershipReport, ReportAck, membership_msg_size
 from repro.gulfstream.notify import NotificationBus
 from repro.gulfstream.params import GSParams
 
@@ -177,7 +177,7 @@ class GulfStreamDaemon:
         admin = self.admin_protocol
         if admin is None or admin.view is None:
             return False
-        size = self.params.membership_msg_size(
+        size = membership_msg_size(
             len(report.members) + len(report.added) + len(report.removed)
         )
         if self.zones is not None:
@@ -224,7 +224,7 @@ class GulfStreamDaemon:
         if admin is None or admin.view is None:
             return
         gsc_ip = admin.view.leader_ip
-        size = self.params.membership_msg_size(
+        size = membership_msg_size(
             len(report.members) + len(report.added) + len(report.removed)
         )
         if gsc_ip == admin.ip:

@@ -20,7 +20,7 @@ from typing import Callable, Dict, Optional, Set, Tuple, TYPE_CHECKING
 
 from repro.net.addressing import IPAddress
 from repro.gulfstream.amg import AMGView
-from repro.gulfstream.messages import Heartbeat
+from repro.gulfstream.messages import SIZE_HEARTBEAT, Heartbeat
 from repro.metrics.core import Counter, MetricsRegistry
 from repro.net.packet import Frame
 from repro.sim.process import Timer
@@ -114,7 +114,7 @@ class RingHeartbeat:
         # target in that order, or the thresholds
         msg = Heartbeat(sender=proto.ip, epoch=view.epoch)
         self._frames = tuple(
-            Frame(proto.ip, ip, msg, p.size_heartbeat) for ip in self._send_targets
+            Frame(proto.ip, ip, msg, SIZE_HEARTBEAT) for ip in self._send_targets
         )
         self._threshold = p.hb_miss_threshold * p.hb_interval
         self._resuspect_after = max(2, p.hb_miss_threshold) * p.hb_interval * 3

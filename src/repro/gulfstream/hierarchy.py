@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple, TYPE_CHECKING
 
 from repro.net.addressing import IPAddress
-from repro.gulfstream.messages import MembershipReport
+from repro.gulfstream.messages import MembershipReport, membership_msg_size
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.gulfstream.daemon import GulfStreamDaemon
@@ -139,9 +139,7 @@ class ZoneAggregator:
             return False
         gsc_ip = admin.view.leader_ip
         size = sum(
-            self.daemon.params.membership_msg_size(
-                len(r.members) + len(r.added) + len(r.removed)
-            )
+            membership_msg_size(len(r.members) + len(r.added) + len(r.removed))
             for r in batch.reports
         )
         if gsc_ip == admin.ip:

@@ -42,6 +42,19 @@ __all__ = [
     "SuspectAck",
 ]
 
+# -- wire sizes for network-load accounting (bytes) ------------------------
+SIZE_BEACON = 48
+SIZE_HEARTBEAT = 40
+#: every other protocol message
+SIZE_CONTROL = 64
+#: per-member increment for membership-bearing messages
+SIZE_PER_MEMBER = 12
+
+
+def membership_msg_size(n_members: int) -> int:
+    """Wire size of a membership-bearing message (Prepare/Commit/report)."""
+    return SIZE_CONTROL + SIZE_PER_MEMBER * n_members
+
 
 @dataclass(frozen=True, order=True)
 class MemberInfo:

@@ -12,15 +12,25 @@ The paper's configurable quantities keep their names:
 * ``hb_interval`` / ``hb_miss_threshold`` — the heartbeat frequency and the
   failure-detector sensitivity the paper trades off in §3.
 
-Everything else is an engineering constant the paper leaves implicit; each
-is documented where it is consumed.
+Everything else is an engineering constant the paper leaves implicit. The
+ones some run varies are :class:`GSParams` fields, documented where they are
+consumed; the timings no run varies are the module constants below, and the
+wire sizes are constants of :mod:`repro.gulfstream.messages`, the wire-format
+module.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
-__all__ = ["GSParams"]
+__all__ = ["CONSENSUS_WINDOW", "GSParams", "REBEACON_DURATION", "REPORT_COALESCE"]
+
+#: duration of the fallback re-beacon phase after a formation timeout
+REBEACON_DURATION = 2.0
+#: window to collect consensus when ``GSParams.verify_probe`` is off
+CONSENSUS_WINDOW = 3.0
+#: coalescing window for post-stability membership deltas to GSC
+REPORT_COALESCE = 0.2
 
 
 @dataclass(frozen=True)
@@ -36,8 +46,6 @@ class GSParams:
     #: how long a deferring adapter waits for the winner's Prepare before
     #: falling back to a fresh (short) beacon phase
     form_timeout: float = 4.0
-    #: duration of the fallback re-beacon phase after a formation timeout
-    rebeacon_duration: float = 2.0
 
     # -- two-phase commit --------------------------------------------------
     #: how long the coordinator collects PrepareAcks before committing with
@@ -72,8 +80,6 @@ class GSParams:
     #: probe reply deadline and number of attempts
     probe_timeout: float = 1.0
     probe_retries: int = 2
-    #: window to collect consensus when verify_probe is off
-    consensus_window: float = 3.0
 
     # -- member self-protection --------------------------------------------
     #: a non-leader that hears no heartbeat from any monitored neighbour for
@@ -88,8 +94,6 @@ class GSParams:
     suspect_retry_interval: float = 1.0
 
     # -- reporting hierarchy (§2.2) ------------------------------------------
-    #: coalescing window for post-stability membership deltas to GSC
-    report_coalesce: float = 0.2
     #: retry period while the admin adapter has no leader to report to
     report_retry_interval: float = 1.0
 
@@ -107,13 +111,6 @@ class GSParams:
     subgroup_size: int | None = None
     #: leader poll period per subgroup ("at a very low frequency")
     subgroup_poll_interval: float = 10.0
-
-    # -- message sizes for network-load accounting (bytes) -------------------
-    size_beacon: int = 48
-    size_heartbeat: int = 40
-    size_control: int = 64
-    #: per-member increment for membership-bearing messages
-    size_per_member: int = 12
 
     def derive(self, **changes) -> "GSParams":
         """A copy with the given fields replaced."""
@@ -139,7 +136,3 @@ class GSParams:
             raise ValueError("subgroup_size must be >= 2 when set")
         if self.probe_retries < 0:
             raise ValueError("probe_retries must be >= 0")
-
-    def membership_msg_size(self, n_members: int) -> int:
-        """Wire size of a membership-bearing message (Prepare/Commit/report)."""
-        return self.size_control + self.size_per_member * n_members

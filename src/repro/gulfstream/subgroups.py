@@ -25,7 +25,9 @@ from typing import Callable, Dict, List, Optional, Set, TYPE_CHECKING
 
 from repro.net.addressing import IPAddress
 from repro.gulfstream.amg import AMGView
-from repro.gulfstream.messages import Heartbeat, SubgroupPoll, SubgroupPollAck
+from repro.gulfstream.messages import (
+    SIZE_HEARTBEAT, Heartbeat, SubgroupPoll, SubgroupPollAck,
+)
 from repro.sim.process import Timer
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -133,7 +135,7 @@ class SubgroupHeartbeat:
     def _send(self) -> None:
         msg = Heartbeat(sender=self.proto.ip, epoch=self.view.epoch)
         for ip in self.targets:
-            self.proto.send(ip, msg, size=self.proto.params.size_heartbeat)
+            self.proto.send(ip, msg, size=SIZE_HEARTBEAT)
             self.sent += 1
 
     def on_heartbeat(self, src: IPAddress, epoch: int) -> None:
@@ -196,7 +198,6 @@ class SubgroupHeartbeat:
         self.proto.send(
             target,
             SubgroupPoll(sender=self.proto.ip, subgroup=index, nonce=nonce),
-            size=self.proto.params.size_control,
         )
         self.proto.sim.schedule(self.proto.params.probe_timeout, self._poll_timeout, nonce)
 
@@ -205,7 +206,6 @@ class SubgroupHeartbeat:
         self.proto.send(
             msg.sender,
             SubgroupPollAck(sender=self.proto.ip, subgroup=msg.subgroup, nonce=msg.nonce),
-            size=self.proto.params.size_control,
         )
 
     def on_poll_ack(self, msg: SubgroupPollAck) -> None:

@@ -28,7 +28,9 @@ from typing import Callable, Dict, Iterable, TYPE_CHECKING
 
 from repro.net.addressing import IPAddress
 from repro.gulfstream.amg import AMGView, rank_members
-from repro.gulfstream.messages import Commit, MemberInfo, Prepare, PrepareAck
+from repro.gulfstream.messages import (
+    Commit, MemberInfo, Prepare, PrepareAck, membership_msg_size,
+)
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.gulfstream.adapter_proto import AdapterProtocol
@@ -111,7 +113,7 @@ class CommitCoordinator:
             reason=self.reason,
             group_key=self.group_key,
         )
-        size = proto.params.membership_msg_size(len(self.members))
+        size = membership_msg_size(len(self.members))
         for m in others:
             proto.send(m.ip, msg, size=size)
         self._deadline = proto.sim.schedule(proto.params.twopc_timeout, self._on_timeout)
@@ -199,7 +201,7 @@ class CommitCoordinator:
                 proto.trace("gs.group.rekey", old_key=old.group_key)
         view = AMGView.build(committed, self.epoch, key)
         msg = Commit.of_view(view, proto.ip, self.reason)
-        size = proto.params.membership_msg_size(len(view.members))
+        size = membership_msg_size(len(view.members))
         for m in view.members:
             if m.ip != proto.ip:
                 proto.send(m.ip, msg, size=size)

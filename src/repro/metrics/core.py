@@ -338,36 +338,6 @@ class MetricsRegistry:
         self.samples.append((t, snap))
         return snap
 
-    # ------------------------------------------------------------------
-    # plain-data snapshot
-    # ------------------------------------------------------------------
-    def dump(self) -> List[Dict[str, Any]]:
-        """Collect, then export every instrument as a plain-data record.
-
-        The record list is picklable and registry-free. Order is the
-        registry's iteration order (sorted by key), so the dump is
-        deterministic.
-        """
-        self.collect()
-        out: List[Dict[str, Any]] = []
-        for metric in self:
-            record: Dict[str, Any] = {
-                "kind": metric.kind,
-                "name": metric.name,
-                "labels": dict(metric.labels),
-            }
-            if isinstance(metric, Histogram):
-                record["bounds"] = list(metric.bounds)
-                record["bucket_counts"] = list(metric.bucket_counts)
-                record["count"] = metric.count
-                record["sum"] = metric.sum
-                record["min"] = metric.min
-                record["max"] = metric.max
-            elif isinstance(metric, (Counter, Gauge)):
-                record["value"] = metric.value
-            out.append(record)
-        return out
-
     def detach(self) -> "MetricsRegistry":
         """Collect once more, then drop the collectors and the clock.
 

@@ -146,22 +146,16 @@ class ParallelRunner:
         drains (pooled across outstanding tasks). ``None`` disables it.
         The in-process path cannot preempt a task, so there it is not
         enforced.
-    chunk_size:
-        Tasks per dispatched chunk. Default: enough chunks for ~4 rounds
-        per worker, so stragglers rebalance.
+
+    Tasks are dispatched in chunks sized for about four rounds per worker,
+    so stragglers rebalance.
     """
 
-    def __init__(
-        self,
-        jobs: int = 1,
-        timeout: Optional[float] = None,
-        chunk_size: Optional[int] = None,
-    ) -> None:
+    def __init__(self, jobs: int = 1, timeout: Optional[float] = None) -> None:
         if jobs <= 0:
             jobs = multiprocessing.cpu_count()
         self.jobs = jobs
         self.timeout = timeout
-        self.chunk_size = chunk_size
         #: how the last ``map`` actually executed: "serial", "pool", or
         #: "pool+fallback" (the pool could not finish; the remainder ran
         #: in-process)
@@ -189,9 +183,7 @@ class ParallelRunner:
 
     # ------------------------------------------------------------------
     def _chunks(self, n_tasks: int) -> List[range]:
-        size = self.chunk_size
-        if size is None or size <= 0:
-            size = max(1, -(-n_tasks // (self.jobs * 4)))
+        size = max(1, -(-n_tasks // (self.jobs * 4)))
         return [range(lo, min(lo + size, n_tasks)) for lo in range(0, n_tasks, size)]
 
     def _pool_map(

@@ -40,10 +40,10 @@ def canonical_json(obj: Any) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"), default=_coerce)
 
 
-def stable_hash(obj: Any, bits: int = 64) -> int:
-    """A process-stable ``bits``-wide hash of an arbitrary value."""
+def stable_hash(obj: Any) -> int:
+    """A process-stable hash of an arbitrary value, :data:`_SEED_BITS` wide."""
     digest = hashlib.sha256(canonical_json(obj).encode("utf-8")).digest()
-    return int.from_bytes(digest[: (bits + 7) // 8], "big") & ((1 << bits) - 1)
+    return int.from_bytes(digest[:8], "big") & ((1 << _SEED_BITS) - 1)
 
 
 def task_seed(
@@ -73,6 +73,5 @@ def task_seed(
             "point": dict(point or {}),
             "replicate": replicate,
             "base_seed": base_seed,
-        },
-        bits=_SEED_BITS,
+        }
     )

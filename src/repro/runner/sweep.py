@@ -70,7 +70,6 @@ def run_sweep(
     base_seed: int = 0,
     cache: Optional[ResultCache] = None,
     timeout: Optional[float] = None,
-    chunk_size: Optional[int] = None,
     metrics: Optional[MetricsRegistry] = None,
 ) -> List[Dict]:
     """Evaluate ``fn(**point, **fixed)`` over the cartesian grid.
@@ -120,7 +119,7 @@ def run_sweep(
         to_run = list(range(len(task_kwargs)))
 
     if to_run:
-        runner = ParallelRunner(jobs=jobs, timeout=timeout, chunk_size=chunk_size)
+        runner = ParallelRunner(jobs=jobs, timeout=timeout)
         computed = runner.map(fn, [task_kwargs[i] for i in to_run])
         for i, result in zip(to_run, computed):
             results[i] = result

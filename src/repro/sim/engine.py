@@ -1,7 +1,7 @@
 """The discrete-event engine.
 
 A :class:`Simulator` owns a queue of :class:`Event` objects keyed by
-``(time, priority, sequence)``. Events scheduled for the same instant fire in
+``(time, sequence)``. Events scheduled for the same instant fire in
 the order they were scheduled (FIFO), which keeps protocol traces stable and
 debuggable. Cancellation is O(1): the event is flagged and skipped when it
 surfaces.
@@ -13,8 +13,8 @@ each so the benchmark harness can sweep them.
 
 The queue is a timer wheel (see docs/PROTOCOL.md, "The timer-wheel event
 queue"), and the simulator runs it itself: ``schedule``, ``schedule_at`` and
-``reschedule`` file each ``(time, priority, seq, event)`` tuple straight into
-its tier (``post`` files a handle-less ``(time, 0, seq, None, fn, args)`` one
+``reschedule`` file each ``(time, seq, event)`` tuple straight into
+its tier (``post`` files a handle-less ``(time, seq, None, fn, args)`` one
 for work nobody will cancel), and :meth:`Simulator.run` consumes the current
 tier in its own loop. Near-term events go into O(1) slots (one per
 :data:`WHEEL_GRANULARITY` seconds, :data:`WHEEL_SLOTS` of them), each slot is
@@ -80,9 +80,9 @@ WHEEL_GRANULARITY = 1.0 / 64.0
 #: of simulated time; anything scheduled further out takes the overflow heap.
 WHEEL_SLOTS = 4096
 
-#: a queued event: (time, priority, seq, event), or (time, 0, seq, None, fn,
-#: args) for one filed by :meth:`Simulator.post` — seq is unique, so tuple
-#: comparison is total and never reaches the event or the callback
+#: a queued event: (time, seq, event), or (time, seq, None, fn, args) for one
+#: filed by :meth:`Simulator.post` — seq is unique, so tuple comparison is
+#: total and never reaches the event or the callback
 _Entry = Tuple[Any, ...]
 
 _INF = float("inf")
@@ -122,19 +122,17 @@ class Event:
     :meth:`Simulator.reschedule` (the periodic-timer fast path).
     """
 
-    __slots__ = ("time", "priority", "seq", "fn", "args", "cancelled", "fired", "sim")
+    __slots__ = ("time", "seq", "fn", "args", "cancelled", "fired", "sim")
 
     def __init__(
         self,
         time: float,
-        priority: int,
         seq: int,
         fn: Callable[..., Any],
         args: tuple,
         sim: Optional["Simulator"] = None,
     ) -> None:
         self.time = time
-        self.priority = priority
         self.seq = seq
         self.fn = fn
         self.args = args
@@ -158,13 +156,6 @@ class Event:
     def pending(self) -> bool:
         """True while the event is still going to fire."""
         return not self.cancelled and not self.fired
-
-    def __lt__(self, other: "Event") -> bool:
-        return (self.time, self.priority, self.seq) < (
-            other.time,
-            other.priority,
-            other.seq,
-        )
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         state = "cancelled" if self.cancelled else ("fired" if self.fired else "pending")
@@ -293,9 +284,7 @@ class Simulator:
     # ------------------------------------------------------------------
     # scheduling
     # ------------------------------------------------------------------
-    def schedule(
-        self, delay: float, fn: Callable[..., Any], *args: Any, priority: int = 0
-    ) -> Event:
+    def schedule(self, delay: float, fn: Callable[..., Any], *args: Any) -> Event:
         """Schedule ``fn(*args)`` to run ``delay`` seconds from now."""
         if not delay >= 0:  # NaN too
             raise _bad_time("delay", delay)
@@ -306,26 +295,26 @@ class Simulator:
             raise _bad_time("delay", delay) from None
         seq = self._seq
         self._seq = seq + 1
-        ev = Event(time, priority, seq, fn, args, self)
+        ev = Event(time, seq, fn, args, self)
         offset = tick - self._cur_tick
         if offset <= 0:
-            heappush(self._inflow, (time, priority, seq, ev))
+            heappush(self._inflow, (time, seq, ev))
         elif offset < self._nslots:
-            self._slots[tick & self._mask].append((time, priority, seq, ev))
+            self._slots[tick & self._mask].append((time, seq, ev))
             self._wheel_count += 1
         else:
-            heappush(self._overflow, (time, priority, seq, ev))
+            heappush(self._overflow, (time, seq, ev))
         self._live += 1
         if self._dead > self._purge_gate:
             self._maybe_purge()
         return ev
 
     def post(self, delay: float, fn: Callable[..., Any], *args: Any) -> None:
-        """Run ``fn(*args)`` ``delay`` seconds from now, like :meth:`schedule`
-        at priority 0, for a caller that will never cancel it.
+        """Run ``fn(*args)`` ``delay`` seconds from now, like :meth:`schedule`,
+        for a caller that will never cancel it.
 
         Nothing is returned and no :class:`Event` is made: the queue holds
-        the bare entry ``(time, 0, seq, None, fn, args)``, which takes its
+        the bare entry ``(time, seq, None, fn, args)``, which takes its
         seq — so its same-instant FIFO place — exactly as ``schedule`` would
         have. It counts in :meth:`pending_count`, ``max_events`` and
         ``events_executed`` like any event, and cannot be cancelled or
@@ -342,12 +331,12 @@ class Simulator:
         self._seq = seq + 1
         offset = tick - self._cur_tick
         if offset <= 0:
-            heappush(self._inflow, (time, 0, seq, None, fn, args))
+            heappush(self._inflow, (time, seq, None, fn, args))
         elif offset < self._nslots:
-            self._slots[tick & self._mask].append((time, 0, seq, None, fn, args))
+            self._slots[tick & self._mask].append((time, seq, None, fn, args))
             self._wheel_count += 1
         else:
-            heappush(self._overflow, (time, 0, seq, None, fn, args))
+            heappush(self._overflow, (time, seq, None, fn, args))
         self._live += 1
         if self._dead > self._purge_gate:
             self._maybe_purge()
@@ -363,8 +352,7 @@ class Simulator:
         return seq
 
     def schedule_at(
-        self, time: float, fn: Callable[..., Any], *args: Any, priority: int = 0,
-        seq: Optional[int] = None,
+        self, time: float, fn: Callable[..., Any], *args: Any, seq: Optional[int] = None
     ) -> Event:
         """Schedule ``fn(*args)`` to run at absolute simulated ``time``
         (``seq``: a number from :meth:`reserve_seq`; default a fresh one)."""
@@ -377,21 +365,21 @@ class Simulator:
         if seq is None:
             seq = self._seq
             self._seq = seq + 1
-        ev = Event(time, priority, seq, fn, args, self)
+        ev = Event(time, seq, fn, args, self)
         offset = tick - self._cur_tick
         if offset <= 0:
-            heappush(self._inflow, (time, priority, seq, ev))
+            heappush(self._inflow, (time, seq, ev))
         elif offset < self._nslots:
-            self._slots[tick & self._mask].append((time, priority, seq, ev))
+            self._slots[tick & self._mask].append((time, seq, ev))
             self._wheel_count += 1
         else:
-            heappush(self._overflow, (time, priority, seq, ev))
+            heappush(self._overflow, (time, seq, ev))
         self._live += 1
         if self._dead > self._purge_gate:
             self._maybe_purge()
         return ev
 
-    def reschedule(self, ev: Event, delay: float, priority: Optional[int] = None) -> Event:
+    def reschedule(self, ev: Event, delay: float) -> Event:
         """Re-arm a *fired* event ``delay`` seconds from now, in place.
 
         This is the periodic-timer fast path: the :class:`Event` object (and
@@ -406,8 +394,6 @@ class Simulator:
             )
         if not delay >= 0:  # NaN too
             raise _bad_time("delay", delay)
-        if priority is not None:
-            ev.priority = priority
         return self._rearm(ev, delay)
 
     def _rearm(self, ev: Event, delay: float) -> Event:
@@ -425,12 +411,12 @@ class Simulator:
         ev.fired = False
         offset = tick - self._cur_tick
         if offset <= 0:
-            heappush(self._inflow, (time, ev.priority, seq, ev))
+            heappush(self._inflow, (time, seq, ev))
         elif offset < self._nslots:
-            self._slots[tick & self._mask].append((time, ev.priority, seq, ev))
+            self._slots[tick & self._mask].append((time, seq, ev))
             self._wheel_count += 1
         else:
-            heappush(self._overflow, (time, ev.priority, seq, ev))
+            heappush(self._overflow, (time, seq, ev))
         self._live += 1
         if self._dead > self._purge_gate:
             self._maybe_purge()
@@ -508,7 +494,7 @@ class Simulator:
                     continue
                 else:
                     return None
-                ev = entry[3]
+                ev = entry[2]
                 if ev is not None and ev.cancelled:
                     self._dead -= 1
                     continue
@@ -524,10 +510,10 @@ class Simulator:
                     raise SimulationError(f"exceeded max_events={budget} (runaway protocol?)")
                 self._run_i = i
                 self.now = when
-                self.firing_seq = entry[2]
+                self.firing_seq = entry[1]
                 executed += 1
                 if ev is None:  # posted: nobody holds a handle to flag
-                    entry[4](*entry[5])
+                    entry[3](*entry[4])
                 else:
                     ev.fired = True
                     ev.fn(*ev.args)
@@ -562,7 +548,7 @@ class Simulator:
         inv_g = self._inv_g
         while overflow and int(overflow[0][0] * inv_g) <= cur:
             entry = heappop(overflow)
-            ev = entry[3]
+            ev = entry[2]
             if ev is not None and ev.cancelled:
                 self._dead -= 1
             else:
@@ -603,16 +589,16 @@ class Simulator:
         drops its dead entries as they surface); ``_dead`` counts those.
         A posted entry (no event) is never dead."""
         for heap in (self._inflow, self._overflow):
-            heap[:] = [e for e in heap if e[3] is None or not e[3].cancelled]
+            heap[:] = [e for e in heap if e[2] is None or not e[2].cancelled]
             heapify(heap)
         count = 0
         for slot in self._slots:
             if slot:
-                slot[:] = [e for e in slot if e[3] is None or not e[3].cancelled]
+                slot[:] = [e for e in slot if e[2] is None or not e[2].cancelled]
                 count += len(slot)
         self._wheel_count = count
         self._dead = sum(
-            1 for e in self._run[self._run_i :] if e[3] is not None and e[3].cancelled
+            1 for e in self._run[self._run_i :] if e[2] is not None and e[2].cancelled
         )
 
     def _collect_metrics(self) -> None:

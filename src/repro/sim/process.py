@@ -35,7 +35,6 @@ class Timer:
         initial_delay: Optional[float] = None,
         jitter: float = 0.0,
         rng: Optional[np.random.Generator] = None,
-        max_fires: Optional[int] = None,
     ) -> None:
         if interval <= 0:
             raise ValueError(f"interval must be positive, got {interval!r}")
@@ -49,7 +48,6 @@ class Timer:
         self.args = args
         self.jitter = jitter
         self.rng = rng
-        self.max_fires = max_fires
         self.fires = 0
         self._cancelled = False
         # prefetched unit draws for the jitter path, unboxed: one vectorised
@@ -79,10 +77,6 @@ class Timer:
         self.fires += 1
         self.fn(*self.args)
         if self._cancelled:
-            return
-        if self.max_fires is not None and self.fires >= self.max_fires:
-            self._cancelled = True
-            self._event = None
             return
         delay = self.interval
         if self.jitter != 0.0:

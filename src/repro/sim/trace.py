@@ -47,23 +47,20 @@ class Trace:
         If given, only these categories produce records — stored *and*
         delivered to subscribers. Every category is still counted; the
         filter governs record construction, not accounting.
-    max_records:
-        Hard cap on stored records; older records are kept, newer dropped,
-        and :attr:`truncated` is set. Protects long sweeps from unbounded
-        memory growth.
     """
 
+    #: hard cap on stored records; older records are kept, newer dropped,
+    #: and :attr:`truncated` is set. Protects long sweeps from unbounded
+    #: memory growth.
+    MAX_RECORDS = 1_000_000
+
     def __init__(
-        self,
-        store: bool = True,
-        categories: Optional[Iterable[str]] = None,
-        max_records: int = 1_000_000,
+        self, store: bool = True, categories: Optional[Iterable[str]] = None
     ) -> None:
         self.records: list[TraceRecord] = []
         self.counters: Counter[str] = Counter()
         self.store = store
         self.categories = set(categories) if categories is not None else None
-        self.max_records = max_records
         self.truncated = False
         self._subscribers: list[Callable[[TraceRecord], None]] = []
         # fast-path guard: True while no record could ever be consumed, so
@@ -85,7 +82,7 @@ class Trace:
             return
         rec = TraceRecord(time, category, source, data)
         if self.store:
-            if len(self.records) < self.max_records:
+            if len(self.records) < self.MAX_RECORDS:
                 self.records.append(rec)
             else:
                 self.truncated = True

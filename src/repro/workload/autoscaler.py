@@ -30,6 +30,12 @@ from repro.sim.process import Timer
 
 __all__ = ["Autoscaler", "ScalerMove"]
 
+#: a domain is never shrunk to this many servers or fewer
+MIN_SERVERS = 2
+#: simulated seconds between two moves, so one burst cannot thrash the
+#: reconfiguration path
+COOLDOWN = 4.0
+
 
 @dataclass(frozen=True)
 class ScalerMove:
@@ -48,9 +54,9 @@ class Autoscaler:
     ``start_at`` and ``stop_at``: read ``load(domain, now)`` (requests/s)
     for every domain and divide by the domain's servers; above
     ``high_water`` move a spare in, below ``low_water`` (and above
-    ``min_servers``) move the domain's most recently added transplant back
-    to the free pool. A global ``cooldown`` separates consecutive moves so
-    one burst cannot thrash the reconfiguration path.
+    :data:`MIN_SERVERS`) move the domain's most recently added transplant
+    back to the free pool. A global :data:`COOLDOWN` separates consecutive
+    moves.
 
     Without a ``load`` the signal is the arrival rate the domain's front
     ends counted over the last interval.
@@ -64,8 +70,6 @@ class Autoscaler:
         interval: float = 2.0,
         high_water: float = 12.0,
         low_water: float = 4.0,
-        min_servers: int = 2,
-        cooldown: float = 4.0,
         start_at: float = 0.0,
         stop_at: Optional[float] = None,
     ) -> None:
@@ -76,8 +80,6 @@ class Autoscaler:
         self.interval = interval
         self.high_water = high_water
         self.low_water = low_water
-        self.min_servers = min_servers
-        self.cooldown = cooldown
         self.start_at = start_at
         self.stop_at = stop_at
         self.moves: List[ScalerMove] = []
@@ -133,7 +135,7 @@ class Autoscaler:
         gsc = self.farm.gsc()
         if gsc is None or gsc.stable_time is None:
             return  # no console to authorize moves yet (or mid-failover)
-        if now - self._last_move_at < self.cooldown:
+        if now - self._last_move_at < COOLDOWN:
             return
         for domain in self.domains:
             per_server = rates[domain] / max(1, self.domain_size(domain))
@@ -143,7 +145,7 @@ class Autoscaler:
             if (
                 per_server < self.low_water
                 and self._transplants[domain]
-                and self.domain_size(domain) > self.min_servers
+                and self.domain_size(domain) > MIN_SERVERS
             ):
                 self._move(domain, grow=False)
                 return

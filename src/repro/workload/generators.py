@@ -43,6 +43,9 @@ STREAM_NAMES = ("arrivals", "domains")
 #: draw-buffer size: one bulk RNG call amortized over this many events
 _BUFFER = 4096
 
+#: Zipf exponent of the domains' popularity
+DOMAIN_ALPHA = 0.8
+
 
 def default_streams(seed: int) -> Dict[str, np.random.Generator]:
     """Independent generators per purpose, derived from one seed.
@@ -129,7 +132,8 @@ class RequestStream:
     Arrival process
         Non-homogeneous Poisson with instantaneous rate
         ``rate(t) = base_rate * Σ_d w_d · profile(d, t)`` where ``w_d`` is
-        the (normalized) truncated-Zipf popularity of domain ``d``.
+        the (normalized) truncated-Zipf popularity of domain ``d``
+        (exponent :data:`DOMAIN_ALPHA`).
         Generated by thinning against ``base_rate * peak_factor``, which
         must bound every profile value.
     Domain choice
@@ -150,7 +154,6 @@ class RequestStream:
         domains: Sequence[str],
         base_rate: float,
         duration: Optional[float] = None,
-        domain_alpha: float = 0.8,
         profile: Optional[Callable[[str, float], float]] = None,
         peak_factor: Optional[float] = None,
         rngs: Optional[Mapping[str, np.random.Generator]] = None,
@@ -174,7 +177,7 @@ class RequestStream:
             raise ValueError(f"rngs is missing streams {missing}")
         self._arrival_rng = rngs["arrivals"]
         self._domain_uniforms = _UniformBuffer(rngs["domains"])
-        domain_zipf = TruncatedZipf(len(self.domains), domain_alpha)
+        domain_zipf = TruncatedZipf(len(self.domains), DOMAIN_ALPHA)
         self._weights = [domain_zipf.pmf(r) for r in range(1, len(self.domains) + 1)]
 
     # ------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """The operator-console summary renderer."""
 
 from repro.analysis import summarize_farm
+from repro.analysis.report import RECENT_NOTES
 
 from tests.conftest import make_flat_farm, run_stable
 
@@ -37,9 +38,11 @@ def test_recent_notes_limit():
     for i in range(4):
         farm.hosts[f"node-{i}"].crash()
         farm.sim.run(until=farm.sim.now + 12)
-    text = summarize_farm(farm, recent_notes=3)
-    assert "Last 3 notifications" in text
-    notes_section = text.split("Last 3 notifications")[1].split("Segment traffic")[0]
+    assert len(farm.bus.history) > RECENT_NOTES
+    text = summarize_farm(farm)
+    title = f"Last {RECENT_NOTES} notifications"
+    assert title in text
+    notes_section = text.split(title)[1].split("Segment traffic")[0]
     payload_lines = [line for line in notes_section.splitlines()
                      if line.strip().startswith("[")]
-    assert len(payload_lines) == 3
+    assert len(payload_lines) == RECENT_NOTES

@@ -31,13 +31,6 @@ def test_windows_ordering():
     assert w.sweep_interval <= 1.0
 
 
-def test_windows_scale_with_safety():
-    lo = CheckWindows.from_params(HB, safety=1.0)
-    hi = CheckWindows.from_params(HB, safety=3.0)
-    assert hi.detection_bound > lo.detection_bound
-    assert hi.merge_bound > lo.merge_bound
-
-
 def test_violation_as_dict_rounds_time():
     v = Violation(1.23456789, "single_leader", "vlan2", "two leaders")
     d = v.as_dict()

@@ -4,6 +4,7 @@
 from repro.farm.builder import build_farm, FREE_POOL_VLAN
 from repro.farm.domain import DomainSpec, FarmSpec
 from repro.workload import Autoscaler, DomainLoadModel
+from repro.workload.autoscaler import MIN_SERVERS
 
 from tests.conftest import FAST
 
@@ -62,7 +63,7 @@ def test_oceano_shrinks_when_load_drops():
     wl = DomainLoadModel(["acme", "globex"], base=60, amplitude=0,
                          spikes={"acme": (t0 + 5, 60, 600)})
     ctl = Autoscaler(farm, wl.domains, load=wl.load,
-                     interval=5.0, high_water=50.0, low_water=25.0, min_servers=2)
+                     interval=5.0, high_water=50.0, low_water=25.0)
     ctl.start()
     farm.sim.run(until=t0 + 200)
     assert any(m.dst == "acme" for m in ctl.moves)
@@ -74,14 +75,26 @@ def test_oceano_shrinks_when_load_drops():
 
 
 def test_oceano_respects_min_servers():
-    farm = oceano_farm(6)
+    """A one-server domain grown by two spares gives back only one once its
+    load is gone: the shrink stops at ``MIN_SERVERS``."""
+    assert MIN_SERVERS == 2
+    spec = FarmSpec(domains=[DomainSpec("acme", 1, 0), DomainSpec("globex", 2, 1)],
+                    dispatchers=1, management_nodes=1, spare_nodes=2, switches=1)
+    farm = build_farm(spec, seed=6, params=HB)
+    farm.start()
+    assert farm.run_until_stable(timeout=120) is not None
     t0 = farm.sim.now
-    wl = DomainLoadModel(["acme", "globex"], base=0, amplitude=0)
-    ctl = Autoscaler(farm, wl.domains, load=wl.load, interval=5.0, min_servers=3)
+    wl = DomainLoadModel(["acme", "globex"], base=0, amplitude=0,
+                         spikes={"acme": (t0 + 5, 12, 600)})
+    ctl = Autoscaler(farm, wl.domains, load=wl.load,
+                     interval=5.0, high_water=50.0, low_water=25.0)
     ctl.start()
-    farm.sim.run(until=t0 + 60)
-    # nothing was ever transplanted, so nothing can shrink below base size
-    assert ctl.moves == []
+    farm.sim.run(until=t0 + 120)
+    assert [(m.src, m.dst) for m in ctl.moves] == [
+        ("free-pool", "acme"), ("free-pool", "acme"), ("acme", "free-pool"),
+    ]
+    assert ctl.domain_size("acme") == MIN_SERVERS
+    assert farm.spare_nodes == [ctl.moves[-1].node]
 
 
 def test_oceano_waits_for_stability():

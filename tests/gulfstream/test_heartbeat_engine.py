@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from repro.gulfstream.amg import AMGView
 from repro.gulfstream.heartbeat import RingHeartbeat
-from repro.gulfstream.messages import Heartbeat, MemberInfo
+from repro.gulfstream.messages import SIZE_HEARTBEAT, Heartbeat, MemberInfo
 from repro.gulfstream.params import GSParams
 from repro.net.addressing import IPAddress
 from repro.net.packet import Frame
@@ -199,8 +199,7 @@ def test_tick_sends_the_same_prebuilt_frames_every_round():
     assert all(len(tick) == len(first) and all(map(operator.is_, tick, first))
                for tick in proto.ticks)
     msg = Heartbeat(sender=proto.ip, epoch=view.epoch)
-    size = proto.params.size_heartbeat
-    assert list(first) == [Frame(proto.ip, dst, msg, size) for dst in eng._send_targets]
+    assert list(first) == [Frame(proto.ip, dst, msg, SIZE_HEARTBEAT) for dst in eng._send_targets]
 
 
 def test_engine_uses_the_stream_its_owner_hands_it():

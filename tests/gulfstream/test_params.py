@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.gulfstream.messages import SIZE_PER_MEMBER, membership_msg_size
 from repro.gulfstream.params import GSParams
 
 
@@ -51,8 +52,7 @@ def test_hb_jitter_frac_satisfies_timer_contract():
 
 
 def test_membership_msg_size_scales_with_members():
-    p = GSParams()
-    assert p.membership_msg_size(10) - p.membership_msg_size(0) == 10 * p.size_per_member
+    assert membership_msg_size(10) - membership_msg_size(0) == 10 * SIZE_PER_MEMBER
 
 
 def test_params_hashable_and_frozen():

@@ -51,7 +51,7 @@ OS = {"ideal": OSParams.ideal(), "fast": OSParams.fast(), "default": OSParams()}
 LINKS = {"lossless": None, "lossy": LinkQuality(loss_probability=0.02)}
 
 #: instruments that count engine events rather than simulated behaviour
-_ENGINE_METRICS = {"sim.events.dispatched", "sim.queue.depth", "sim.queue.dead"}
+_ENGINE_METRICS = ("sim.events.dispatched", "sim.queue.depth", "sim.queue.dead")
 
 
 def _eager_receive(self, frame):
@@ -85,7 +85,10 @@ def _farm_print(farm, **extra):
             vlan: (seg.frames_sent, seg.frames_delivered, seg.frames_lost, seg.bytes_sent)
             for vlan, seg in sorted(farm.fabric.segments.items())
         },
-        "metrics": [r for r in farm.sim.metrics.dump() if r["name"] not in _ENGINE_METRICS],
+        "metrics": {
+            key: value for key, value in farm.sim.metrics.snapshot().items()
+            if not key.startswith(_ENGINE_METRICS)
+        },
         "events": farm.sim.events_executed,
         **extra,
     }

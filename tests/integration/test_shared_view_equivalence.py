@@ -9,7 +9,7 @@ replaced survives only here, as the oracle: each receiver scans
 join time with the old comprehension, re-derives ``ips``/``ip_set`` on every access,
 and the coordinator recounts its members on every ack. Every scenario below
 runs under both and must produce the same trace records, notification
-history, segment statistics, metrics dump *and engine event count* — the
+history, segment statistics, metrics snapshot *and engine event count* — the
 change removes work inside events, not events.
 
 Below the differential runs: a property test of the delta-maintained
@@ -124,7 +124,7 @@ def _assert_shared_equals_per_member(monkeypatch, run):
 
 def _full_print(farm, **extra):
     """``_farm_print`` without its allowance for engine-event instruments."""
-    return {**_farm_print(farm, **extra), "metrics": farm.sim.metrics.dump()}
+    return {**_farm_print(farm, **extra), "metrics": farm.sim.metrics.snapshot()}
 
 
 # ----------------------------------------------------------------------

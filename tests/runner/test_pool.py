@@ -152,15 +152,11 @@ def test_per_task_timeout_raises():
 
 
 def test_chunking_covers_every_index():
-    runner = ParallelRunner(jobs=3, chunk_size=4)
-    chunks = runner._chunks(11)
-    flat = [i for c in chunks for i in c]
-    assert flat == list(range(11))
-    assert all(len(c) <= 4 for c in chunks)
-    # default sizing: enough chunks to rebalance stragglers
-    auto = ParallelRunner(jobs=2)._chunks(40)
-    assert len(auto) >= 8
-    assert [i for c in auto for i in c] == list(range(40))
+    for jobs, n_tasks in ((3, 11), (2, 40), (4, 3)):
+        chunks = ParallelRunner(jobs=jobs)._chunks(n_tasks)
+        assert [i for c in chunks for i in c] == list(range(n_tasks))
+        # enough chunks to rebalance stragglers
+        assert len(chunks) >= min(n_tasks, jobs * 4)
 
 
 def test_jobs_zero_means_cpu_count():

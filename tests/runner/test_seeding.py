@@ -43,8 +43,7 @@ def test_task_seed_pinned_value():
     """Algorithm drift (hash, canonicalization, truncation) would silently
     invalidate every cache and golden row — pin one value."""
     assert task_seed("pin", {"n": 1}, 0, 0) == stable_hash(
-        {"experiment": "pin", "point": {"n": 1}, "replicate": 0, "base_seed": 0},
-        bits=63,
+        {"experiment": "pin", "point": {"n": 1}, "replicate": 0, "base_seed": 0}
     )
     assert task_seed("pin", {"n": 1}, 0, 0) == 8459130701384071883
 
@@ -56,5 +55,5 @@ def test_canonical_json_reprs_dataclasses():
 
 
 def test_stable_hash_width():
-    assert 0 <= stable_hash("x", bits=16) < 2 ** 16
-    assert 0 <= stable_hash("x", bits=64) < 2 ** 64
+    # a seed every RNG accepts: non-negative signed 64-bit
+    assert all(0 <= stable_hash(x) < 2 ** 63 for x in ("x", 1, [2.0], {"k": None}))

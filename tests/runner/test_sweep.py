@@ -41,9 +41,7 @@ def test_parallel_rows_identical_to_serial_at_fixed_seed():
     kwargs = dict(seed_arg="seed", experiment="identity", base_seed=3, replicates=2)
     serial = run_sweep(seeded_metric, {"x": list(range(6))}, **kwargs)
     parallel2 = run_sweep(seeded_metric, {"x": list(range(6))}, jobs=2, **kwargs)
-    parallel5 = run_sweep(
-        seeded_metric, {"x": list(range(6))}, jobs=5, chunk_size=1, **kwargs
-    )
+    parallel5 = run_sweep(seeded_metric, {"x": list(range(6))}, jobs=5, **kwargs)
     assert serial == parallel2 == parallel5
 
 

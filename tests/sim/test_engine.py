@@ -36,15 +36,6 @@ def test_same_time_events_fire_fifo():
     assert fired == list(range(10))
 
 
-def test_priority_breaks_ties_before_sequence():
-    sim = Simulator()
-    fired = []
-    sim.schedule(1.0, fired.append, "late", priority=1)
-    sim.schedule(1.0, fired.append, "early", priority=0)
-    sim.run()
-    assert fired == ["early", "late"]
-
-
 def test_clock_advances_to_event_time():
     sim = Simulator()
     seen = []

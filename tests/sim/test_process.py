@@ -1,4 +1,4 @@
-"""Timer behaviour: periodicity, jitter bounds, cancellation, max_fires."""
+"""Timer behaviour: periodicity, jitter bounds, cancellation."""
 
 import numpy as np
 import pytest
@@ -50,19 +50,11 @@ def test_timer_cancel_from_own_callback():
     assert ticks == [1.0]
 
 
-def test_timer_max_fires():
-    sim = Simulator()
-    t = Timer(sim, 1.0, lambda: None, max_fires=3)
-    sim.run(until=10.0)
-    assert t.fires == 3
-    assert not t.active
-
-
 def test_timer_args_passed_through():
     sim = Simulator()
     seen = []
-    Timer(sim, 1.0, seen.append, "payload", max_fires=2)
-    sim.run()
+    Timer(sim, 1.0, seen.append, "payload")
+    sim.run(until=2.5)
     assert seen == ["payload", "payload"]
 
 
@@ -70,8 +62,8 @@ def test_timer_jitter_stays_within_bounds():
     sim = Simulator(seed=7)
     rng = np.random.default_rng(0)
     ticks = []
-    Timer(sim, 1.0, lambda: ticks.append(sim.now), jitter=0.2, rng=rng, max_fires=50)
-    sim.run()
+    Timer(sim, 1.0, lambda: ticks.append(sim.now), jitter=0.2, rng=rng)
+    sim.run(until=50.0)
     gaps = np.diff([0.0] + ticks)
     assert all(0.6 <= g <= 1.4 for g in gaps[1:])  # interval ± jitter (+slack)
     assert len(set(np.round(gaps, 6))) > 1  # actually jittered
@@ -117,11 +109,11 @@ def test_timer_reuse_with_jitter_keeps_rng_stream():
     rng_a = np.random.default_rng(3)
     rng_b = np.random.default_rng(3)
     ticks_a = []
-    Timer(sim, 1.0, lambda: ticks_a.append(sim.now), jitter=0.2, rng=rng_a, max_fires=20)
-    sim.run()
+    Timer(sim, 1.0, lambda: ticks_a.append(sim.now), jitter=0.2, rng=rng_a)
+    sim.run(until=20.0)
     sim2 = Simulator()
     ticks_b = []
-    Timer(sim2, 1.0, lambda: ticks_b.append(sim2.now), jitter=0.2, rng=rng_b, max_fires=20)
-    sim2.run()
+    Timer(sim2, 1.0, lambda: ticks_b.append(sim2.now), jitter=0.2, rng=rng_b)
+    sim2.run(until=20.0)
     assert ticks_a == ticks_b  # same rng seed -> identical jittered schedule
 

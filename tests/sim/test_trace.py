@@ -38,8 +38,9 @@ def test_category_filter_stores_selectively():
     assert tr.count("drop") == 1  # still counted
 
 
-def test_max_records_cap_sets_truncated():
-    tr = Trace(max_records=2)
+def test_max_records_cap_sets_truncated(monkeypatch):
+    monkeypatch.setattr(Trace, "MAX_RECORDS", 2)
+    tr = Trace()
     for i in range(5):
         tr.emit(float(i), "x", "a")
     assert len(tr) == 2

@@ -229,24 +229,24 @@ def test_wheel_len_and_queue_property_count_every_tier():
 # reference replay identical histories
 # ----------------------------------------------------------------------
 class _Ref:
-    """The reference queue: one plain ``heapq`` of ``(time, priority, seq,
-    event)``, popped until empty, cancelled events skipped."""
+    """The reference queue: one plain ``heapq`` of ``(time, seq, event)``,
+    popped until empty, cancelled events skipped."""
 
     def __init__(self):
         self.now, self.events_executed, self._seq, self._heap = 0.0, 0, 0, []
 
-    def schedule(self, delay, fn, *args, priority=0):
+    def schedule(self, delay, fn, *args):
         # the engine's Event is a plain record here: no simulator owns it
-        return self.reschedule(Event(0.0, priority, 0, fn, args), delay)
+        return self.reschedule(Event(0.0, 0, fn, args), delay)
 
     def reschedule(self, ev, delay):
-        heapq.heappush(self._heap, (self.now + delay, ev.priority, self._seq, ev))
+        heapq.heappush(self._heap, (self.now + delay, self._seq, ev))
         self._seq += 1
         return ev
 
     def run(self):
         while self._heap:
-            time, _, _, ev = heapq.heappop(self._heap)
+            time, _, ev = heapq.heappop(self._heap)
             if not ev.cancelled:
                 self.now = time
                 self.events_executed += 1
@@ -277,7 +277,6 @@ _POOL = [
 
 _op = st.tuples(
     st.sampled_from(_POOL) | st.floats(min_value=0.0, max_value=300.0, allow_nan=False),
-    st.integers(min_value=0, max_value=2),            # priority
     st.booleans(),                                    # cancel before running
     st.none() | st.sampled_from(_POOL),               # in-handler respawn delay
 )
@@ -293,8 +292,8 @@ def _replay(queue, program):
             sim.schedule(respawn, fire, tag + 10_000, None)
 
     scheduled = []
-    for i, (delay, priority, cancel, respawn) in enumerate(program):
-        scheduled.append((sim.schedule(delay, fire, i, respawn, priority=priority), cancel))
+    for i, (delay, cancel, respawn) in enumerate(program):
+        scheduled.append((sim.schedule(delay, fire, i, respawn), cancel))
     for ev, cancel in scheduled:
         if cancel:
             ev.cancel()

@@ -21,6 +21,7 @@ from hypothesis import strategies as st
 from scipy import stats
 
 from repro.workload.generators import (
+    DOMAIN_ALPHA,
     STREAM_NAMES,
     Arrival,
     RequestStream,
@@ -165,9 +166,8 @@ def test_profile_exceeding_peak_factor_raises():
 # ----------------------------------------------------------------------
 def test_domain_shares_follow_zipf_weights():
     domains = ["a", "b", "c", "d"]
-    ev = take(RequestStream(domains, base_rate=100.0, domain_alpha=0.8,
-                            rngs=default_streams(6)), 40_000)
-    z = TruncatedZipf(4, alpha=0.8)
+    ev = take(RequestStream(domains, base_rate=100.0, rngs=default_streams(6)), 40_000)
+    z = TruncatedZipf(4, alpha=DOMAIN_ALPHA)
     observed = {d: 0 for d in domains}
     for e in ev:
         observed[e.domain] += 1
@@ -226,8 +226,8 @@ def test_default_streams_are_independent_per_purpose():
 # ----------------------------------------------------------------------
 # exactness: the block-evaluated stream ≡ the scalar reference
 # ----------------------------------------------------------------------
-def _reference_stream(domains, base_rate, *, rngs, duration=None, domain_alpha=0.8,
-                      profile=None, peak_factor=None):
+def _reference_stream(domains, base_rate, *, rngs, duration=None, profile=None,
+                      peak_factor=None):
     """The one-candidate-at-a-time generator, as the stream was first written.
 
     Every candidate draws one exponential and (unless it ends the stream)
@@ -238,7 +238,7 @@ def _reference_stream(domains, base_rate, *, rngs, duration=None, domain_alpha=0
     """
     profile = profile if profile is not None else (lambda d, t: 1.0)
     peak = base_rate * (1.0 if peak_factor is None else peak_factor)
-    zipf = TruncatedZipf(len(domains), domain_alpha)
+    zipf = TruncatedZipf(len(domains), DOMAIN_ALPHA)
     weights = [zipf.pmf(r) for r in range(1, len(domains) + 1)]
 
     def buffered(draw):
